@@ -1,4 +1,4 @@
-"""Zero-temperature Lifshitz energy and pressure for two half-spaces in vacuum.
+r"""Zero-temperature Lifshitz energy and pressure for two half-spaces in vacuum.
 
 The energy per unit area at separation ``a`` is
 
@@ -13,8 +13,12 @@ mean attraction (the plates bind).
 Numerics: the inner integral is rewritten over the dimensionless variable
 y = 2 kappa0 a (so k dk -> y dy / (2a)^2 with lower limit y0 = 2 a xi / c),
 which makes the exponential kernel separation-independent.  Both axes use
-vectorized adaptive Gauss-Kronrod panels; inner-integral error estimates
-are propagated into the outer total in quadrature sum.
+vectorized adaptive Gauss-Kronrod panels.  Each round of the outer axis
+hands its xi nodes to the inner axis in blocks of ``_BLOCK``: eps and mu
+are evaluated once per block as arrays, and all inner integrals of the
+block refine together in one ``integrate_panels`` call, each to its own
+tolerance and budget.  Inner-integral error estimates are propagated
+into the outer total in quadrature sum.
 """
 
 import math
@@ -29,7 +33,8 @@ from .errors import (ContinuumModelWarning, ConvergenceError,
                      DegenerateIntegrandError, DomainError)
 from .materials import (DIVERGENT, InfinitelyPermeable, MaterialResponse,
                         PerfectConductor)
-from .quadrature import geometric_edges, integrate_adaptive
+from .quadrature import (geometric_edges, geometric_panels,
+                         integrate_adaptive, integrate_panels)
 
 
 @dataclass(frozen=True)
@@ -92,8 +97,10 @@ class QuadratureConfig:
 
     abs_floor is interpreted in the unit of the requested result
     (J/m^2 for energies, Pa for pressures).  max_subdivisions budgets the
-    outer adaptive axis; each inner integral gets an independent budget of
-    min(max_subdivisions, 300).
+    outer adaptive axis.  The inner integrals at the outer nodes refine
+    together, but each keeps its own budget of min(max_subdivisions, 300)
+    splits and its own tolerance, so one that exhausts its budget stops
+    alone.
     """
 
     rel_tol: float = 1e-8
@@ -149,26 +156,27 @@ def _mirror_pair(material):
     return None
 
 
-def _refl_factory(material, xi):
-    """Vacuum-medium (r_te, r_tm) as a function of a kappa0 array, at fixed xi > 0."""
+def _reflection_by_owner(material, xi):
+    """Vacuum-medium (r_te, r_tm) as a function of kappa0 and owner arrays.
+
+    ``owner`` indexes the array ``xi`` (> 0) of outer nodes and broadcasts
+    against ``kappa0``; eps and mu are evaluated at ``xi`` once, as
+    arrays, when the function is made.  Ideal mirrors give scalars.
+    """
     mirror = _mirror_pair(material)
     if mirror is not None:
-        rte, rtm = mirror
+        return lambda kappa0, owner: mirror
 
-        def rf(kappa0):
-            shape = np.shape(kappa0)
-            return np.full(shape, rte), np.full(shape, rtm)
-
-        return rf
-
-    e = float(material.eps(xi))
-    m = float(material.mu(xi))
+    e = np.asarray(material.eps(xi), dtype=float)
+    m = np.asarray(material.mu(xi), dtype=float)
     em_xic2 = (e * m - 1.0) * (xi / C) ** 2
 
-    def rf(kappa0):
-        kappa = np.sqrt(np.maximum(kappa0 * kappa0 + em_xic2, 0.0))
-        r_te = (m * kappa0 - kappa) / (m * kappa0 + kappa)
-        r_tm = (e * kappa0 - kappa) / (e * kappa0 + kappa)
+    def rf(kappa0, owner):
+        eo = e[owner]
+        mo = m[owner]
+        kappa = np.sqrt(np.maximum(kappa0 * kappa0 + em_xic2[owner], 0.0))
+        r_te = (mo * kappa0 - kappa) / (mo * kappa0 + kappa)
+        r_tm = (eo * kappa0 - kappa) / (eo * kappa0 + kappa)
         return r_te, r_tm
 
     return rf
@@ -239,27 +247,6 @@ def _ln_one_minus(p, emy, y):
     return np.where(np.abs(x) < 0.5, np.log1p(-x), np.log(_stable_q(p, emy, y)))
 
 
-def _inner_integrand(cfg, xi, kind):
-    """Integrand over y = 2 kappa0 a at fixed xi, summed over polarizations."""
-    two_a = 2.0 * cfg.a
-    rf1 = _refl_factory(cfg.material1, xi)
-    rf2 = _refl_factory(cfg.material2, xi)
-
-    def g(y):
-        kappa0 = y / two_a
-        r1te, r1tm = rf1(kappa0)
-        r2te, r2tm = rf2(kappa0)
-        pte = r1te * r2te
-        ptm = r1tm * r2tm
-        emy = np.exp(-y)
-        if kind == "energy":
-            return y * (_ln_one_minus(pte, emy, y) + _ln_one_minus(ptm, emy, y))
-        return y * y * (pte * emy / _stable_q(pte, emy, y)
-                        + ptm * emy / _stable_q(ptm, emy, y))
-
-    return g
-
-
 def _xi_cutoff(cfg, quad):
     """Outer truncation: the configured cutoff, capped by the exact dead
     zone where the inner lower limit y0 already exceeds y_cutoff."""
@@ -271,6 +258,56 @@ def _xi_cutoff(cfg, quad):
 
 
 _INNER_BUDGET = 300
+# Outer nodes whose inner integrals refine in one batched call.  Bounds
+# the working set of a round (seed panels of every node, kept points)
+# while leaving the per-call Python overhead negligible.
+_BLOCK = 64
+
+
+def _inner_integrals(cfg, xi, kind, rel_tol, budget, y_cut):
+    """Inner y-integrals at every outer node of the array ``xi``.
+
+    Returns (values, errors), summed over polarizations.  Nodes whose
+    lower limit y0 = 2 a xi / c reaches ``y_cut`` contribute exactly zero;
+    the others refine together, ``_BLOCK`` nodes per ``integrate_panels``
+    call, each from the seed panels ``geometric_edges(y0, y_cut, 0.25)``.
+    """
+    y0 = 2.0 * cfg.a * xi / C
+    vals = np.zeros(xi.shape)
+    errs = np.zeros(xi.shape)
+    live = np.flatnonzero(y0 < y_cut)
+    for start in range(0, live.size, _BLOCK):
+        idx = live[start:start + _BLOCK]
+        vals[idx], errs[idx] = _inner_block(cfg, xi[idx], y0[idx], kind,
+                                            rel_tol, budget, y_cut)
+    return vals, errs
+
+
+def _inner_block(cfg, xi, y0, kind, rel_tol, budget, y_cut):
+    """One batched call of ``_inner_integrals``: (values, errors)."""
+    rf1 = _reflection_by_owner(cfg.material1, xi)
+    rf2 = _reflection_by_owner(cfg.material2, xi)
+    two_a = 2.0 * cfg.a
+
+    # a function of its own so that the four coefficient arrays are freed
+    # before the kernel below makes its temporaries
+    def products(kappa0, owner):
+        r1te, r1tm = rf1(kappa0, owner)
+        r2te, r2tm = rf2(kappa0, owner)
+        return r1te * r2te, r1tm * r2tm
+
+    def g(y, owner):
+        pte, ptm = products(y / two_a, owner)
+        emy = np.exp(-y)
+        if kind == "energy":
+            return y * (_ln_one_minus(pte, emy, y) + _ln_one_minus(ptm, emy, y))
+        return y * y * (pte * emy / _stable_q(pte, emy, y)
+                        + ptm * emy / _stable_q(ptm, emy, y))
+
+    lo, hi, owner = geometric_panels(y0, y_cut, 0.25)
+    res = integrate_panels(g, lo, hi, owner, xi.size, rel_tol=rel_tol,
+                           max_subdivisions=budget)
+    return res.value, res.error
 
 
 def _integrate_double(cfg, quad, kind):
@@ -278,28 +315,10 @@ def _integrate_double(cfg, quad, kind):
     a = cfg.a
     inner_tol = 0.1 * quad.rel_tol
     inner_budget = min(quad.max_subdivisions, _INNER_BUDGET)
-    y_cut = quad.y_cutoff
-    samples_xi = []
-    samples_f = []
 
     def outer(xi_arr):
-        vals = np.empty(xi_arr.shape)
-        errs = np.empty(xi_arr.shape)
-        for i, xi in enumerate(xi_arr):
-            y0 = 2.0 * a * xi / C
-            if y0 >= y_cut:
-                vals[i] = 0.0
-                errs[i] = 0.0
-                continue
-            g = _inner_integrand(cfg, float(xi), kind)
-            edges = geometric_edges(y0, y_cut, 0.25)
-            r = integrate_adaptive(g, edges, rel_tol=inner_tol,
-                                   max_subdivisions=inner_budget)
-            vals[i] = r.value
-            errs[i] = r.error
-        samples_xi.append(xi_arr.copy())
-        samples_f.append(vals.copy())
-        return vals, errs
+        return _inner_integrals(cfg, xi_arr, kind, inner_tol, inner_budget,
+                                quad.y_cutoff)
 
     xi_max = _xi_cutoff(cfg, quad)
     xi_edges = np.concatenate([[0.0],
@@ -308,10 +327,8 @@ def _integrate_double(cfg, quad, kind):
                              abs_floor=_raw_floor(cfg, quad, kind),
                              max_subdivisions=quad.max_subdivisions,
                              with_errors=True)
-    xi_all = np.concatenate(samples_xi)
-    f_all = np.concatenate(samples_f)
-    weight = xi_all * np.abs(f_all)
-    dominant = float(xi_all[np.argmax(weight)]) if np.any(weight > 0.0) else None
+    weight = res.points * np.abs(res.values)
+    dominant = float(res.points[np.argmax(weight)]) if np.any(weight > 0.0) else None
     return res, dominant
 
 
@@ -368,16 +385,8 @@ def dominant_frequency(cfg, quad=None):
     xi_lo = 1e-4 * C / a
     n = max(int(25 * np.log10(xi_max / xi_lo)), 50)
     grid = np.geomspace(xi_lo, xi_max, n)
-    vals = np.empty(n)
-    for i, xi in enumerate(grid):
-        y0 = 2.0 * a * xi / C
-        if y0 >= quad.y_cutoff:
-            vals[i] = 0.0
-            continue
-        g = _inner_integrand(cfg, float(xi), "energy")
-        r = integrate_adaptive(g, geometric_edges(y0, quad.y_cutoff, 0.25),
-                               rel_tol=1e-6, max_subdivisions=_INNER_BUDGET)
-        vals[i] = r.value
+    vals, _ = _inner_integrals(cfg, grid, "energy", 1e-6, _INNER_BUDGET,
+                               quad.y_cutoff)
     weight = grid * np.abs(vals)
     if not np.any(weight > 0.0):
         raise DegenerateIntegrandError("outer integrand vanishes everywhere; "

@@ -415,6 +415,11 @@ class TabulatedAbsorption:
                                    self.low_tail, self.high_tail)
 
 
+def _atan_series(x2):
+    """(x - arctan x) / x^3 from its series in x^2, for x < 0.05."""
+    return 1.0 / 3.0 - x2 / 5.0 + x2 * x2 / 7.0 - x2 * x2 * x2 / 9.0
+
+
 def _x_minus_atan(x):
     """x - arctan(x), stable for small x (series) and exact for large."""
     x = np.asarray(x, dtype=float)
@@ -423,7 +428,7 @@ def _x_minus_atan(x):
     if np.any(small):
         xs = x[small]
         x2 = xs * xs
-        out[small] = xs * x2 * (1.0 / 3.0 - x2 / 5.0 + x2 * x2 / 7.0 - x2 * x2 * x2 / 9.0)
+        out[small] = xs * x2 * _atan_series(x2)
     return out
 
 
@@ -457,16 +462,31 @@ def _kk_sampled_at_zero(table):
                         + table._offset * np.log(w2 / w1)))
 
 
+# Below xi = w1 * _FAR the low tails take their xi -> 0 forms: (w1/xi)^2
+# would overflow, and the terms they drop are below rounding.
+_FAR = 1e-150
+
+
 def _kk_low_tail(table, xi):
     s1 = table.eps_imag[0]
     w1 = table.omega[0]
     kind = table.low_tail.model
     if kind == "zero" or s1 == 0.0:
         return np.zeros_like(xi)
+    out = np.empty_like(xi)
+    far = xi < w1 * _FAR
+    near = ~far
     if kind == "constant":
-        return s1 * 0.5 * np.log1p((w1 / xi) ** 2)
-    # linear: eps'' = s1 * w/w1 below w1
-    return (s1 / w1) * xi * _x_minus_atan(w1 / xi)
+        # 0.5 log1p((w1/xi)^2), which is log(w1/xi) far below w1
+        out[near] = 0.5 * np.log1p((w1 / xi[near]) ** 2)
+        out[far] = np.log(w1) - np.log(xi[far])
+        return s1 * out
+    # linear: eps'' = s1 * w/w1 below w1, integrating to
+    # s1 * (1 - u atan(1/u)), u = xi/w1, which tends to s1
+    out[near] = (s1 / w1) * xi[near] * _x_minus_atan(w1 / xi[near])
+    u = xi[far] / w1
+    out[far] = s1 * (1.0 - u * (0.5 * np.pi - np.arctan(u)))
+    return out
 
 
 _HIGH_TAIL_T_EDGES = np.concatenate([[0.0], np.geomspace(2.0 ** -16, 1.0, 9)])
@@ -480,8 +500,15 @@ def _kk_high_tail(table, xi):
         return np.zeros_like(xi)
     p = tail.exponent
     if p == 3.0:
-        # sn * wn^3/xi^3 * (u - atan u), u = xi/wn; stable at both ends
-        return sn * (wn / xi) ** 3 * _x_minus_atan(xi / wn)
+        # sn * (u - atan u) / u^3, u = xi/wn; the series below u = 0.05
+        # never forms (wn/xi)^3, which overflows at tiny xi
+        u = xi / wn
+        small = u < 0.05
+        big = ~small
+        out = np.empty_like(xi)
+        out[small] = _atan_series(u[small] ** 2)
+        out[big] = (wn / xi[big]) ** 3 * _x_minus_atan(u[big])
+        return sn * out
     # generic power law: sn * wn^2 * \int_0^1 t^{p-1} / (wn^2 + xi^2 t^2) dt
     lo = _HIGH_TAIL_T_EDGES[:-1]
     hi = _HIGH_TAIL_T_EDGES[1:]
@@ -493,9 +520,19 @@ def _kk_high_tail(table, xi):
     return sn * wn ** 2 * (integrand @ w)
 
 
+# (xi x sample) elements per pass of the transform: bounds the size of the
+# temporaries of _kk_sampled however many frequencies are asked for.
+_KK_CHUNK = 16384
+
+
 def _kk_value(table, xi):
     """eps(i xi) - operates on a validated positive 1-D array."""
-    core = _kk_sampled(table, xi) + _kk_low_tail(table, xi) + _kk_high_tail(table, xi)
+    rows = max(1, _KK_CHUNK // table.n_samples)
+    core = np.empty(xi.shape)
+    for start in range(0, xi.size, rows):
+        part = xi[start:start + rows]
+        core[start:start + rows] = (_kk_sampled(table, part) + _kk_low_tail(table, part)
+                                    + _kk_high_tail(table, part))
     return 1.0 + (2.0 / np.pi) * core
 
 
@@ -509,7 +546,7 @@ class PermittivityEstimate:
 
 
 def kramers_kronig(table, xi, tol=1e-6):
-    """Permittivity on the imaginary axis from tabulated absorption data.
+    r"""Permittivity on the imaginary axis from tabulated absorption data.
 
         eps(i xi) = 1 + (2/pi) \int_0^inf w eps''(w) / (w^2 + xi^2) dw
 

@@ -7,13 +7,16 @@ closed imaginary-axis form.  scipy integrates the same piecewise-linear
 absorption model independently to check the closed-form interval sums.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
 from casimir import (DIVERGENT, DomainError, HighTail, IngestionError,
-                     LowTail, Tabulated, TabulatedAbsorption, kramers_kronig)
-from casimir.materials import _kk_value
+                     LowTail, QuadraturePoint, Tabulated, TabulatedAbsorption,
+                     kramers_kronig, reflection)
+from casimir.materials import _KK_CHUNK, _kk_value
 
 
 def lorentz_eps_imag(w, f, wp, w0, g):
@@ -148,3 +151,43 @@ def test_tabulated_model_matches_transform():
     assert model.mu(1e15) == 1.0
     with pytest.raises(DomainError):
         model.eps(np.array([0.0, 1e15]))
+
+
+@pytest.mark.parametrize("low", ["constant", "linear", "zero"])
+@pytest.mark.parametrize("high", [HighTail("power", 3.0), HighTail("power", 2.0),
+                                  HighTail("zero")], ids=["power3", "power2", "zero"])
+def test_tails_stay_finite_at_tiny_xi(low, high):
+    w = np.geomspace(W0 * 1e-3, W0 * 1e3, 300)
+    table = TabulatedAbsorption(w, lorentz_eps_imag(w, F, WP, W0, G),
+                                LowTail(low), high)
+    model = Tabulated(table)
+    at_zero = model._eps_at_zero()
+    for xi in (1e-100, 1e-200, 1e-300, 5e-324):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eps = model.eps(xi)
+            r_te, r_tm = reflection(model, QuadraturePoint(xi, 0.0))
+        assert np.isfinite(eps) and eps >= 1.0
+        assert abs(r_te) <= 1.0 and abs(r_tm) <= 1.0
+        if low != "constant":
+            # these tails keep eps finite at xi = 0, and tiny xi must reach it
+            assert eps == pytest.approx(at_zero, rel=1e-12)
+
+
+def test_array_evaluation_across_chunk_boundaries():
+    table = lorentz_table(2500)
+    model = Tabulated(table)
+    rows = _KK_CHUNK // table.n_samples
+    assert rows > 1
+    for size in (1, rows, rows + 1, 3 * rows + 2):
+        xi = np.geomspace(W0 * 1e-4, W0 * 1e4, size)
+        eps = model.eps(xi)
+        est = kramers_kronig(table, xi)
+        one_by_one = [kramers_kronig(table, float(x)) for x in xi]
+        np.testing.assert_allclose(eps, [model.eps(float(x)) for x in xi],
+                                   rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(est.value, [e.value for e in one_by_one],
+                                   rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(est.error_estimate,
+                                   [e.error_estimate for e in one_by_one],
+                                   rtol=1e-15, atol=0.0)
