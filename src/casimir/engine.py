@@ -14,11 +14,11 @@ Numerics: the inner integral is rewritten over the dimensionless variable
 y = 2 kappa0 a (so k dk -> y dy / (2a)^2 with lower limit y0 = 2 a xi / c),
 which makes the exponential kernel separation-independent.  Both axes use
 vectorized adaptive Gauss-Kronrod panels.  Each round of the outer axis
-hands its xi nodes to the inner axis in blocks of ``_BLOCK``: eps and mu
-are evaluated once per block as arrays, and all inner integrals of the
-block refine together in one ``integrate_panels`` call, each to its own
-tolerance and budget.  Inner-integral error estimates are propagated
-into the outer total in quadrature sum.
+hands its xi nodes to the inner axis: eps and mu are evaluated once, as
+arrays, and the inner integrals refine together in blocks of ``_BLOCK``,
+one ``integrate_panels`` call per block, each to its own tolerance and
+budget.  Inner-integral error estimates are propagated into the outer
+total in quadrature sum.
 """
 
 import math
@@ -31,8 +31,7 @@ import numpy as np
 from .constants import C, HBAR
 from .errors import (ContinuumModelWarning, ConvergenceError,
                      DegenerateIntegrandError, DomainError)
-from .materials import (DIVERGENT, InfinitelyPermeable, MaterialResponse,
-                        PerfectConductor)
+from .materials import DIVERGENT, MaterialResponse
 from .quadrature import (geometric_edges, geometric_panels,
                          integrate_adaptive, integrate_panels)
 
@@ -148,36 +147,51 @@ class PressureResult:
 # Reflection coefficients
 # ---------------------------------------------------------------------------
 
-def _mirror_pair(material):
-    if isinstance(material, PerfectConductor):
-        return (-1.0, 1.0)
-    if isinstance(material, InfinitelyPermeable):
-        return (1.0, -1.0)
-    return None
+def _reflection_by_owner(material, xi, c_unit):
+    """Vacuum-medium (r_te, r_tm) of ``material`` as a function of (u, owner).
 
-
-def _reflection_by_owner(material, xi):
-    """Vacuum-medium (r_te, r_tm) as a function of kappa0 and owner arrays.
-
-    ``owner`` indexes the array ``xi`` (> 0) of outer nodes and broadcasts
-    against ``kappa0``; eps and mu are evaluated at ``xi`` once, as
-    arrays, when the function is made.  Ideal mirrors give scalars.
+    ``xi`` holds one frequency (rad/s) per owner.  In the caller's unit of length
+    lambda, c_unit = c / lambda and u = kappa0 lambda; with v = xi / c_unit and
+    w = (eps mu - 1) v^2, kappa lambda = sqrt(u^2 + w) and each polarization
+    reflects as (x u - kappa lambda) / (x u + kappa lambda), x = mu for TE and
+    eps for TM.  eps, mu and their infinite limits (DIVERGENT reads as inf) are
+    resolved once, here: an infinite eps or mu reflects as +1 in its own
+    polarization; w is infinite with mu, and with eps is mu xi^2 (eps - 1) /
+    c_unit^2 + (mu - 1) v^2 from ``xi2_susceptibility``; an infinite w reflects
+    as -1.  A limit that every owner shares is a float constant.
     """
-    mirror = _mirror_pair(material)
-    if mirror is not None:
-        return lambda kappa0, owner: mirror
+    e, m = (np.full(xi.shape, np.inf) if r is DIVERGENT else np.asarray(r, dtype=float)
+            for r in (material.eps(xi), material.mu(xi)))
+    v = xi / c_unit
+    em = e * m
+    fixed = None
+    if em.max(initial=0.0) < np.inf:
+        w = (em - 1.0) * (v * v)
+    else:
+        e_inf, m_inf = np.isinf(e), np.isinf(m)
+        s = material.xi2_susceptibility(xi) / c_unit / c_unit if e_inf.any() else 0.0
+        w_inf = m_inf | (e_inf & np.isinf(s))
+        # a limit every owner shares, from counts (cheap for the ideal mirrors)
+        n, n_e, n_m, n_w = xi.size, *map(np.count_nonzero, (e_inf, m_inf, w_inf))
+        limits = tuple(1.0 if n_own == n else -1.0 if n_own == 0 and n_w == n else None
+                       for n_own in (n_m, n_e))
+        if None not in limits:
+            return lambda u, owner: limits
+        # per owner: +1, -1, or NaN where the formula holds with finite stand-ins
+        fixed = [np.where(own, 1.0, np.where(w_inf, -1.0, np.nan))
+                 for own in (m_inf, e_inf)]
+        e, m = np.where(e_inf, 1.0, e), np.where(m_inf, 1.0, m)
+        w = np.where(w_inf, 0.0, np.where(e_inf, m * s + (m - 1.0) * (v * v),
+                                          (e * m - 1.0) * (v * v)))
 
-    e = np.asarray(material.eps(xi), dtype=float)
-    m = np.asarray(material.mu(xi), dtype=float)
-    em_xic2 = (e * m - 1.0) * (xi / C) ** 2
-
-    def rf(kappa0, owner):
-        eo = e[owner]
-        mo = m[owner]
-        kappa = np.sqrt(np.maximum(kappa0 * kappa0 + em_xic2[owner], 0.0))
-        r_te = (mo * kappa0 - kappa) / (mo * kappa0 + kappa)
-        r_tm = (eo * kappa0 - kappa) / (eo * kappa0 + kappa)
-        return r_te, r_tm
+    def rf(u, owner):
+        kappa = np.sqrt(np.maximum(u * u + w[owner], 0.0))
+        mu_u, eps_u = m[owner] * u, e[owner] * u
+        r = (mu_u - kappa) / (mu_u + kappa), (eps_u - kappa) / (eps_u + kappa)
+        if fixed is None:
+            return r
+        return tuple(np.where(np.isnan(f[owner]), r_p, f[owner])
+                     for f, r_p in zip(fixed, r))
 
     return rf
 
@@ -185,51 +199,26 @@ def _reflection_by_owner(material, xi):
 def reflection(material, point):
     """TE and TM reflection coefficients of a vacuum-material interface.
 
-    Both coefficients are real, finite and of magnitude <= 1 for any
-    passive model at every point with xi, k >= 0 not both zero.  They are
-    formed from the ratio kappa/kappa0 = hypot(c k, n xi) / hypot(c k, xi),
-    n = sqrt(eps mu), scaled by the larger of c k and xi, never from
-    kappa0 and kappa separately, so nothing underflows at tiny xi or k:
-
-    * at k = 0 (any xi > 0) they are the normal-incidence Fresnel pair
-      ((mu - n) / (mu + n), (eps - n) / (eps + n));
-    * at xi = 0 kappa = kappa0, so finite eps and mu reflect as
-      ((mu - 1) / (mu + 1), (eps - 1) / (eps + 1)).
-
-    Where eps is infinite (the divergent models at xi = 0) or beyond float
-    range (Drude and plasma at tiny xi > 0), TM reflects as +1 and TE
-    takes (eps - 1) t^2, t = xi / (c kappa0), from the model's finite
-    weight xi^2 (eps - 1).  So a Drude metal (and conductor-like tabulated
-    data) reflects as (0, +1) at xi = 0, a dissipationless plasma keeps a
-    finite TE coefficient through kappa = sqrt(kappa0^2 + wp^2/c^2), and
-    at k = 0 both give the eps -> infinity Fresnel pair (-1, +1).
+    Real, finite and of magnitude <= 1 for any passive model at every point
+    with xi, k >= 0 not both zero: the Lifshitz integrand's coefficients
+    (``_reflection_by_owner``) on one owner, in the unit of length 1/kappa0.
+    There u = 1 and v = t = xi / hypot(xi, c k) (u = c and c_unit = kappa0
+    where c kappa0 leaves float range), so nothing overflows or underflows.
+    At k = 0 (t = 1) they are the normal-incidence Fresnel pair; at xi = 0
+    a Drude metal reflects as (0, +1) and a plasma keeps a finite TE
+    coefficient through kappa = sqrt(kappa0^2 + wp^2/c^2).
     """
     if not isinstance(point, QuadraturePoint):
         raise DomainError("point must be a QuadraturePoint")
-    mirror = _mirror_pair(material)
-    if mirror is not None:
-        return ReflectionPair(*mirror)
-    xi, k = point.xi, point.k
-    if xi == 0.0 and k == 0.0:
+    u, c_unit = 1.0, math.hypot(point.xi, C * point.k)
+    if c_unit == 0.0:
         raise DomainError("reflection is undefined at xi = k = 0")
-    e = material.eps(xi)
-    m = float(material.mu(xi))
-    if e is DIVERGENT or math.isinf(e):
-        # (eps - 1) t^2 = xi^2 (eps - 1) / (c kappa0)^2 stays finite
-        c_kappa0 = math.hypot(xi, C * k)
-        t = xi / c_kappa0
-        w = material.xi2_susceptibility(xi) / c_kappa0 / c_kappa0
-        ratio = math.sqrt(1.0 + m * w + (m - 1.0) * t * t)
-        r_te = -1.0 if math.isinf(ratio) else (m - ratio) / (m + ratio)
-        return ReflectionPair(r_te, 1.0)
-    n = math.sqrt(e) * math.sqrt(m)
-    if C * k <= xi:
-        u = C * (k / xi)
-        ratio = math.hypot(u, n) / math.hypot(u, 1.0)
-    else:
-        v = (xi / k) / C
-        ratio = math.hypot(1.0, n * v) / math.hypot(1.0, v)
-    return ReflectionPair((m - ratio) / (m + ratio), (e - ratio) / (e + ratio))
+    if c_unit == math.inf:
+        u, c_unit = C, point.kappa0
+    # tiny xi and k can put xi^2 (eps - 1) / c_unit^2 beyond float range: w = inf
+    with np.errstate(over="ignore"):
+        r_te, r_tm = _reflection_by_owner(material, np.asarray(point.xi), c_unit)(u, ())
+    return ReflectionPair(float(r_te), float(r_tm))
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +265,18 @@ def _inner_integrals(cfg, xi, kind, rel_tol, budget, y_cut):
     vals = np.zeros(xi.shape)
     errs = np.zeros(xi.shape)
     live = np.flatnonzero(y0 < y_cut)
+    # lengths in metres: u = kappa0 (1/m), v = xi / c
+    rf1, rf2 = (_reflection_by_owner(m, xi[live], C)
+                for m in (cfg.material1, cfg.material2))
     for start in range(0, live.size, _BLOCK):
         idx = live[start:start + _BLOCK]
-        vals[idx], errs[idx] = _inner_block(cfg, xi[idx], y0[idx], kind,
+        vals[idx], errs[idx] = _inner_block(cfg, rf1, rf2, start, y0[idx], kind,
                                             rel_tol, budget, y_cut)
     return vals, errs
 
 
-def _inner_block(cfg, xi, y0, kind, rel_tol, budget, y_cut):
-    """One batched call of ``_inner_integrals``: (values, errors)."""
-    rf1 = _reflection_by_owner(cfg.material1, xi)
-    rf2 = _reflection_by_owner(cfg.material2, xi)
+def _inner_block(cfg, rf1, rf2, first, y0, kind, rel_tol, budget, y_cut):
+    """One batched call of ``_inner_integrals``, from live node ``first``."""
     two_a = 2.0 * cfg.a
 
     # a function of its own so that the four coefficient arrays are freed
@@ -297,7 +287,7 @@ def _inner_block(cfg, xi, y0, kind, rel_tol, budget, y_cut):
         return r1te * r2te, r1tm * r2tm
 
     def g(y, owner):
-        pte, ptm = products(y / two_a, owner)
+        pte, ptm = products(y / two_a, owner + first)
         emy = np.exp(-y)
         if kind == "energy":
             return y * (_ln_one_minus(pte, emy, y) + _ln_one_minus(ptm, emy, y))
@@ -305,7 +295,7 @@ def _inner_block(cfg, xi, y0, kind, rel_tol, budget, y_cut):
                         + ptm * emy / _stable_q(ptm, emy, y))
 
     lo, hi, owner = geometric_panels(y0, y_cut, 0.25)
-    res = integrate_panels(g, lo, hi, owner, xi.size, rel_tol=rel_tol,
+    res = integrate_panels(g, lo, hi, owner, y0.size, rel_tol=rel_tol,
                            max_subdivisions=budget)
     return res.value, res.error
 

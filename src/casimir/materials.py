@@ -6,11 +6,11 @@ accept scalar or 1-D ndarray frequencies (rad/s) and broadcast.
 
 Zero frequency is special: the Drude and plasma permittivities (and
 tabulated data with a conductor-like low-frequency tail) grow without
-bound there.  Scalar evaluation at xi=0 then returns the ``DIVERGENT``
-sentinel instead of an infinity, and the Drude and plasma forms return
-inf at tiny xi > 0 where the value leaves float range.  Reflection code
-resolves both through ``xi2_susceptibility``, the finite weight
-xi^2 (eps - 1).
+bound there, so scalar evaluation at xi=0 returns the ``DIVERGENT``
+sentinel, as the ideal mirrors do at every xi; the Drude and plasma forms
+return inf at tiny xi > 0 beyond float range.  Reflection code reads
+DIVERGENT as inf and takes the finite xi^2 (eps - 1) from
+``xi2_susceptibility``.
 """
 
 import numpy as np
@@ -30,6 +30,9 @@ class _Divergent:
 
 
 DIVERGENT = _Divergent()
+
+# eps is taken at min(xi, _XI_FLAT), where xi^2 is finite and eps = 1 to rounding
+_XI_FLAT = 1e150  # for every model with its frequencies below ~1e140 rad/s
 
 
 def _as_xi(xi):
@@ -88,16 +91,18 @@ class MaterialResponse:
         return _match_shape(_as_xi(xi), 1.0)
 
     def xi2_susceptibility(self, xi):
-        """xi^2 (eps(i xi) - 1) at a scalar xi >= 0, rad^2/s^2.
+        """xi^2 (eps(i xi) - 1) at xi >= 0 (scalar or array), rad^2/s^2.
 
-        Reflection code asks for this weight where eps itself is too large
-        to represent.  The default vanishes at xi = 0, which holds for
-        every eps that grows more slowly than 1/xi^2 there; models whose
-        eps overflows at small xi > 0 override it with a closed form.
+        Where eps is infinite, reflection code takes this weight instead.  The
+        default is 0 at xi = 0 (eps growing more slowly than 1/xi^2); closed
+        forms override it, as a scalar where it is the same at every xi (inf
+        for the ideal conductor).
         """
-        if xi == 0.0:
-            return 0.0
-        return (self.eps(xi) - 1.0) * xi * xi
+        arr = np.asarray(xi, dtype=float)
+        live = arr > 0.0
+        out = np.zeros(arr.shape)
+        out[live] = (self.eps(arr[live]) - 1.0) * arr[live] * arr[live]
+        return out if out.ndim else float(out)
 
     @property
     def resonance_scale(self):
@@ -111,8 +116,8 @@ class MaterialResponse:
 class PerfectConductor(MaterialResponse):
     """Ideal mirror: reflects TE with -1 and TM with +1 at every frequency.
 
-    Its permittivity is unbounded, so ``eps`` returns the divergent
-    sentinel for any xi; reflection code special-cases the kind.
+    ``eps`` returns the divergent sentinel (TM +1) at every xi, and its
+    weight xi^2 (eps - 1) is inf (an infinite decay constant: TE -1).
     """
 
     kind = "PerfectConductor"
@@ -124,6 +129,9 @@ class PerfectConductor(MaterialResponse):
         _as_xi(xi)
         return DIVERGENT
 
+    def xi2_susceptibility(self, xi):
+        return np.inf
+
 
 class InfinitelyPermeable(MaterialResponse):
     """Ideal magnetic mirror: (r_te, r_tm) = (+1, -1) at every frequency.
@@ -131,7 +139,8 @@ class InfinitelyPermeable(MaterialResponse):
     The idealized counterpart of the perfect conductor; the classic
     analytically repulsive partner for it.  No real material approaches
     this behaviour, which is exactly why it is kept as an explicit
-    idealization rather than a limit of a constant-mu medium.
+    idealization rather than a limit of a constant-mu medium.  ``mu`` is
+    DIVERGENT at every xi: TE +1, and an infinite decay constant: TM -1.
     """
 
     kind = "InfinitelyPermeable"
@@ -193,7 +202,7 @@ class Drude(MaterialResponse):
         self.label = label or f"Drude(wp={self.omega_p:.3g}, gamma={self.gamma:.3g})"
 
     def eps(self, xi):
-        arr = _as_xi(xi)
+        arr = np.minimum(_as_xi(xi), _XI_FLAT)
         if arr.ndim == 0:
             x = float(arr)
             if x == 0.0:
@@ -237,7 +246,7 @@ class Plasma(MaterialResponse):
         return 1.0 + (self.omega_p / arr) ** 2
 
     def xi2_susceptibility(self, xi):
-        return self.omega_p ** 2
+        return self.omega_p ** 2  # at every xi
 
     @property
     def resonance_scale(self):
@@ -273,7 +282,7 @@ class LorentzOscillators(MaterialResponse):
         self.label = label or f"Lorentz({len(terms)} osc)"
 
     def eps(self, xi):
-        arr = _as_xi(xi)
+        arr = np.minimum(_as_xi(xi), _XI_FLAT)
         total = np.zeros(arr.shape)
         for f, wp, w0, g in self.oscillators:
             total = total + f * wp ** 2 / (w0 ** 2 + arr ** 2 + g * arr)
@@ -312,7 +321,7 @@ class DebyeMagnetic(MaterialResponse):
                                f"wm={self.omega_m:.3g})")
 
     def eps(self, xi):
-        arr = _as_xi(xi)
+        arr = np.minimum(_as_xi(xi), _XI_FLAT)
         result = 1.0 + self.delta_eps * self.omega_e ** 2 / (self.omega_e ** 2 + arr ** 2)
         return float(result) if arr.ndim == 0 else result
 
@@ -530,7 +539,7 @@ def _kk_value(table, xi):
     rows = max(1, _KK_CHUNK // table.n_samples)
     core = np.empty(xi.shape)
     for start in range(0, xi.size, rows):
-        part = xi[start:start + rows]
+        part = np.minimum(xi[start:start + rows], _XI_FLAT)
         core[start:start + rows] = (_kk_sampled(table, part) + _kk_low_tail(table, part)
                                     + _kk_high_tail(table, part))
     return 1.0 + (2.0 / np.pi) * core

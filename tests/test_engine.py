@@ -18,10 +18,12 @@ from hypothesis import strategies as st
 
 from casimir import (DIVERGENT, ConstantEpsMu, ContinuumModelWarning,
                      ConvergenceError, DebyeMagnetic, DegenerateIntegrandError,
-                     DomainError, Drude, GapConfig, InfinitelyPermeable, LorentzOscillators,
-                     PerfectConductor, Plasma, QuadratureConfig,
-                     QuadraturePoint, dominant_frequency, energy_per_area,
+                     DomainError, Drude, GapConfig, HighTail, InfinitelyPermeable,
+                     LorentzOscillators, LowTail, PerfectConductor, Plasma,
+                     QuadratureConfig, QuadraturePoint, Tabulated,
+                     TabulatedAbsorption, dominant_frequency, energy_per_area,
                      pressure, reflection, vacuum)
+from casimir.engine import _reflection_by_owner
 
 HBAR = 1.054571817e-34
 C_LIGHT = 2.99792458e8
@@ -81,30 +83,49 @@ def test_plasma_zero_frequency_keeps_te():
 
 
 def test_reflection_rejects_degenerate_point():
-    with pytest.raises(DomainError):
-        reflection(GOLD, QuadraturePoint(0.0, 0.0))
+    for model in (GOLD, PC, IPP):
+        with pytest.raises(DomainError):
+            reflection(model, QuadraturePoint(0.0, 0.0))
     with pytest.raises(DomainError):
         QuadraturePoint(-1.0, 0.0)
     with pytest.raises(DomainError):
         reflection(GOLD, (1e15, 1e6))
 
 
+LORENTZ = LorentzOscillators([(1.0, 8e15, 5e15, 5e13)])
+FERRITE = DebyeMagnetic(1e3, 1e9)
+
+
+def small_table():
+    """40 samples of a Lorentz absorption line with a conductor-like low tail."""
+    w = np.geomspace(1e13, 1e17, 40)
+    eps_imag = 8e31 * 5e13 * w / ((25e30 - w ** 2) ** 2 + (5e13 * w) ** 2)
+    return Tabulated(TabulatedAbsorption(w, eps_imag, LowTail("constant"),
+                                         HighTail("power", 3.0)), label="small table")
+
+
+TABLE = small_table()
 REFLECTION_MODELS = [
     PC, IPP, GOLD, Plasma(9e15), ConstantEpsMu(30.0, 1.0),
-    ConstantEpsMu(2.0, 50.0), ConstantEpsMu(0.25, 1.5),
-    LorentzOscillators([(1.0, 8e15, 5e15, 5e13)]), DebyeMagnetic(1e3, 1e9)]
+    ConstantEpsMu(2.0, 50.0), ConstantEpsMu(0.25, 1.5), LORENTZ, FERRITE, TABLE]
 
 
 @settings(max_examples=120, deadline=None)
 @given(model=st.sampled_from(REFLECTION_MODELS),
-       xi=st.floats(min_value=0.0, max_value=1e18),
-       k=st.floats(min_value=0.0, max_value=1e9))
+       xi=st.floats(min_value=0.0, max_value=1e300),
+       k=st.floats(min_value=0.0, max_value=1e300))
 # eps beyond float range (plasma raised OverflowError, Drude gave NaN or
 # lost xi to an underflowing kappa0) and an underflowing e * kappa0
 @example(model=Plasma(9e15), xi=1.3e-254, k=0.0)
 @example(model=GOLD, xi=2.2250738585072014e-308, k=0.0)
 @example(model=GOLD, xi=5e-324, k=0.0)
 @example(model=ConstantEpsMu(0.25, 1.5), xi=0.0, k=5e-324)
+# xi^2 overflowed inside eps (a RuntimeWarning, and NaN for the table)
+@example(model=LORENTZ, xi=1e200, k=0.0)
+@example(model=FERRITE, xi=1e200, k=0.0)
+@example(model=TABLE, xi=1e300, k=0.0)
+# c k beyond float range, where the ideal conductor must stay (-1, +1)
+@example(model=PC, xi=1e300, k=1e300)
 def test_reflection_magnitudes_bounded(model, xi, k):
     if xi == 0.0 and k == 0.0:
         return
@@ -126,7 +147,7 @@ def fresnel_normal_incidence(eps, mu):
 @given(model=st.sampled_from(REFLECTION_MODELS),
        xi=st.floats(min_value=5e-324, max_value=1e18))
 # (xi/c)^2 underflows here; the pair is not (1, 1) but -/+0.30719
-@example(model=LorentzOscillators([(1.0, 8e15, 5e15, 5e13)]), xi=1e-170)
+@example(model=LORENTZ, xi=1e-170)
 @example(model=Plasma(9e15), xi=1.3e-254)
 @example(model=GOLD, xi=5e-324)
 def test_reflection_at_normal_incidence_is_fresnel(model, xi):
@@ -134,6 +155,25 @@ def test_reflection_at_normal_incidence_is_fresnel(model, xi):
     want = fresnel_normal_incidence(model.eps(xi), model.mu(xi))
     assert r.r_te == pytest.approx(want[0], rel=1e-13, abs=1e-15)
     assert r.r_tm == pytest.approx(want[1], rel=1e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("model", REFLECTION_MODELS, ids=repr)
+def test_integrand_coefficients_equal_reflection(model):
+    # the batched integrand measures lengths in metres (u = kappa0,
+    # v = xi / c); reflection() in units of 1/kappa0 (u = 1, v = xi / (c kappa0))
+    xi = np.geomspace(1e10, 1e18, 9)
+    k = np.outer(xi / C_LIGHT, [0.0, 0.1, 1.0, 30.0, 1e3])
+    kappa0 = np.hypot(k, (xi / C_LIGHT)[:, None])
+    owner = np.arange(xi.size)[:, None]
+    # the ideal mirrors give float constants
+    r_te, r_tm = (np.broadcast_to(r, k.shape)
+                  for r in _reflection_by_owner(model, xi, C_LIGHT)(kappa0, owner))
+    for i, j in np.ndindex(k.shape):
+        point = QuadraturePoint(xi[i], k[i, j])
+        assert point.kappa0 == kappa0[i, j]
+        r = reflection(model, point)
+        assert r_te[i, j] == pytest.approx(r.r_te, rel=1e-13, abs=1e-15)
+        assert r_tm[i, j] == pytest.approx(r.r_tm, rel=1e-13, abs=1e-15)
 
 
 @pytest.mark.parametrize("xi", [1e-250, 1e-300, 1e-320])

@@ -174,6 +174,21 @@ def test_tails_stay_finite_at_tiny_xi(low, high):
             assert eps == pytest.approx(at_zero, rel=1e-12)
 
 
+@pytest.mark.parametrize("low", ["constant", "linear", "zero"])
+@pytest.mark.parametrize("high", [HighTail("power", 3.0), HighTail("power", 2.0),
+                                  HighTail("zero")], ids=["power3", "power2", "zero"])
+def test_tails_reach_one_at_huge_xi(low, high):
+    # xi^2 overflowed from ~1e155 on, and x dw / (x^2 + w1 w2) became inf/inf
+    w = np.geomspace(W0 * 1e-3, W0 * 1e3, 300)
+    model = Tabulated(TabulatedAbsorption(w, lorentz_eps_imag(w, F, WP, W0, G),
+                                          LowTail(low), high))
+    xi = np.array([1e155, 1e200, 1e300, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(model.eps(xi) == 1.0)
+        assert all(model.eps(float(x)) == 1.0 for x in xi)
+
+
 def test_array_evaluation_across_chunk_boundaries():
     table = lorentz_table(2500)
     model = Tabulated(table)

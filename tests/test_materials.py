@@ -1,5 +1,7 @@
 """Dispersion model behaviour on the imaginary axis."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from casimir import (DIVERGENT, ConstantEpsMu, DebyeMagnetic, DomainError,
                      Drude, InfinitelyPermeable, InvalidModelError,
-                     LorentzOscillators, PerfectConductor, Plasma, eval_eps,
-                     eval_mu, vacuum)
+                     LorentzOscillators, LowTail, PerfectConductor, Plasma,
+                     Tabulated, TabulatedAbsorption, eval_eps, eval_mu, vacuum)
 
 
 def test_constant_model_is_constant():
@@ -41,6 +43,37 @@ def test_zero_frequency_sentinels():
     # finite-at-zero models stay finite
     assert eval_eps(LorentzOscillators([(1.0, 1e16, 5e15, 1e14)]), 0.0) == \
         pytest.approx(1.0 + 1e32 / 25e30)
+
+
+def test_responses_reach_one_at_huge_xi():
+    # xi^2 (and x (x + gamma)) overflowed from ~1e155 on
+    xi = np.array([1e155, 1e200, 1e300, 1.7e308])
+    models = [Drude(1e16, 1e14), Plasma(1e16),
+              LorentzOscillators([(1.0, 1e16, 5e15, 1e14)]), DebyeMagnetic(1e3, 1e9)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in models:
+            for fn in (m.eps, m.mu):
+                assert np.all(fn(xi) == 1.0)
+                assert all(fn(float(x)) == 1.0 for x in xi)
+
+
+def test_xi2_susceptibility_takes_arrays():
+    xi = np.array([0.0, 1e14, 1e16])
+    lor = LorentzOscillators([(1.0, 1e16, 5e15, 1e14)])
+    np.testing.assert_allclose(lor.xi2_susceptibility(xi), (lor.eps(xi) - 1.0) * xi * xi,
+                               rtol=1e-15, atol=0.0)
+    assert lor.xi2_susceptibility(0.0) == 0.0
+    # eps is DIVERGENT at xi = 0 (and an array holding 0 is refused), the weight is 0
+    w = np.geomspace(1e13, 1e17, 20)
+    table = Tabulated(TabulatedAbsorption(w, np.ones_like(w), LowTail("constant")))
+    assert table.eps(0.0) is DIVERGENT
+    np.testing.assert_allclose(table.xi2_susceptibility(xi),
+                               [0.0] + [(table.eps(x) - 1.0) * x * x for x in xi[1:]],
+                               rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(Drude(1e16, 1e14).xi2_susceptibility(xi),
+                               1e32 * xi / (xi + 1e14), rtol=1e-15, atol=0.0)
+    assert np.all(PerfectConductor().xi2_susceptibility(xi) == np.inf)
 
 
 def test_arrays_with_zero_rejected_for_divergent_models():
