@@ -226,10 +226,6 @@ def _cmd_pfa(args):
     return EXIT_OK
 
 
-def _float_list(values):
-    return [float(v) for v in values]
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="casimir",

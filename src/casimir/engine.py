@@ -147,51 +147,81 @@ class PressureResult:
 # Reflection coefficients
 # ---------------------------------------------------------------------------
 
-def _reflection_by_owner(material, xi, c_unit):
+def _reflection_by_owner(material, xi, c_unit, v):
     """Vacuum-medium (r_te, r_tm) of ``material`` as a function of (u, owner).
 
-    ``xi`` holds one frequency (rad/s) per owner.  In the caller's unit of length
-    lambda, c_unit = c / lambda and u = kappa0 lambda; with v = xi / c_unit and
-    w = (eps mu - 1) v^2, kappa lambda = sqrt(u^2 + w) and each polarization
+    Per owner, ``xi`` is the frequency (rad/s) and ``v`` is xi / c_unit, with
+    c_unit = c / lambda in the caller's unit of length lambda; u = kappa0 lambda.
+    Then kappa lambda = sqrt(u^2 + (eps mu - 1) v^2), and each polarization
     reflects as (x u - kappa lambda) / (x u + kappa lambda), x = mu for TE and
-    eps for TM.  eps, mu and their infinite limits (DIVERGENT reads as inf) are
-    resolved once, here: an infinite eps or mu reflects as +1 in its own
-    polarization; w is infinite with mu, and with eps is mu xi^2 (eps - 1) /
-    c_unit^2 + (mu - 1) v^2 from ``xi2_susceptibility``; an infinite w reflects
-    as -1.  A limit that every owner shares is a float constant.
+    eps for TM.  eps and mu are evaluated once, here.  The ideal mirrors give
+    float constants: a DIVERGENT mu reflects TE as +1, a DIVERGENT eps TM as
+    +1, and the other polarization sees an infinite kappa (-1) where mu
+    diverges or ``xi2_susceptibility`` is infinite.  Other infinite values,
+    and an eps mu v^2 beyond float range, go through ``_reflection_at_limits``.
     """
-    e, m = (np.full(xi.shape, np.inf) if r is DIVERGENT else np.asarray(r, dtype=float)
-            for r in (material.eps(xi), material.mu(xi)))
-    v = xi / c_unit
-    em = e * m
-    fixed = None
-    if em.max(initial=0.0) < np.inf:
-        w = (em - 1.0) * (v * v)
-    else:
-        e_inf, m_inf = np.isinf(e), np.isinf(m)
-        s = material.xi2_susceptibility(xi) / c_unit / c_unit if e_inf.any() else 0.0
-        w_inf = m_inf | (e_inf & np.isinf(s))
-        # a limit every owner shares, from counts (cheap for the ideal mirrors)
-        n, n_e, n_m, n_w = xi.size, *map(np.count_nonzero, (e_inf, m_inf, w_inf))
-        limits = tuple(1.0 if n_own == n else -1.0 if n_own == 0 and n_w == n else None
-                       for n_own in (n_m, n_e))
-        if None not in limits:
-            return lambda u, owner: limits
-        # per owner: +1, -1, or NaN where the formula holds with finite stand-ins
-        fixed = [np.where(own, 1.0, np.where(w_inf, -1.0, np.nan))
-                 for own in (m_inf, e_inf)]
-        e, m = np.where(e_inf, 1.0, e), np.where(m_inf, 1.0, m)
-        w = np.where(w_inf, 0.0, np.where(e_inf, m * s + (m - 1.0) * (v * v),
-                                          (e * m - 1.0) * (v * v)))
+    eps, mu = material.eps(xi), material.mu(xi)
+    if mu is DIVERGENT:
+        r_tm = 1.0 if eps is DIVERGENT else -1.0
+        return lambda u, owner: (1.0, r_tm)
+    if eps is DIVERGENT:
+        if np.isinf(material.xi2_susceptibility(xi)).all():
+            return lambda u, owner: (-1.0, 1.0)
+        eps = np.full(xi.shape, np.inf)
+    e = np.asarray(eps, dtype=float)
+    m = np.asarray(mu, dtype=float)
+    # an upper bound of eps mu v^2 in Python floats, which overflow to inf
+    # without a warning
+    v_max = max(float(v.max(initial=0.0)), 1.0)
+    if float(e.max(initial=0.0)) * float(m.max(initial=0.0)) * v_max * v_max == math.inf:
+        return _reflection_at_limits(material, xi, c_unit, v, e, m)
+    w = (e * m - 1.0) * (v * v)
 
     def rf(u, owner):
         kappa = np.sqrt(np.maximum(u * u + w[owner], 0.0))
-        mu_u, eps_u = m[owner] * u, e[owner] * u
-        r = (mu_u - kappa) / (mu_u + kappa), (eps_u - kappa) / (eps_u + kappa)
-        if fixed is None:
-            return r
-        return tuple(np.where(np.isnan(f[owner]), r_p, f[owner])
-                     for f, r_p in zip(fixed, r))
+        mu_u = m[owner] * u
+        eps_u = e[owner] * u
+        return (mu_u - kappa) / (mu_u + kappa), (eps_u - kappa) / (eps_u + kappa)
+
+    return rf
+
+
+def _ratio_reflection(x, q):
+    """(x - q) / (x + q) for finite x > 0 and q >= 0 or inf, never forming x + q."""
+    rho = np.minimum(x, q) / np.maximum(x, q)
+    return np.where(x >= q, 1.0, -1.0) * (1.0 - rho) / (1.0 + rho)
+
+
+def _reflection_at_limits(material, xi, c_unit, v, e, m):
+    """``_reflection_by_owner`` for owners with an infinite eps, mu or eps mu.
+
+    Works with q = kappa / kappa0 = hypot(sqrt(1 - t^2), sqrt(eps mu) t),
+    t = v / u, so that no product overflows.  An infinite mu reflects TE as
+    +1 and an infinite eps TM as +1.  Where eps is infinite, eps t^2 is
+    s / u^2 + t^2 with s = xi^2 (eps - 1) / c_unit^2 from
+    ``xi2_susceptibility``; where mu is infinite, so is q.  An infinite q
+    reflects as -1.
+    """
+    e_inf = np.isinf(e)
+    m_inf = np.isinf(m)
+    e_fin = np.where(e_inf, 1.0, e)
+    m_fin = np.where(m_inf, 1.0, m)
+    s = np.zeros(e.shape)
+    if e_inf.any():
+        with np.errstate(over="ignore"):  # beyond float range: q = inf
+            s = s + material.xi2_susceptibility(xi) / c_unit / c_unit
+
+    def rf(u, owner):
+        t = v[owner] / u
+        with np.errstate(over="ignore"):  # beyond float range: q = inf
+            eps_t2 = np.where(e_inf[owner], s[owner] / u / u + t * t,
+                              e_fin[owner] * t * t)
+            q = np.hypot(np.sqrt(np.maximum(1.0 - t * t, 0.0)),
+                         np.sqrt(m_fin[owner]) * np.sqrt(eps_t2))
+        q = np.where(m_inf[owner], np.inf, q)
+        r_te = np.where(m_inf[owner], 1.0, _ratio_reflection(m_fin[owner], q))
+        r_tm = np.where(e_inf[owner], 1.0, _ratio_reflection(e_fin[owner], q))
+        return r_te, r_tm
 
     return rf
 
@@ -202,22 +232,22 @@ def reflection(material, point):
     Real, finite and of magnitude <= 1 for any passive model at every point
     with xi, k >= 0 not both zero: the Lifshitz integrand's coefficients
     (``_reflection_by_owner``) on one owner, in the unit of length 1/kappa0.
-    There u = 1 and v = t = xi / hypot(xi, c k) (u = c and c_unit = kappa0
-    where c kappa0 leaves float range), so nothing overflows or underflows.
-    At k = 0 (t = 1) they are the normal-incidence Fresnel pair; at xi = 0
-    a Drude metal reflects as (0, +1) and a plasma keeps a finite TE
-    coefficient through kappa = sqrt(kappa0^2 + wp^2/c^2).
+    There u = 1 and v = t = xi / (c kappa0), so nothing overflows or
+    underflows.  At k = 0 (t = 1) they are the normal-incidence Fresnel
+    pair; at xi = 0 a Drude metal reflects as (0, +1) and a plasma keeps a
+    finite TE coefficient through kappa = sqrt(kappa0^2 + wp^2/c^2).
     """
     if not isinstance(point, QuadraturePoint):
         raise DomainError("point must be a QuadraturePoint")
-    u, c_unit = 1.0, math.hypot(point.xi, C * point.k)
-    if c_unit == 0.0:
+    c_kappa0 = math.hypot(point.xi, C * point.k)
+    if c_kappa0 == 0.0:
         raise DomainError("reflection is undefined at xi = k = 0")
-    if c_unit == math.inf:
-        u, c_unit = C, point.kappa0
-    # tiny xi and k can put xi^2 (eps - 1) / c_unit^2 beyond float range: w = inf
-    with np.errstate(over="ignore"):
-        r_te, r_tm = _reflection_by_owner(material, np.asarray(point.xi), c_unit)(u, ())
+    if c_kappa0 < math.inf:
+        t = point.xi / c_kappa0
+    else:  # c k beyond float range; kappa0 itself is finite
+        t = point.xi / point.kappa0 / C
+    rf = _reflection_by_owner(material, np.asarray(point.xi), c_kappa0, np.asarray(t))
+    r_te, r_tm = rf(1.0, ())
     return ReflectionPair(float(r_te), float(r_tm))
 
 
@@ -266,8 +296,10 @@ def _inner_integrals(cfg, xi, kind, rel_tol, budget, y_cut):
     errs = np.zeros(xi.shape)
     live = np.flatnonzero(y0 < y_cut)
     # lengths in metres: u = kappa0 (1/m), v = xi / c
-    rf1, rf2 = (_reflection_by_owner(m, xi[live], C)
-                for m in (cfg.material1, cfg.material2))
+    xi_live = xi[live]
+    v = xi_live / C
+    rf1 = _reflection_by_owner(cfg.material1, xi_live, C, v)
+    rf2 = _reflection_by_owner(cfg.material2, xi_live, C, v)
     for start in range(0, live.size, _BLOCK):
         idx = live[start:start + _BLOCK]
         vals[idx], errs[idx] = _inner_block(cfg, rf1, rf2, start, y0[idx], kind,

@@ -38,9 +38,9 @@ _XI_FLAT = 1e150  # for every model with its frequencies below ~1e140 rad/s
 def _as_xi(xi):
     """Validate an imaginary frequency (scalar or array) and return it as ndarray."""
     arr = np.asarray(xi, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("imaginary frequency must be finite")
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise DomainError("imaginary frequency must be non-negative")
     return arr
 
@@ -537,9 +537,10 @@ _KK_CHUNK = 16384
 def _kk_value(table, xi):
     """eps(i xi) - operates on a validated positive 1-D array."""
     rows = max(1, _KK_CHUNK // table.n_samples)
+    xi = np.minimum(xi, _XI_FLAT)
     core = np.empty(xi.shape)
     for start in range(0, xi.size, rows):
-        part = np.minimum(xi[start:start + rows], _XI_FLAT)
+        part = xi[start:start + rows]
         core[start:start + rows] = (_kk_sampled(table, part) + _kk_low_tail(table, part)
                                     + _kk_high_tail(table, part))
     return 1.0 + (2.0 / np.pi) * core

@@ -23,7 +23,7 @@ from casimir import (DIVERGENT, ConstantEpsMu, ContinuumModelWarning,
                      QuadratureConfig, QuadraturePoint, Tabulated,
                      TabulatedAbsorption, dominant_frequency, energy_per_area,
                      pressure, reflection, vacuum)
-from casimir.engine import _reflection_by_owner
+from casimir.engine import _reflection_at_limits, _reflection_by_owner
 
 HBAR = 1.054571817e-34
 C_LIGHT = 2.99792458e8
@@ -124,8 +124,12 @@ REFLECTION_MODELS = [
 @example(model=LORENTZ, xi=1e200, k=0.0)
 @example(model=FERRITE, xi=1e200, k=0.0)
 @example(model=TABLE, xi=1e300, k=0.0)
-# c k beyond float range, where the ideal conductor must stay (-1, +1)
+# c k beyond float range, where the ideal conductor must stay (-1, +1) and
+# eps * c overflowed for a metal at tiny xi (NaN)
 @example(model=PC, xi=1e300, k=1e300)
+@example(model=GOLD, xi=1e-285, k=1e300)
+# finite eps and mu whose product overflows (NaN)
+@example(model=ConstantEpsMu(1e200, 1e200), xi=1.0, k=0.0)
 def test_reflection_magnitudes_bounded(model, xi, k):
     if xi == 0.0 and k == 0.0:
         return
@@ -165,15 +169,55 @@ def test_integrand_coefficients_equal_reflection(model):
     k = np.outer(xi / C_LIGHT, [0.0, 0.1, 1.0, 30.0, 1e3])
     kappa0 = np.hypot(k, (xi / C_LIGHT)[:, None])
     owner = np.arange(xi.size)[:, None]
+    rf = _reflection_by_owner(model, xi, C_LIGHT, xi / C_LIGHT)
     # the ideal mirrors give float constants
-    r_te, r_tm = (np.broadcast_to(r, k.shape)
-                  for r in _reflection_by_owner(model, xi, C_LIGHT)(kappa0, owner))
+    r_te, r_tm = (np.broadcast_to(r, k.shape) for r in rf(kappa0, owner))
     for i, j in np.ndindex(k.shape):
         point = QuadraturePoint(xi[i], k[i, j])
         assert point.kappa0 == kappa0[i, j]
         r = reflection(model, point)
         assert r_te[i, j] == pytest.approx(r.r_te, rel=1e-13, abs=1e-15)
         assert r_tm[i, j] == pytest.approx(r.r_tm, rel=1e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("model", REFLECTION_MODELS, ids=repr)
+def test_limit_formula_matches_the_plain_one(model):
+    # the overflow-safe form for infinite eps, mu or eps mu, applied to
+    # finite values, against the plain one of the integrand
+    xi = np.geomspace(1e10, 1e18, 9)
+    e, m = model.eps(xi), model.mu(xi)
+    if e is DIVERGENT or m is DIVERGENT:
+        return
+    kappa0 = np.hypot(np.outer(xi / C_LIGHT, [0.0, 0.1, 1.0, 30.0, 1e3]),
+                      (xi / C_LIGHT)[:, None])
+    owner = np.arange(xi.size)[:, None]
+    args = (model, xi, C_LIGHT, xi / C_LIGHT)
+    plain = _reflection_by_owner(*args)(kappa0, owner)
+    limit = _reflection_at_limits(*args, np.asarray(e), np.asarray(m))(kappa0, owner)
+    for p, q in zip(plain, limit):
+        np.testing.assert_allclose(q, p, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("eps, mu", [(1e200, 1e200), (1e300, 1.0), (1.0, 1e300),
+                                     (1e308, 1e10)])
+def test_reflection_of_extreme_constant_media(eps, mu):
+    # eps mu leaves float range for two of these; n = sqrt(eps) sqrt(mu) does not
+    n = math.sqrt(eps) * math.sqrt(mu)
+    for xi, k in ((1.0, 0.0), (1e15, 0.0), (1e15, 2e6), (0.0, 3e6)):
+        r = reflection(ConstantEpsMu(eps, mu), QuadraturePoint(xi, k))
+        t = xi / math.hypot(xi, C_LIGHT * k)
+        ratio = math.hypot(math.sqrt(1.0 - t * t), n * t)
+        assert r.r_te == pytest.approx((mu - ratio) / (mu + ratio), rel=1e-13, abs=1e-15)
+        assert r.r_tm == pytest.approx((eps - ratio) / (eps + ratio), rel=1e-13, abs=1e-15)
+
+
+def test_huge_constant_eps_or_mu_acts_as_an_ideal_mirror():
+    # eps mu (xi/c)^2 leaves float range inside the integrand here
+    a = 1e-6
+    e = energy_per_area(GapConfig(a, ConstantEpsMu(1e300, 1.0), PC)).value
+    assert e == pytest.approx(ideal_energy(a), rel=1e-6)
+    e = energy_per_area(GapConfig(a, ConstantEpsMu(1.0, 1e300), PC)).value
+    assert e == pytest.approx(-7.0 / 8.0 * ideal_energy(a), rel=1e-6)
 
 
 @pytest.mark.parametrize("xi", [1e-250, 1e-300, 1e-320])
