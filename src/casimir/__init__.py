@@ -23,8 +23,7 @@ from .materials import (DIVERGENT, ConstantEpsMu, DebyeMagnetic, Drude,
                         HighTail, InfinitelyPermeable, LorentzOscillators,
                         LowTail, MaterialResponse, PerfectConductor,
                         PermittivityEstimate, Plasma, Tabulated,
-                        TabulatedAbsorption, eval_eps, eval_mu,
-                        kramers_kronig, vacuum)
+                        TabulatedAbsorption, kramers_kronig, vacuum)
 from .pfa import PfaResult, SpherePlate, pfa_force
 from .sign_analysis import (VERDICT_FLOOR_PA, AttractionReport, ImpedancePoint,
                             SignMap, SignVerdict, Verdict, boundary_points,
@@ -42,8 +41,7 @@ __all__ = [
     "DIVERGENT", "ConstantEpsMu", "DebyeMagnetic", "Drude", "HighTail",
     "InfinitelyPermeable", "LorentzOscillators", "LowTail",
     "MaterialResponse", "PerfectConductor", "PermittivityEstimate", "Plasma",
-    "Tabulated", "TabulatedAbsorption", "eval_eps", "eval_mu",
-    "kramers_kronig", "vacuum",
+    "Tabulated", "TabulatedAbsorption", "kramers_kronig", "vacuum",
     "PfaResult", "SpherePlate", "pfa_force",
     "AttractionReport", "ImpedancePoint", "SignMap", "SignVerdict", "Verdict",
     "boundary_points", "classify", "dispersion_restores_attraction",

@@ -4,8 +4,8 @@ Every command emits machine-readable output (JSON documents or CSV with
 fixed headers) together with a run manifest identifying the inputs, the
 constants table and the tool version.  Exit codes: 0 success, 2 bad
 usage or input, 3 quadrature non-convergence (best estimate still
-printed).  CASIMIR_THREADS caps the concurrency of grid sweeps (0 or
-unset picks a default).
+printed).  ``sweep`` runs its gaps on up to min(cpus, 4) threads; every
+other command runs on one.
 
 Verdicts follow ``sign_analysis.verdict_for``: Indeterminate unless the
 value clears max(10 x its error estimate, floor), with the floor in the
@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .constants import CONSTANTS_VERSION
 from .engine import (GapConfig, QuadratureConfig, energy_per_area, pressure)
-from .errors import CasimirError, ConvergenceError
+from .errors import CasimirError, ConvergenceError, DomainError
 from .io import load_absorption_table, load_material, material_digest, material_to_dict
 from .materials import Tabulated
 from .pfa import SpherePlate, pfa_force
@@ -42,17 +42,6 @@ EXIT_NO_CONVERGENCE = 3
 def _fmt(x):
     """Full-precision scientific notation (17 significant digits)."""
     return f"{x:.16e}"
-
-
-def _thread_count():
-    raw = os.environ.get("CASIMIR_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = min(os.cpu_count() or 1, 4)
-    return n
 
 
 def _manifest(command, parameters, materials):
@@ -119,6 +108,10 @@ def _cmd_point(args, kind):
 
 
 def _cmd_sweep(args):
+    if not (0.0 < args.gap_min < np.inf and 0.0 < args.gap_max < np.inf):
+        raise DomainError("--gap-min and --gap-max must be finite and positive")
+    if args.points < 1:
+        raise DomainError("--points must be at least 1")
     m1 = load_material(args.material1)
     m2 = load_material(args.material2)
     quad = _quad_config(args)
@@ -134,7 +127,9 @@ def _cmd_sweep(args):
         p = pressure(cfg, quad)
         return e, p
 
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
+    # measured faster than one thread: numpy releases the interpreter lock
+    # inside each gap's array work
+    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, 4)) as pool:
         results = list(pool.map(one, gaps))
 
     print("a_m,energy_J_m2,pressure_Pa,error,verdict")
@@ -146,15 +141,21 @@ def _cmd_sweep(args):
     return EXIT_OK
 
 
-def _write_summary(args, summary, manifest):
-    summary = dict(summary)
-    summary["manifest"] = manifest
-    text = json.dumps(summary, indent=2)
+def _emit_map(args, table, axes, quad, manifest):
+    """Refine ``table``'s sign boundaries along ``axes``, then write its CSV
+    to stdout and its JSON summary to --summary (stderr without it)."""
+    if args.refine_boundaries:
+        for axis in axes:
+            table.boundaries.extend(
+                boundary_points(table, axis, quad=quad, threshold=args.threshold))
+    sys.stdout.write(table.to_csv())
+    text = json.dumps(dict(table.summary(), manifest=manifest), indent=2)
     if args.summary:
         with open(args.summary, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text, file=sys.stderr)
+    return EXIT_OK
 
 
 def _cmd_signmap(args):
@@ -164,15 +165,8 @@ def _cmd_signmap(args):
                                      "gap_m": args.gap,
                                      "rel_tol": quad.rel_tol}, [])
     table = sign_map(args.eps1, args.mu1, args.eps2, args.mu2, args.gap,
-                     quad=quad, threshold=args.threshold,
-                     threads=_thread_count())
-    if args.refine_boundaries:
-        for axis in ("eps1", "mu1", "eps2", "mu2"):
-            table.boundaries.extend(
-                boundary_points(table, axis, quad=quad, threshold=args.threshold))
-    sys.stdout.write(table.to_csv())
-    _write_summary(args, table.summary(), manifest)
-    return EXIT_OK
+                     quad=quad, threshold=args.threshold)
+    return _emit_map(args, table, ("eps1", "mu1", "eps2", "mu2"), quad, manifest)
 
 
 def _cmd_uvlmap(args):
@@ -183,14 +177,8 @@ def _cmd_uvlmap(args):
                                     "rel_tol": quad.rel_tol}, [])
     table = uvl_map(args.mu1, args.mu2, args.gap, quad=quad,
                     threshold=args.threshold, mode=args.mode,
-                    eps_mu_product=args.product, threads=_thread_count())
-    if args.refine_boundaries:
-        for axis in ("mu1", "mu2"):
-            table.boundaries.extend(
-                boundary_points(table, axis, quad=quad, threshold=args.threshold))
-    sys.stdout.write(table.to_csv())
-    _write_summary(args, table.summary(), manifest)
-    return EXIT_OK
+                    eps_mu_product=args.product)
+    return _emit_map(args, table, ("mu1", "mu2"), quad, manifest)
 
 
 def _cmd_kk(args):

@@ -90,33 +90,34 @@ class GapConfig:
         return self.material1.unphysical or self.material2.unphysical
 
 
+# Fixed floor and truncation of the double quadrature.
+_ABS_FLOOR = 1e-30         # absolute error floor, in the unit of the result
+_XI_CUTOFF_FACTOR = 60.0   # outer cutoff xi_max, in units of c / a
+_Y_CUTOFF = 80.0           # inner cutoff of y = 2 kappa0 a
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Accuracy and truncation knobs for the double quadrature.
+    """Accuracy knobs for the double quadrature.
 
-    abs_floor is interpreted in the unit of the requested result
-    (J/m^2 for energies, Pa for pressures).  max_subdivisions budgets the
-    outer adaptive axis.  The inner integrals at the outer nodes refine
-    together, but each keeps its own budget of min(max_subdivisions, 300)
-    splits and its own tolerance, so one that exhausts its budget stops
-    alone.
+    Each result converges to ``error <= rel_tol * |value| + 1e-30`` in its
+    own unit (J/m^2 for energies, Pa for pressures).  max_subdivisions
+    budgets the outer adaptive axis.  The inner integrals at the outer
+    nodes refine together, but each keeps its own budget of
+    min(max_subdivisions, 300) splits and its own tolerance, so one that
+    exhausts its budget stops alone.  The truncation is fixed: the outer
+    axis ends at xi = max(60 c/a, 1e3 x the larger resonance scale), capped
+    where y0 = 2 a xi / c reaches 80, and the inner axis at y = 80.
     """
 
     rel_tol: float = 1e-8
-    abs_floor: float = 1e-30
     max_subdivisions: int = 4000
-    xi_cutoff_factor: float = 60.0
-    y_cutoff: float = 80.0
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
             raise DomainError("rel_tol must lie in (0, 1)")
-        if self.abs_floor < 0.0:
-            raise DomainError("abs_floor must be non-negative")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be positive")
-        if self.xi_cutoff_factor <= 0.0 or self.y_cutoff <= 0.0:
-            raise DomainError("cutoffs must be positive")
 
 
 @dataclass(frozen=True)
@@ -266,13 +267,13 @@ def _ln_one_minus(p, emy, y):
     return np.where(np.abs(x) < 0.5, np.log1p(-x), np.log(_stable_q(p, emy, y)))
 
 
-def _xi_cutoff(cfg, quad):
-    """Outer truncation: the configured cutoff, capped by the exact dead
-    zone where the inner lower limit y0 already exceeds y_cutoff."""
+def _xi_cutoff(cfg):
+    """Outer truncation: the fixed cutoff, capped by the exact dead zone
+    where the inner lower limit y0 already exceeds ``_Y_CUTOFF``."""
     scale = C / cfg.a
     resonance = max(cfg.material1.resonance_scale, cfg.material2.resonance_scale)
-    configured = max(quad.xi_cutoff_factor * scale, 1e3 * resonance)
-    dead = quad.y_cutoff * C / (2.0 * cfg.a)
+    configured = max(_XI_CUTOFF_FACTOR * scale, 1e3 * resonance)
+    dead = _Y_CUTOFF * C / (2.0 * cfg.a)
     return min(configured, dead)
 
 
@@ -283,18 +284,19 @@ _INNER_BUDGET = 300
 _BLOCK = 64
 
 
-def _inner_integrals(cfg, xi, kind, rel_tol, budget, y_cut):
+def _inner_integrals(cfg, xi, kind, rel_tol, budget):
     """Inner y-integrals at every outer node of the array ``xi``.
 
     Returns (values, errors), summed over polarizations.  Nodes whose
-    lower limit y0 = 2 a xi / c reaches ``y_cut`` contribute exactly zero;
-    the others refine together, ``_BLOCK`` nodes per ``integrate_panels``
-    call, each from the seed panels ``geometric_edges(y0, y_cut, 0.25)``.
+    lower limit y0 = 2 a xi / c reaches ``_Y_CUTOFF`` contribute exactly
+    zero; the others refine together, ``_BLOCK`` nodes per
+    ``integrate_panels`` call, each from the seed panels
+    ``geometric_edges(y0, _Y_CUTOFF, 0.25)``.
     """
     y0 = 2.0 * cfg.a * xi / C
     vals = np.zeros(xi.shape)
     errs = np.zeros(xi.shape)
-    live = np.flatnonzero(y0 < y_cut)
+    live = np.flatnonzero(y0 < _Y_CUTOFF)
     # lengths in metres: u = kappa0 (1/m), v = xi / c
     xi_live = xi[live]
     v = xi_live / C
@@ -303,11 +305,11 @@ def _inner_integrals(cfg, xi, kind, rel_tol, budget, y_cut):
     for start in range(0, live.size, _BLOCK):
         idx = live[start:start + _BLOCK]
         vals[idx], errs[idx] = _inner_block(cfg, rf1, rf2, start, y0[idx], kind,
-                                            rel_tol, budget, y_cut)
+                                            rel_tol, budget)
     return vals, errs
 
 
-def _inner_block(cfg, rf1, rf2, first, y0, kind, rel_tol, budget, y_cut):
+def _inner_block(cfg, rf1, rf2, first, y0, kind, rel_tol, budget):
     """One batched call of ``_inner_integrals``, from live node ``first``."""
     two_a = 2.0 * cfg.a
 
@@ -326,7 +328,7 @@ def _inner_block(cfg, rf1, rf2, first, y0, kind, rel_tol, budget, y_cut):
         return y * y * (pte * emy / _stable_q(pte, emy, y)
                         + ptm * emy / _stable_q(ptm, emy, y))
 
-    lo, hi, owner = geometric_panels(y0, y_cut, 0.25)
+    lo, hi, owner = geometric_panels(y0, _Y_CUTOFF, 0.25)
     res = integrate_panels(g, lo, hi, owner, y0.size, rel_tol=rel_tol,
                            max_subdivisions=budget)
     return res.value, res.error
@@ -339,14 +341,13 @@ def _integrate_double(cfg, quad, kind):
     inner_budget = min(quad.max_subdivisions, _INNER_BUDGET)
 
     def outer(xi_arr):
-        return _inner_integrals(cfg, xi_arr, kind, inner_tol, inner_budget,
-                                quad.y_cutoff)
+        return _inner_integrals(cfg, xi_arr, kind, inner_tol, inner_budget)
 
-    xi_max = _xi_cutoff(cfg, quad)
+    xi_max = _xi_cutoff(cfg)
     xi_edges = np.concatenate([[0.0],
                                geometric_edges(1e-4 * C / a, xi_max, 1e-4 * C / a)])
     res = integrate_adaptive(outer, xi_edges, rel_tol=quad.rel_tol,
-                             abs_floor=_raw_floor(cfg, quad, kind),
+                             abs_floor=_ABS_FLOOR / _prefactor(cfg, kind),
                              max_subdivisions=quad.max_subdivisions,
                              with_errors=True)
     weight = res.points * np.abs(res.values)
@@ -360,16 +361,13 @@ def _prefactor(cfg, kind):
     return HBAR / (16.0 * np.pi ** 2 * cfg.a ** 3)
 
 
-def _raw_floor(cfg, quad, kind):
-    return quad.abs_floor / _prefactor(cfg, kind)
-
-
 def energy_per_area(cfg, quad=None):
     """Casimir energy per unit area of the gap configuration, J/m^2.
 
     Negative values bind the plates.  The error estimate satisfies
-    ``error <= rel_tol*|value| + abs_floor`` on success; otherwise a
-    ConvergenceError carrying the best estimate is raised.
+    ``error <= rel_tol*|value| + 1e-30 J/m^2`` on success; otherwise a
+    ConvergenceError carrying the best estimate is raised.  The integral is
+    truncated as ``QuadratureConfig`` describes.
     """
     quad = quad or QuadratureConfig()
     res, dominant = _integrate_double(cfg, quad, "energy")
@@ -393,7 +391,7 @@ def pressure(cfg, quad=None):
     return result
 
 
-def dominant_frequency(cfg, quad=None):
+def dominant_frequency(cfg):
     """Imaginary frequency dominating the energy integral, rad/s.
 
     Defined as the peak of the per-log-frequency contribution
@@ -401,14 +399,12 @@ def dominant_frequency(cfg, quad=None):
     and refined by a parabolic fit.  Raises DegenerateIntegrandError when
     the integrand vanishes everywhere (e.g. one side is vacuum).
     """
-    quad = quad or QuadratureConfig()
     a = cfg.a
-    xi_max = _xi_cutoff(cfg, quad)
+    xi_max = _xi_cutoff(cfg)
     xi_lo = 1e-4 * C / a
     n = max(int(25 * np.log10(xi_max / xi_lo)), 50)
     grid = np.geomspace(xi_lo, xi_max, n)
-    vals, _ = _inner_integrals(cfg, grid, "energy", 1e-6, _INNER_BUDGET,
-                               quad.y_cutoff)
+    vals, _ = _inner_integrals(cfg, grid, "energy", 1e-6, _INNER_BUDGET)
     weight = grid * np.abs(vals)
     if not np.any(weight > 0.0):
         raise DegenerateIntegrandError("outer integrand vanishes everywhere; "

@@ -631,25 +631,3 @@ class Tabulated(MaterialResponse):
     def resonance_scale(self):
         return float(self.table.omega[-1])
 
-
-# ---------------------------------------------------------------------------
-# Operation-style entry points
-# ---------------------------------------------------------------------------
-
-def eval_eps(model, xi):
-    """Permittivity of ``model`` at imaginary frequency ``xi`` (rad/s).
-
-    Returns a real value >= 1 for xi > 0, or the DIVERGENT sentinel at
-    xi = 0 for conductor-like models.
-    """
-    if not isinstance(model, MaterialResponse):
-        raise InvalidModelError(f"not a material model: {model!r}")
-    return model.eps(xi)
-
-
-def eval_mu(model, xi):
-    """Permeability of ``model``; identically 1 except for the constant
-    and ferrite-class models (and the ideal permeable mirror)."""
-    if not isinstance(model, MaterialResponse):
-        raise InvalidModelError(f"not a material model: {model!r}")
-    return model.mu(xi)

@@ -10,7 +10,6 @@ every tested separation.
 import csv
 import io
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -168,40 +167,42 @@ def classify(cfg, quad=None, threshold=None):
     return SignVerdict(verdict, res.value, err, threshold)
 
 
-def _classify_many(configs, quad, threshold, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda c: classify(c, quad, threshold), configs))
-    return [classify(c, quad, threshold) for c in configs]
+def _map_rows(params, a, quad, threshold):
+    """Classify every (eps1, mu1, eps2, mu2) of ``params`` at gap ``a``.
+
+    One flagged ConstantEpsMu pair per tuple, in the order given; the
+    impedances are z = sqrt(mu / eps).
+    """
+    if not params:
+        raise DomainError("empty grid")
+    configs = [GapConfig(a, ConstantEpsMu(e1, m1), ConstantEpsMu(e2, m2))
+               for e1, m1, e2, m2 in params]
+    verdicts = [classify(c, quad, threshold) for c in configs]
+    return [SignMapRow(e1, m1, e2, m2,
+                       float(np.sqrt(m1 / e1)), float(np.sqrt(m2 / e2)),
+                       v.pressure, v.error, v.verdict, "non-dispersive")
+            for (e1, m1, e2, m2), v in zip(params, verdicts)]
 
 
 def sign_map(eps1_values, mu1_values, eps2_values, mu2_values, a,
-             quad=None, threshold=None, threads=None):
+             quad=None, threshold=None):
     """Force sign over a Cartesian grid of non-dispersive constants >= 1.
 
     Every grid point is evaluated with flagged ConstantEpsMu materials;
     the rows are ordered by itertools.product over the four value lists,
     so repeated runs emit byte-identical tables.
     """
-    points = [ImpedancePoint(e1, m1, e2, m2)
-              for e1, m1, e2, m2 in itertools.product(
-                  eps1_values, mu1_values, eps2_values, mu2_values)]
-    if not points:
-        raise DomainError("empty grid")
-    configs = [GapConfig(a, ConstantEpsMu(p.eps1, p.mu1),
-                         ConstantEpsMu(p.eps2, p.mu2)) for p in points]
-    verdicts = _classify_many(configs, quad, threshold, threads)
-    rows = [SignMapRow(p.eps1, p.mu1, p.eps2, p.mu2, p.z1, p.z2,
-                       v.pressure, v.error, v.verdict, "non-dispersive")
-            for p, v in zip(points, verdicts)]
-    return SignMap(rows, a, "signmap")
+    grid = list(itertools.product(eps1_values, mu1_values, eps2_values, mu2_values))
+    for point in grid:
+        ImpedancePoint(*point)  # rejects constants below 1
+    return SignMap(_map_rows(grid, a, quad, threshold), a, "signmap")
 
 
 _UVL_MODES = ("vacuum-matched", "equal-eps-mu")
 
 
 def uvl_map(mu1_values, mu2_values, a, quad=None, threshold=None,
-            mode="vacuum-matched", eps_mu_product=1.0, threads=None):
+            mode="vacuum-matched", eps_mu_product=1.0):
     """Force sign over a (mu1, mu2) grid in the uniform-light-speed case.
 
     In the default "vacuum-matched" mode eps_j = product/mu_j with
@@ -227,16 +228,9 @@ def uvl_map(mu1_values, mu2_values, a, quad=None, threshold=None,
     def eps_of(mu):
         return eps_mu_product / mu if mode == "vacuum-matched" else mu
 
-    pairs = list(itertools.product(mu1_values, mu2_values))
-    configs = [GapConfig(a, ConstantEpsMu(eps_of(m1), m1),
-                         ConstantEpsMu(eps_of(m2), m2)) for m1, m2 in pairs]
-    verdicts = _classify_many(configs, quad, threshold, threads)
-    rows = []
-    for (m1, m2), v in zip(pairs, verdicts):
-        e1, e2 = eps_of(m1), eps_of(m2)
-        rows.append(SignMapRow(e1, m1, e2, m2,
-                               float(np.sqrt(m1 / e1)), float(np.sqrt(m2 / e2)),
-                               v.pressure, v.error, v.verdict, "non-dispersive"))
+    params = [(eps_of(m1), m1, eps_of(m2), m2)
+              for m1, m2 in itertools.product(mu1_values, mu2_values)]
+    rows = _map_rows(params, a, quad, threshold)
     assumption = (f"uniform light speed read as eps_j*mu_j = {eps_mu_product:g} "
                   "in all media (matching the vacuum gap)"
                   if mode == "vacuum-matched"
@@ -245,14 +239,17 @@ def uvl_map(mu1_values, mu2_values, a, quad=None, threshold=None,
                    uvl_mode=mode, eps_mu_product=eps_mu_product)
 
 
-def find_sign_boundary(make_config, lo, hi, quad=None, threshold=None,
-                       rel_resolution=1e-3):
+#: Relative width of the bracket at which sign-boundary bisection stops.
+_REL_RESOLUTION = 1e-3
+
+
+def find_sign_boundary(make_config, lo, hi, quad=None, threshold=None):
     """Bisect a 1-D parameter slice for the attraction/repulsion flip.
 
     ``make_config(t)`` builds the GapConfig at parameter value t; the
     pressures at lo and hi must have opposite signs.  Bisection runs on a
-    logarithmic axis down to the requested relative resolution and
-    returns the crossing parameter.
+    logarithmic axis down to a relative resolution of 1e-3 and returns
+    the crossing parameter.
     """
     quad = quad or QuadratureConfig()
 
@@ -266,7 +263,7 @@ def find_sign_boundary(make_config, lo, hi, quad=None, threshold=None,
     s_lo = sign_at(lo)
     if s_lo == sign_at(hi):
         raise DomainError("no sign change between the bracket endpoints")
-    while (hi - lo) > rel_resolution * 0.5 * (hi + lo):
+    while (hi - lo) > _REL_RESOLUTION * 0.5 * (hi + lo):
         mid = float(np.sqrt(lo * hi))
         if sign_at(mid) == s_lo:
             lo = mid
@@ -275,8 +272,7 @@ def find_sign_boundary(make_config, lo, hi, quad=None, threshold=None,
     return float(np.sqrt(lo * hi))
 
 
-def boundary_points(sign_map_result, axis, quad=None, threshold=None,
-                    rel_resolution=1e-3):
+def boundary_points(sign_map_result, axis, quad=None, threshold=None):
     """Refine every verdict flip along ``axis`` of a sign map by bisection.
 
     Scans grid lines (the other three parameters fixed) for adjacent
@@ -321,7 +317,7 @@ def boundary_points(sign_map_result, axis, quad=None, threshold=None,
             crossing = find_sign_boundary(
                 lambda t: make_config(t, fixed),
                 getattr(r_lo, axis), getattr(r_hi, axis),
-                quad, threshold, rel_resolution)
+                quad, threshold)
             record = {"axis": axis, "crossing": crossing}
             record.update(fixed)
             found.append(record)
@@ -355,7 +351,6 @@ class AttractionReport:
 
     rows: list
     counterexamples: list
-    omega_m_assert_max: float
 
     @property
     def all_attractive(self):
@@ -385,16 +380,19 @@ class AttractionReport:
         }
 
 
+#: Highest ferrite relaxation frequency a known material reaches, rad/s.
+_OMEGA_M_ASSERT_MAX = 1e11
+
+
 def dispersion_restores_attraction(models, separations=None, quad=None,
-                                   threshold=None, omega_m_assert_max=1e11,
-                                   threads=None):
+                                   threshold=None):
     """Check that dispersive models attract at every pairing and separation.
 
     Models must all be dispersive; constant models are rejected (use
     sign_map for the non-dispersive regime).  Ferrite-class models whose
-    relaxation frequency exceeds ``omega_m_assert_max`` describe no known
-    material: their rows are recorded but excluded from the assertion and
-    from the counterexample list.
+    relaxation frequency exceeds 1e11 rad/s describe no known material:
+    their rows are recorded but excluded from the assertion and from the
+    counterexample list.
     """
     for m in models:
         if isinstance(m, (ConstantEpsMu, PerfectConductor, InfinitelyPermeable)):
@@ -407,7 +405,7 @@ def dispersion_restores_attraction(models, separations=None, quad=None,
 
     def is_asserted(model):
         if isinstance(model, DebyeMagnetic):
-            return model.omega_m <= omega_m_assert_max
+            return model.omega_m <= _OMEGA_M_ASSERT_MAX
         return True
 
     tasks = []
@@ -415,7 +413,7 @@ def dispersion_restores_attraction(models, separations=None, quad=None,
         for a in separations:
             tasks.append((m1, m2, float(a)))
     configs = [GapConfig(a, m1, m2) for m1, m2, a in tasks]
-    verdicts = _classify_many(configs, quad, threshold, threads)
+    verdicts = [classify(c, quad, threshold) for c in configs]
 
     rows = []
     counterexamples = []
@@ -426,4 +424,4 @@ def dispersion_restores_attraction(models, separations=None, quad=None,
         rows.append(row)
         if asserted and v.verdict != Verdict.ATTRACTIVE:
             counterexamples.append(row)
-    return AttractionReport(rows, counterexamples, omega_m_assert_max)
+    return AttractionReport(rows, counterexamples)

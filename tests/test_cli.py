@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from casimir.cli import main
+from casimir.engine import GapConfig, QuadratureConfig, energy_per_area, pressure
 from casimir.io import load_material, save_material
 from casimir.materials import Drude
 
@@ -114,7 +115,7 @@ def test_energy_verdict_floor_is_in_joules_per_square_metre(capsys):
     assert verdict == "Attractive"
 
 
-def test_sweep_csv_shape_and_determinism(capsys, monkeypatch):
+def test_sweep_csv_shape_and_determinism(capsys):
     args = ("sweep", "--material1", "pc", "--material2", "pc",
             "--gap-min", "5e-7", "--gap-max", "2e-6", "--points", "3",
             "--rel-tol", "1e-6")
@@ -128,10 +129,37 @@ def test_sweep_csv_shape_and_determinism(capsys, monkeypatch):
     assert all(r[4] == "Attractive" for r in rows[1:])
     json.loads(err.strip())
 
-    monkeypatch.setenv("CASIMIR_THREADS", "2")
     code, out2, _ = run(capsys, *args)
     assert code == 0
-    assert out2 == out1  # byte-identical body regardless of concurrency
+    assert out2 == out1  # byte-identical body whatever order the pool ran in
+
+
+def test_sweep_prints_the_library_numbers(capsys, tmp_path):
+    path = tmp_path / "gold.json"
+    save_material(Drude(1.37e16, 5.3e13, label="gold-like"), path)
+    code, out, _ = run(capsys, "sweep", "--material1", str(path),
+                       "--material2", "pc", "--gap-min", "2e-7",
+                       "--gap-max", "3e-6", "--points", "4", "--rel-tol", "1e-6")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [float(r[0]) for r in rows] == np.geomspace(2e-7, 3e-6, 4).tolist()
+    quad = QuadratureConfig(rel_tol=1e-6)
+    m1, m2 = load_material(str(path)), load_material("pc")
+    for r in rows:
+        cfg = GapConfig(float(r[0]), m1, m2)
+        p = pressure(cfg, quad)
+        expected = [energy_per_area(cfg, quad).value, p.value, p.error_estimate]
+        assert [float(x) for x in r[1:4]] == expected
+
+
+@pytest.mark.parametrize("flag, value", [("--gap-min", "0"), ("--gap-max", "inf"),
+                                         ("--points", "0"), ("--points", "-1")])
+def test_sweep_bad_range_is_usage_error(capsys, flag, value):
+    code, out, err = run(capsys, "sweep", "--material1", "pc",
+                         "--material2", "pc", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_signmap_command(capsys, tmp_path):

@@ -372,8 +372,6 @@ def test_quadrature_config_validation():
         QuadratureConfig(rel_tol=2.0)
     with pytest.raises(DomainError):
         QuadratureConfig(max_subdivisions=0)
-    with pytest.raises(DomainError):
-        QuadratureConfig(y_cutoff=-1.0)
 
 
 def test_engine_speed_ideal_mirrors():

@@ -100,6 +100,8 @@ def test_sign_map_rejects_bad_grid(quad_fast):
         sign_map([], [1.0], [1.0], [1.0], A, quad=quad_fast)
     with pytest.raises(DomainError):
         sign_map([0.5], [1.0], [1.0], [1.0], A, quad=quad_fast)
+    with pytest.raises(DomainError):
+        uvl_map([], [1.0], A, quad=quad_fast)
 
 
 def test_uvl_vacuum_matched_sign_structure(quad_fast):
@@ -189,9 +191,3 @@ def test_constant_models_rejected_from_dispersive_report(quad_fast):
     with pytest.raises(DomainError):
         dispersion_restores_attraction([GOLD, PC], quad=quad_fast)
 
-
-def test_threads_do_not_change_results(quad_fast):
-    seq = sign_map([1.0, 50.0], [1.0], [1.0], [1.0, 50.0], A, quad=quad_fast)
-    par = sign_map([1.0, 50.0], [1.0], [1.0], [1.0, 50.0], A, quad=quad_fast,
-                   threads=4)
-    assert seq.to_csv() == par.to_csv()
