@@ -2,10 +2,11 @@
 
 Every command emits machine-readable output (JSON documents or CSV with
 fixed headers) together with a run manifest identifying the inputs, the
-constants table and the tool version.  Exit codes: 0 success, 2 bad
-usage or input, 3 quadrature non-convergence (best estimate still
-printed).  ``sweep`` runs its gaps on up to min(cpus, 4) threads; every
-other command runs on one.
+constants table and the tool version.  A material spec given for both
+sides is loaded once and the two sides share the model.  Exit codes: 0
+success, 2 bad usage or input, 3 quadrature non-convergence (best
+estimate still printed).  ``sweep`` runs its gaps on up to min(cpus, 4)
+threads; every other command runs on one.
 
 Verdicts follow ``sign_analysis.verdict_for``: Indeterminate unless the
 value clears max(10 x its error estimate, floor), with the floor in the
@@ -85,9 +86,18 @@ def _emit_scalar_doc(args, result, units, floor, manifest, converged=True):
         print(json.dumps(doc, indent=2))
 
 
+def _load_materials(*specs):
+    """One model per distinct spec: a spec given twice is loaded once and
+    both sides share the model, so a table is transformed once per round."""
+    loaded = {}
+    for spec in specs:
+        if spec not in loaded:
+            loaded[spec] = load_material(spec)
+    return [loaded[spec] for spec in specs]
+
+
 def _cmd_point(args, kind):
-    m1 = load_material(args.material1)
-    m2 = load_material(args.material2)
+    m1, m2 = _load_materials(args.material1, args.material2)
     cfg = GapConfig(args.gap, m1, m2)
     quad = _quad_config(args)
     manifest = _manifest(kind, {"gap_m": args.gap, "rel_tol": quad.rel_tol,
@@ -112,8 +122,7 @@ def _cmd_sweep(args):
         raise DomainError("--gap-min and --gap-max must be finite and positive")
     if args.points < 1:
         raise DomainError("--points must be at least 1")
-    m1 = load_material(args.material1)
-    m2 = load_material(args.material2)
+    m1, m2 = _load_materials(args.material1, args.material2)
     quad = _quad_config(args)
     gaps = np.geomspace(args.gap_min, args.gap_max, args.points)
     manifest = _manifest("sweep", {"gap_min_m": args.gap_min,
@@ -143,11 +152,19 @@ def _cmd_sweep(args):
 
 def _emit_map(args, table, axes, quad, manifest):
     """Refine ``table``'s sign boundaries along ``axes``, then write its CSV
-    to stdout and its JSON summary to --summary (stderr without it)."""
+    to stdout and its JSON summary to --summary (stderr without it).
+
+    A bisection that does not converge stops the refinement: the rows and
+    the boundaries of the axes done so far are still written, with a
+    warning, and the exit code is 3.
+    """
+    code, warning = EXIT_OK, None
     if args.refine_boundaries:
-        for axis in axes:
-            table.boundaries.extend(
-                boundary_points(table, axis, quad=quad, threshold=args.threshold))
+        try:
+            for axis in axes:
+                table.boundaries.extend(boundary_points(table, axis, quad=quad))
+        except ConvergenceError as exc:
+            code, warning = EXIT_NO_CONVERGENCE, exc
     sys.stdout.write(table.to_csv())
     text = json.dumps(dict(table.summary(), manifest=manifest), indent=2)
     if args.summary:
@@ -155,7 +172,9 @@ def _emit_map(args, table, axes, quad, manifest):
             fh.write(text + "\n")
     else:
         print(text, file=sys.stderr)
-    return EXIT_OK
+    if warning is not None:
+        print(f"warning: {warning}", file=sys.stderr)
+    return code
 
 
 def _cmd_signmap(args):
@@ -192,8 +211,7 @@ def _cmd_kk(args):
 
 
 def _cmd_pfa(args):
-    sphere = load_material(args.sphere)
-    plate = load_material(args.plate)
+    sphere, plate = _load_materials(args.sphere, args.plate)
     quad = _quad_config(args)
     geom = SpherePlate(args.radius, args.gap)
     manifest = _manifest("pfa", {"radius_m": args.radius, "gap_m": args.gap,

@@ -301,7 +301,9 @@ def _inner_integrals(cfg, xi, kind, rel_tol, budget):
     xi_live = xi[live]
     v = xi_live / C
     rf1 = _reflection_by_owner(cfg.material1, xi_live, C, v)
-    rf2 = _reflection_by_owner(cfg.material2, xi_live, C, v)
+    # one model on both sides (a table, say) is evaluated once
+    rf2 = (rf1 if cfg.material2 is cfg.material1
+           else _reflection_by_owner(cfg.material2, xi_live, C, v))
     for start in range(0, live.size, _BLOCK):
         idx = live[start:start + _BLOCK]
         vals[idx], errs[idx] = _inner_block(cfg, rf1, rf2, start, y0[idx], kind,
@@ -317,7 +319,7 @@ def _inner_block(cfg, rf1, rf2, first, y0, kind, rel_tol, budget):
     # before the kernel below makes its temporaries
     def products(kappa0, owner):
         r1te, r1tm = rf1(kappa0, owner)
-        r2te, r2tm = rf2(kappa0, owner)
+        r2te, r2tm = (r1te, r1tm) if rf2 is rf1 else rf2(kappa0, owner)
         return r1te * r2te, r1tm * r2tm
 
     def g(y, owner):

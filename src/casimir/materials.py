@@ -410,8 +410,15 @@ class TabulatedAbsorption:
         # per-interval linear coefficients eps'' = slope*w + offset
         w1, w2 = omega[:-1], omega[1:]
         s1, s2 = eps_imag[:-1], eps_imag[1:]
-        self._slope = (s2 - s1) / (w2 - w1)
+        self._dw = w2 - w1
+        self._slope = (s2 - s1) / self._dw
         self._offset = s1 - self._slope * w1
+        # the xi-independent factors of _kk_sampled, formed once per table
+        self._w1w2 = w1 * w2
+        self._dw_w1w2 = self._dw * self._w1w2
+        self._sq_diff = self._dw * (w2 + w1)
+        self._w1_sq = w1 * w1
+        self._half_offset = 0.5 * self._offset
 
     @property
     def n_samples(self):
@@ -430,14 +437,22 @@ def _atan_series(x2):
 
 
 def _x_minus_atan(x):
-    """x - arctan(x), stable for small x (series) and exact for large."""
+    """x - arctan(x), stable for small x (series) and exact for large.
+
+    Each element takes one branch only: the series below 0.05, where
+    x - arctan(x) cancels, and arctan at or above it.  When no element
+    reaches 0.05 (the common case inside the transform) the series is the
+    whole result and no arctan or mask scatter runs.
+    """
     x = np.asarray(x, dtype=float)
-    out = x - np.arctan(x)
     small = x < 0.05
-    if np.any(small):
-        xs = x[small]
-        x2 = xs * xs
-        out[small] = xs * x2 * _atan_series(x2)
+    if small.all():
+        x2 = x * x
+        return x * x2 * _atan_series(x2)
+    out = np.empty(x.shape)
+    big = ~small
+    out[big] = x[big] - np.arctan(x[big])
+    out[small] = _x_minus_atan(x[small])
     return out
 
 
@@ -448,18 +463,13 @@ def _kk_sampled(table, xi):
     antiderivative is rearranged so no term suffers cancellation even for
     xi far above the sampled range.
     """
-    w1 = table.omega[:-1][None, :]
-    w2 = table.omega[1:][None, :]
-    alpha = table._slope[None, :]
-    beta = table._offset[None, :]
     x = xi[:, None]
     x2 = x * x
-    dw = w2 - w1
-    denom = x2 + w1 * w2
-    v = x * dw / denom
+    denom = x2 + table._w1w2
+    v = x * table._dw / denom
     # alpha * (dw - xi*(atan(w2/xi)-atan(w1/xi))), cancellation-free form
-    term_a = alpha * (dw * (w1 * w2) / denom + x * _x_minus_atan(v))
-    term_b = 0.5 * beta * np.log1p((w2 - w1) * (w2 + w1) / (w1 * w1 + x2))
+    term_a = table._slope * (table._dw_w1w2 / denom + x * _x_minus_atan(v))
+    term_b = table._half_offset * np.log1p(table._sq_diff / (table._w1_sq + x2))
     return (term_a + term_b).sum(axis=1)
 
 
@@ -526,23 +536,31 @@ def _kk_high_tail(table, xi):
     t = (mid[:, None] + np.outer(half, _TAIL_NODES)).reshape(-1)
     w = (np.outer(half, _TAIL_WEIGHTS)).reshape(-1)
     integrand = t ** (p - 1.0) / (wn ** 2 + np.multiply.outer(xi ** 2, t ** 2))
-    return sn * wn ** 2 * (integrand @ w)
+    # a row sum, not a matrix product: BLAS may round a row differently
+    # depending on how many rows come with it
+    return sn * wn ** 2 * (integrand * w).sum(axis=1)
 
 
-# (xi x sample) elements per pass of the transform: bounds the size of the
-# temporaries of _kk_sampled however many frequencies are asked for.
+# (xi x interval) elements per pass of _kk_sampled: bounds the size of its
+# 2-D temporaries however many frequencies are asked for.  Only the sampled
+# part runs per chunk; the 1-D tails run once on the whole xi array.
+# Larger chunks (65536, 262144) measured 10-25 % slower.
 _KK_CHUNK = 16384
 
 
 def _kk_value(table, xi):
-    """eps(i xi) - operates on a validated positive 1-D array."""
+    """eps(i xi) - operates on a validated positive 1-D array.
+
+    The sampled part runs chunk by chunk (``_KK_CHUNK``) from factors the
+    table formed at construction; the two tails run once on all of xi.
+    Each node's value does not depend on the other nodes of the array.
+    """
     rows = max(1, _KK_CHUNK // table.n_samples)
     xi = np.minimum(xi, _XI_FLAT)
     core = np.empty(xi.shape)
     for start in range(0, xi.size, rows):
-        part = xi[start:start + rows]
-        core[start:start + rows] = (_kk_sampled(table, part) + _kk_low_tail(table, part)
-                                    + _kk_high_tail(table, part))
+        core[start:start + rows] = _kk_sampled(table, xi[start:start + rows])
+    core = (core + _kk_low_tail(table, xi)) + _kk_high_tail(table, xi)
     return 1.0 + (2.0 / np.pi) * core
 
 

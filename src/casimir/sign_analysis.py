@@ -241,20 +241,27 @@ def uvl_map(mu1_values, mu2_values, a, quad=None, threshold=None,
 
 #: Relative width of the bracket at which sign-boundary bisection stops.
 _REL_RESOLUTION = 1e-3
+#: Loosest rel_tol a bisection step runs at: it reads only the sign.
+_SIGN_REL_TOL = 1e-3
 
 
-def find_sign_boundary(make_config, lo, hi, quad=None, threshold=None):
+def find_sign_boundary(make_config, lo, hi, quad=None):
     """Bisect a 1-D parameter slice for the attraction/repulsion flip.
 
     ``make_config(t)`` builds the GapConfig at parameter value t; the
     pressures at lo and hi must have opposite signs.  Bisection runs on a
     logarithmic axis down to a relative resolution of 1e-3 and returns
-    the crossing parameter.
+    the crossing parameter.  Each step reads only the sign of the
+    pressure, which a converged result carries at any tolerance, so the
+    pressures run at rel_tol max(quad.rel_tol, 1e-3): near the crossing
+    TE and TM cancel, and a tight tolerance on their small net can stall.
     """
     quad = quad or QuadratureConfig()
+    sign_quad = QuadratureConfig(max(quad.rel_tol, _SIGN_REL_TOL),
+                                 quad.max_subdivisions)
 
     def sign_at(t):
-        return classify(make_config(t), quad, threshold).pressure > 0.0
+        return classify(make_config(t), sign_quad).pressure > 0.0
 
     lo = float(lo)
     hi = float(hi)
@@ -272,7 +279,7 @@ def find_sign_boundary(make_config, lo, hi, quad=None, threshold=None):
     return float(np.sqrt(lo * hi))
 
 
-def boundary_points(sign_map_result, axis, quad=None, threshold=None):
+def boundary_points(sign_map_result, axis, quad=None):
     """Refine every verdict flip along ``axis`` of a sign map by bisection.
 
     Scans grid lines (the other three parameters fixed) for adjacent
@@ -316,8 +323,7 @@ def boundary_points(sign_map_result, axis, quad=None, threshold=None):
                 continue
             crossing = find_sign_boundary(
                 lambda t: make_config(t, fixed),
-                getattr(r_lo, axis), getattr(r_hi, axis),
-                quad, threshold)
+                getattr(r_lo, axis), getattr(r_hi, axis), quad)
             record = {"axis": axis, "crossing": crossing}
             record.update(fixed)
             found.append(record)

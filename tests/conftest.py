@@ -18,3 +18,18 @@ def quad_tight():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def kk_nodes(monkeypatch):
+    """Frequency arrays of every Kramers-Kronig transform call, in order."""
+    from casimir import materials
+    seen = []
+    original = materials._kk_value
+
+    def counted(table, xi):
+        seen.append(np.array(xi))
+        return original(table, xi)
+
+    monkeypatch.setattr(materials, "_kk_value", counted)
+    return seen

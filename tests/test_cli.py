@@ -7,10 +7,13 @@ import json
 import numpy as np
 import pytest
 
+from casimir import cli
 from casimir.cli import main
 from casimir.engine import GapConfig, QuadratureConfig, energy_per_area, pressure
 from casimir.io import load_material, save_material
-from casimir.materials import Drude
+from casimir.errors import ConvergenceError
+from casimir.materials import (Drude, HighTail, LowTail, Tabulated,
+                               TabulatedAbsorption)
 
 IDEAL_E = -4.3337528e-10  # ideal-mirror energy at 1 um, J/m^2
 
@@ -256,3 +259,44 @@ def test_saved_models_feed_the_cli(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["verdict"] == "Attractive"
     assert abs(doc["value"]) < abs(IDEAL_E)
+
+
+def test_signmap_keeps_the_map_when_a_bisection_fails(capsys, tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ConvergenceError("pressure quadrature did not converge")
+
+    monkeypatch.setattr(cli, "boundary_points", fail)
+    summary_path = tmp_path / "summary.json"
+    code, out, err = run(capsys, "signmap",
+                         "--eps1", "1", "100", "--mu1", "1", "100",
+                         "--eps2", "1", "100", "--mu2", "1", "100",
+                         "--gap", "1e-6", "--rel-tol", "1e-6",
+                         "--summary", str(summary_path))
+    assert code == 3
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 1 + 16
+    summary = json.loads(summary_path.read_text())
+    assert sum(summary["counts"].values()) == 16
+    assert summary["boundaries"] == []
+    assert err.startswith("warning: ")
+
+
+def test_one_table_file_given_twice_is_transformed_once_per_node(capsys, tmp_path,
+                                                                  kk_nodes):
+    w = np.geomspace(1e13, 1e17, 300)
+    eps_imag = 8e31 * 5e13 * w / ((25e30 - w ** 2) ** 2 + (5e13 * w) ** 2)
+    path = tmp_path / "table.json"
+    save_material(Tabulated(TabulatedAbsorption(w, eps_imag, LowTail("linear"),
+                                                HighTail("power", 3.0))), path)
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(path.read_bytes())
+    argv = ["pressure", "--gap", "4e-7", "--rel-tol", "1e-6", "--csv"]
+    code, out, _ = run(capsys, *argv, "--material1", str(path), "--material2", str(path))
+    assert code == 0
+    nodes = np.concatenate(kk_nodes)
+    assert np.unique(nodes).size == nodes.size
+    kk_nodes.clear()
+    code, out_two, _ = run(capsys, *argv, "--material1", str(path), "--material2", str(copy))
+    assert code == 0
+    assert sum(x.size for x in kk_nodes) == 2 * nodes.size
+    assert out_two == out

@@ -382,3 +382,24 @@ def test_engine_speed_ideal_mirrors():
     pressure(cfg)
     elapsed = time.perf_counter() - t0
     assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("fn", [energy_per_area, pressure])
+def test_one_model_on_both_sides_gives_the_bits_of_two_equal_models(fn):
+    shared = fn(GapConfig(4e-7, TABLE, TABLE))
+    distinct = fn(GapConfig(4e-7, TABLE, small_table()))
+    assert [x.hex() for x in (shared.value, shared.error_estimate, shared.dominant_xi)] \
+        == [x.hex() for x in (distinct.value, distinct.error_estimate, distinct.dominant_xi)]
+
+
+def test_one_model_on_both_sides_is_transformed_once_per_node(kk_nodes):
+    quad = QuadratureConfig(rel_tol=1e-6)
+    pressure(GapConfig(4e-7, TABLE, TABLE), quad)
+    nodes = np.concatenate(kk_nodes)
+    assert nodes.size > 0
+    assert np.unique(nodes).size == nodes.size
+    calls = len(kk_nodes)
+    kk_nodes.clear()
+    pressure(GapConfig(4e-7, TABLE, small_table()), quad)
+    assert len(kk_nodes) == 2 * calls
+    assert sum(x.size for x in kk_nodes) == 2 * nodes.size

@@ -16,7 +16,7 @@ from scipy.integrate import quad as scipy_quad
 from casimir import (DIVERGENT, DomainError, HighTail, IngestionError,
                      LowTail, QuadraturePoint, Tabulated, TabulatedAbsorption,
                      kramers_kronig, reflection)
-from casimir.materials import _KK_CHUNK, _kk_value
+from casimir.materials import _KK_CHUNK, _atan_series, _kk_value, _x_minus_atan
 
 
 def lorentz_eps_imag(w, f, wp, w0, g):
@@ -206,3 +206,43 @@ def test_array_evaluation_across_chunk_boundaries():
         np.testing.assert_allclose(est.error_estimate,
                                    [e.error_estimate for e in one_by_one],
                                    rtol=1e-15, atol=0.0)
+
+
+def reference_x_minus_atan(x):
+    """x - arctan(x) element by element: the series below 0.05."""
+    out = []
+    for xv in np.ravel(x):
+        one = np.array([xv])
+        if xv < 0.05:
+            out.append((one * (one * one) * _atan_series(one * one))[0])
+        else:
+            out.append((one - np.arctan(one))[0])
+    return np.array(out).reshape(np.shape(x))
+
+
+@pytest.mark.parametrize("x", [
+    np.array([0.0, 1e-300, 1e-8, 0.0499, np.nextafter(0.05, 0.0), 0.05, 0.051,
+              1.0, 1e8, 1e300, 1e-3]),
+    np.geomspace(1e-200, 0.049, 500),
+    np.geomspace(0.05, 1e200, 500),
+    np.array(0.01),
+    np.array(3.0),
+    np.array([]),
+], ids=["straddling", "all-series", "all-arctan", "0d-series", "0d-arctan", "empty"])
+def test_x_minus_atan_takes_each_element_by_its_own_branch(x):
+    got = np.asarray(_x_minus_atan(x))
+    assert got.shape == np.shape(x)
+    np.testing.assert_array_equal(got, reference_x_minus_atan(x))
+
+
+@pytest.mark.parametrize("high", [HighTail("power", 3.0), HighTail("power", 2.0)],
+                         ids=["power3", "power2"])
+@pytest.mark.parametrize("low", ["constant", "linear"])
+def test_kk_value_at_a_node_does_not_depend_on_the_other_nodes(low, high):
+    w = np.geomspace(W0 * 1e-3, W0 * 1e3, 2500)
+    table = TabulatedAbsorption(w, lorentz_eps_imag(w, F, WP, W0, G), LowTail(low), high)
+    xi = np.geomspace(W0 * 1e-6, W0 * 1e6, 301)  # not a multiple of the chunk rows
+    assert xi.size % (_KK_CHUNK // table.n_samples) != 0
+    together = _kk_value(table, xi)
+    alone = np.array([_kk_value(table, xi[i:i + 1])[0] for i in range(xi.size)])
+    np.testing.assert_array_equal(together, alone)

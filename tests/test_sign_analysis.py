@@ -150,6 +150,16 @@ def test_find_sign_boundary_conductor_sweep(quad_fast):
     assert classify(make(crossing * 1.1), quad_fast).verdict == Verdict.REPULSIVE
 
 
+def test_find_sign_boundary_through_cancelling_polarizations():
+    # TE and TM cancel to 1e-4 of either near eps1 = 32.7, where a
+    # pressure at the default rel_tol 1e-8 stalls; a sign needs far less
+    def make(t):
+        return GapConfig(A, ConstantEpsMu(t, 10.0), ConstantEpsMu(1.0, 10.0))
+
+    crossing = find_sign_boundary(make, 10.0, 100.0)
+    assert crossing == pytest.approx(32.68, rel=2e-3)
+
+
 def test_find_sign_boundary_needs_a_flip(quad_fast):
     def make(t):
         return GapConfig(A, ConstantEpsMu(t, 1.0), ConstantEpsMu(4.0, 1.0))
