@@ -19,9 +19,9 @@ from .errors import (CasimirError, ContinuumModelWarning, ConvergenceError,
                      DegenerateIntegrandError, DomainError,
                      InconclusiveConfigurationError, IngestionError,
                      InvalidModelError)
-from .materials import (DIVERGENT, ConstantEpsMu, DebyeMagnetic, Drude,
-                        HighTail, InfinitelyPermeable, LorentzOscillators,
-                        LowTail, MaterialResponse, PerfectConductor,
+from .materials import (ConstantEpsMu, DebyeMagnetic, Drude, HighTail,
+                        InfinitelyPermeable, LorentzOscillators, LowTail,
+                        MaterialResponse, PerfectConductor,
                         PermittivityEstimate, Plasma, Tabulated,
                         TabulatedAbsorption, kramers_kronig, vacuum)
 from .pfa import PfaResult, SpherePlate, pfa_force
@@ -38,7 +38,7 @@ __all__ = [
     "CasimirError", "ContinuumModelWarning", "ConvergenceError",
     "DegenerateIntegrandError", "DomainError",
     "InconclusiveConfigurationError", "IngestionError", "InvalidModelError",
-    "DIVERGENT", "ConstantEpsMu", "DebyeMagnetic", "Drude", "HighTail",
+    "ConstantEpsMu", "DebyeMagnetic", "Drude", "HighTail",
     "InfinitelyPermeable", "LorentzOscillators", "LowTail",
     "MaterialResponse", "PerfectConductor", "PermittivityEstimate", "Plasma",
     "Tabulated", "TabulatedAbsorption", "kramers_kronig", "vacuum",

@@ -31,7 +31,7 @@ import numpy as np
 from .constants import C, HBAR
 from .errors import (ContinuumModelWarning, ConvergenceError,
                      DegenerateIntegrandError, DomainError)
-from .materials import DIVERGENT, MaterialResponse
+from .materials import MaterialResponse
 from .quadrature import (geometric_edges, geometric_panels,
                          integrate_adaptive, integrate_panels)
 
@@ -155,22 +155,20 @@ def _reflection_by_owner(material, xi, c_unit, v):
     c_unit = c / lambda in the caller's unit of length lambda; u = kappa0 lambda.
     Then kappa lambda = sqrt(u^2 + (eps mu - 1) v^2), and each polarization
     reflects as (x u - kappa lambda) / (x u + kappa lambda), x = mu for TE and
-    eps for TM.  eps and mu are evaluated once, here.  The ideal mirrors give
-    float constants: a DIVERGENT mu reflects TE as +1, a DIVERGENT eps TM as
-    +1, and the other polarization sees an infinite kappa (-1) where mu
-    diverges or ``xi2_susceptibility`` is infinite.  Other infinite values,
-    and an eps mu v^2 beyond float range, go through ``_reflection_at_limits``.
+    eps for TM.  eps and mu are evaluated once, here; a diverging response is
+    inf.  The ideal mirrors give float constants: mu infinite at every owner
+    reflects TE as +1, and TM as -1 (an infinite kappa); eps infinite at
+    every owner, with an infinite weight ``xi2_susceptibility`` as well,
+    reflects as (-1, +1).  Other infinite values, and an eps mu v^2 beyond
+    float range, go through ``_reflection_at_limits``.
     """
-    eps, mu = material.eps(xi), material.mu(xi)
-    if mu is DIVERGENT:
-        r_tm = 1.0 if eps is DIVERGENT else -1.0
+    e = np.asarray(material.eps(xi), dtype=float)
+    m = np.asarray(material.mu(xi), dtype=float)
+    if np.isinf(m).all():
+        r_tm = 1.0 if np.isinf(e).all() else -1.0
         return lambda u, owner: (1.0, r_tm)
-    if eps is DIVERGENT:
-        if np.isinf(material.xi2_susceptibility(xi)).all():
-            return lambda u, owner: (-1.0, 1.0)
-        eps = np.full(xi.shape, np.inf)
-    e = np.asarray(eps, dtype=float)
-    m = np.asarray(mu, dtype=float)
+    if np.isinf(e).all() and np.isinf(material.xi2_susceptibility(xi)).all():
+        return lambda u, owner: (-1.0, 1.0)
     # an upper bound of eps mu v^2 in Python floats, which overflow to inf
     # without a warning
     v_max = max(float(v.max(initial=0.0)), 1.0)
@@ -198,10 +196,10 @@ def _reflection_at_limits(material, xi, c_unit, v, e, m):
 
     Works with q = kappa / kappa0 = hypot(sqrt(1 - t^2), sqrt(eps mu) t),
     t = v / u, so that no product overflows.  An infinite mu reflects TE as
-    +1 and an infinite eps TM as +1.  Where eps is infinite, eps t^2 is
-    s / u^2 + t^2 with s = xi^2 (eps - 1) / c_unit^2 from
-    ``xi2_susceptibility``; where mu is infinite, so is q.  An infinite q
-    reflects as -1.
+    +1 and an infinite eps TM as +1.  Where eps is infinite, its finite
+    weight enters instead: eps t^2 is s / u^2 + t^2 with
+    s = xi^2 (eps - 1) / c_unit^2 from ``xi2_susceptibility``.  Where mu is
+    infinite, so is q.  An infinite q reflects as -1.
     """
     e_inf = np.isinf(e)
     m_inf = np.isinf(m)

@@ -11,11 +11,10 @@ import hashlib
 import json
 from pathlib import Path
 
-from .errors import IngestionError
-from .materials import (ConstantEpsMu, DebyeMagnetic, Drude, HighTail,
-                        InfinitelyPermeable, LorentzOscillators, LowTail,
-                        MaterialResponse, PerfectConductor, Plasma, Tabulated,
-                        TabulatedAbsorption, vacuum)
+from .errors import CasimirError, IngestionError
+from .materials import (ConstantEpsMu, DebyeMagnetic, Drude, InfinitelyPermeable,
+                        LorentzOscillators, PerfectConductor, Plasma, Tabulated,
+                        TabulatedAbsorption, tails_from_dict, vacuum)
 
 ABSORPTION_HEADER = ["omega_rad_s", "eps_imag"]
 
@@ -26,49 +25,17 @@ BUILTIN_MATERIALS = {
     "permeable": InfinitelyPermeable,
 }
 
-
-def _tail_to_dict(tail):
-    if isinstance(tail, LowTail):
-        return {"model": tail.model}
-    return {"model": tail.model, "exponent": tail.exponent}
-
-
-def _low_tail_from_dict(d):
-    return LowTail(model=d.get("model", "constant"))
-
-
-def _high_tail_from_dict(d):
-    return HighTail(model=d.get("model", "power"),
-                    exponent=float(d.get("exponent", 3.0)))
+# the model class of each model-file kind
+_MODEL_CLASSES = {cls.__name__: cls for cls in (
+    PerfectConductor, InfinitelyPermeable, ConstantEpsMu, Drude, Plasma,
+    LorentzOscillators, DebyeMagnetic, Tabulated)}
 
 
 def material_to_dict(model):
     """JSON-ready {kind, label, parameters} for any material model."""
-    kind = model.kind
-    if kind == "PerfectConductor" or kind == "InfinitelyPermeable":
-        params = {}
-    elif kind == "ConstantEpsMu":
-        params = {"eps": model.eps_const, "mu": model.mu_const}
-    elif kind == "Drude":
-        params = {"omega_p": model.omega_p, "gamma": model.gamma}
-    elif kind == "Plasma":
-        params = {"omega_p": model.omega_p}
-    elif kind == "LorentzOscillators":
-        params = {"oscillators": [
-            {"f": f, "omega_p": wp, "omega0": w0, "gamma": g}
-            for f, wp, w0, g in model.oscillators]}
-    elif kind == "DebyeMagnetic":
-        params = {"delta_mu": model.delta_mu, "omega_m": model.omega_m,
-                  "delta_eps": model.delta_eps, "omega_e": model.omega_e}
-    elif kind == "Tabulated":
-        t = model.table
-        params = {"omega_rad_s": t.omega.tolist(),
-                  "eps_imag": t.eps_imag.tolist(),
-                  "low_tail": _tail_to_dict(t.low_tail),
-                  "high_tail": _tail_to_dict(t.high_tail)}
-    else:
-        raise IngestionError(f"cannot serialize material kind {kind!r}")
-    return {"kind": kind, "label": model.label, "parameters": params}
+    if model.kind not in _MODEL_CLASSES:
+        raise IngestionError(f"cannot serialize material kind {model.kind!r}")
+    return {"kind": model.kind, "label": model.label, "parameters": model.parameters}
 
 
 def material_from_dict(doc):
@@ -77,37 +44,17 @@ def material_from_dict(doc):
         kind = doc["kind"]
     except (TypeError, KeyError):
         raise IngestionError("material document needs a 'kind' field")
-    label = doc.get("label")
-    params = doc.get("parameters", {})
+    cls = _MODEL_CLASSES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise IngestionError(f"unknown material kind {kind!r}")
     try:
-        if kind == "PerfectConductor":
-            return PerfectConductor(**({"label": label} if label else {}))
-        if kind == "InfinitelyPermeable":
-            return InfinitelyPermeable(**({"label": label} if label else {}))
-        if kind == "ConstantEpsMu":
-            return ConstantEpsMu(params["eps"], params["mu"], label=label)
-        if kind == "Drude":
-            return Drude(params["omega_p"], params["gamma"], label=label)
-        if kind == "Plasma":
-            return Plasma(params["omega_p"], label=label)
-        if kind == "LorentzOscillators":
-            osc = [(o["f"], o["omega_p"], o["omega0"], o["gamma"])
-                   for o in params["oscillators"]]
-            return LorentzOscillators(osc, label=label)
-        if kind == "DebyeMagnetic":
-            return DebyeMagnetic(params["delta_mu"], params["omega_m"],
-                                 delta_eps=params.get("delta_eps", 11.0),
-                                 omega_e=params.get("omega_e", 2.0e14),
-                                 label=label)
-        if kind == "Tabulated":
-            table = TabulatedAbsorption(
-                params["omega_rad_s"], params["eps_imag"],
-                _low_tail_from_dict(params.get("low_tail", {})),
-                _high_tail_from_dict(params.get("high_tail", {})))
-            return Tabulated(table, label=label)
+        return cls.from_parameters(doc.get("parameters", {}), label=doc.get("label"))
     except KeyError as exc:
         raise IngestionError(f"material kind {kind!r} is missing parameter {exc}")
-    raise IngestionError(f"unknown material kind {kind!r}")
+    except CasimirError:
+        raise  # already names what is wrong with a value
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise IngestionError(f"material kind {kind!r} has malformed parameters: {exc}")
 
 
 def load_material(spec):
@@ -174,6 +121,5 @@ def load_absorption_table(csv_path):
             cfg = json.loads(sidecar.read_text())
         except json.JSONDecodeError as exc:
             raise IngestionError(f"{sidecar}: not valid JSON ({exc})")
-        low = _low_tail_from_dict(cfg.get("low_tail", {}))
-        high = _high_tail_from_dict(cfg.get("high_tail", {}))
+        low, high = tails_from_dict(cfg)
     return TabulatedAbsorption(omega, eps_imag, low, high)

@@ -2,34 +2,22 @@
 
 Causality makes eps(i xi) and mu(i xi) real, smooth and monotonically
 decreasing toward 1, so everything here works in real arithmetic.  Models
-accept scalar or 1-D ndarray frequencies (rad/s) and broadcast.
+accept scalar or ndarray frequencies (rad/s) and evaluate them as arrays;
+a scalar frequency gives a float.
 
-Zero frequency is special: the Drude and plasma permittivities (and
-tabulated data with a conductor-like low-frequency tail) grow without
-bound there, so scalar evaluation at xi=0 returns the ``DIVERGENT``
-sentinel, as the ideal mirrors do at every xi; the Drude and plasma forms
-return inf at tiny xi > 0 beyond float range.  Reflection code reads
-DIVERGENT as inf and takes the finite xi^2 (eps - 1) from
-``xi2_susceptibility``.
+A response that diverges is inf: the Drude and plasma permittivities (and
+tabulated data with a conductor-like low-frequency tail) at xi = 0 and
+wherever they leave float range at tiny xi, and the ideal mirrors at every
+xi.  Reflection code takes the finite weight xi^2 (eps - 1) of an infinite
+eps from ``xi2_susceptibility``.
 """
 
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DomainError, IngestionError, InvalidModelError
 from .quadrature import _GK_NODES as _TAIL_NODES, _GK_WEIGHTS as _TAIL_WEIGHTS
 
-
-class _Divergent:
-    """Sentinel for a response that grows without bound at zero frequency."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "divergent"
-
-
-DIVERGENT = _Divergent()
 
 # eps is taken at min(xi, _XI_FLAT), where xi^2 is finite and eps = 1 to rounding
 _XI_FLAT = 1e150  # for every model with its frequencies below ~1e140 rad/s
@@ -66,29 +54,45 @@ def _nonnegative(name, value):
     return value
 
 
-def _match_shape(xi_arr, value):
-    if xi_arr.ndim == 0:
-        return float(value)
-    return np.full(xi_arr.shape, float(value))
+def _constant(xi, value):
+    """``value`` at every validated xi: an array of xi's shape, a float for a scalar."""
+    return np.full(_as_xi(xi).shape, value)[()]
 
 
 class MaterialResponse:
     """Base class for all material models.
 
     Instances are immutable after construction and safe to share across
-    threads; evaluation is a pure function of (model, xi).
+    threads; evaluation is a pure function of (model, xi).  ``eps`` and
+    ``mu`` are inf where the response diverges, and ``xi2_susceptibility``
+    gives the finite weight of an infinite eps.  A model file stores
+    ``kind`` (the class name) and ``parameters``; ``from_parameters``
+    rebuilds the model from them.
     """
 
-    kind = "abstract"
     #: set on models whose frequency independence is physically wrong
     unphysical = None
+
+    @property
+    def kind(self):
+        return type(self).__name__
+
+    @property
+    def parameters(self):
+        """JSON-ready constructor parameters, the model-file format."""
+        return {}
+
+    @classmethod
+    def from_parameters(cls, params, label=None):
+        """Inverse of ``parameters``; a missing parameter raises KeyError."""
+        return cls(label=label)
 
     def eps(self, xi):
         raise NotImplementedError
 
     def mu(self, xi):
         """Relative permeability; 1 for every electric-only model."""
-        return _match_shape(_as_xi(xi), 1.0)
+        return _constant(xi, 1.0)
 
     def xi2_susceptibility(self, xi):
         """xi^2 (eps(i xi) - 1) at xi >= 0 (scalar or array), rad^2/s^2.
@@ -102,7 +106,7 @@ class MaterialResponse:
         live = arr > 0.0
         out = np.zeros(arr.shape)
         out[live] = (self.eps(arr[live]) - 1.0) * arr[live] * arr[live]
-        return out if out.ndim else float(out)
+        return out[()]
 
     @property
     def resonance_scale(self):
@@ -116,18 +120,15 @@ class MaterialResponse:
 class PerfectConductor(MaterialResponse):
     """Ideal mirror: reflects TE with -1 and TM with +1 at every frequency.
 
-    ``eps`` returns the divergent sentinel (TM +1) at every xi, and its
-    weight xi^2 (eps - 1) is inf (an infinite decay constant: TE -1).
+    ``eps`` is inf at every xi (TM +1), and so is its weight
+    xi^2 (eps - 1): an infinite decay constant, TE -1.
     """
 
-    kind = "PerfectConductor"
-
-    def __init__(self, label="perfect conductor"):
-        self.label = label
+    def __init__(self, label=None):
+        self.label = label or "perfect conductor"
 
     def eps(self, xi):
-        _as_xi(xi)
-        return DIVERGENT
+        return _constant(xi, np.inf)
 
     def xi2_susceptibility(self, xi):
         return np.inf
@@ -140,20 +141,17 @@ class InfinitelyPermeable(MaterialResponse):
     analytically repulsive partner for it.  No real material approaches
     this behaviour, which is exactly why it is kept as an explicit
     idealization rather than a limit of a constant-mu medium.  ``mu`` is
-    DIVERGENT at every xi: TE +1, and an infinite decay constant: TM -1.
+    inf at every xi: TE +1, and an infinite decay constant: TM -1.
     """
 
-    kind = "InfinitelyPermeable"
-
-    def __init__(self, label="infinitely permeable plate"):
-        self.label = label
+    def __init__(self, label=None):
+        self.label = label or "infinitely permeable plate"
 
     def eps(self, xi):
-        return _match_shape(_as_xi(xi), 1.0)
+        return _constant(xi, 1.0)
 
     def mu(self, xi):
-        _as_xi(xi)
-        return DIVERGENT
+        return _constant(xi, np.inf)
 
 
 class ConstantEpsMu(MaterialResponse):
@@ -167,7 +165,6 @@ class ConstantEpsMu(MaterialResponse):
     them.
     """
 
-    kind = "ConstantEpsMu"
     unphysical = "non-dispersive"
 
     def __init__(self, eps=1.0, mu=1.0, label=None):
@@ -175,11 +172,19 @@ class ConstantEpsMu(MaterialResponse):
         self.mu_const = _positive("mu", mu)
         self.label = label or f"const(eps={self.eps_const:g}, mu={self.mu_const:g})"
 
+    @property
+    def parameters(self):
+        return {"eps": self.eps_const, "mu": self.mu_const}
+
+    @classmethod
+    def from_parameters(cls, params, label=None):
+        return cls(params["eps"], params["mu"], label=label)
+
     def eps(self, xi):
-        return _match_shape(_as_xi(xi), self.eps_const)
+        return _constant(xi, self.eps_const)
 
     def mu(self, xi):
-        return _match_shape(_as_xi(xi), self.mu_const)
+        return _constant(xi, self.mu_const)
 
 
 def vacuum():
@@ -190,30 +195,27 @@ def vacuum():
 class Drude(MaterialResponse):
     """Metal with scattering: eps(i xi) = 1 + wp^2 / (xi (xi + gamma)).
 
-    Diverges like 1/xi at zero frequency (dc conductor); scalar xi=0
-    returns DIVERGENT.
+    Diverges like 1/xi at zero frequency (dc conductor): inf at xi = 0 and
+    at tiny xi where the value leaves float range.
     """
-
-    kind = "Drude"
 
     def __init__(self, omega_p, gamma, label=None):
         self.omega_p = _positive("omega_p", omega_p)
         self.gamma = _positive("gamma", gamma)
         self.label = label or f"Drude(wp={self.omega_p:.3g}, gamma={self.gamma:.3g})"
 
+    @property
+    def parameters(self):
+        return {"omega_p": self.omega_p, "gamma": self.gamma}
+
+    @classmethod
+    def from_parameters(cls, params, label=None):
+        return cls(params["omega_p"], params["gamma"], label=label)
+
     def eps(self, xi):
         arr = np.minimum(_as_xi(xi), _XI_FLAT)
-        if arr.ndim == 0:
-            x = float(arr)
-            if x == 0.0:
-                return DIVERGENT
-            d = x * (x + self.gamma)
-            # beyond float range at tiny x, where d may underflow to 0
-            return 1.0 + self.omega_p ** 2 / d if d > 0.0 else np.inf
-        if np.any(arr == 0.0):
-            raise DomainError("Drude permittivity diverges at xi=0; "
-                              "evaluate scalars there to receive the sentinel")
-        return 1.0 + self.omega_p ** 2 / (arr * (arr + self.gamma))
+        with np.errstate(divide="ignore", over="ignore"):  # diverging: inf
+            return (1.0 + self.omega_p ** 2 / (arr * (arr + self.gamma)))[()]
 
     def xi2_susceptibility(self, xi):
         return self.omega_p ** 2 * xi / (xi + self.gamma)
@@ -224,26 +226,24 @@ class Drude(MaterialResponse):
 
 
 class Plasma(MaterialResponse):
-    """Dissipationless plasma: eps(i xi) = 1 + wp^2 / xi^2."""
-
-    kind = "Plasma"
+    """Dissipationless plasma: eps(i xi) = 1 + wp^2 / xi^2, inf at xi = 0."""
 
     def __init__(self, omega_p, label=None):
         self.omega_p = _positive("omega_p", omega_p)
         self.label = label or f"plasma(wp={self.omega_p:.3g})"
 
+    @property
+    def parameters(self):
+        return {"omega_p": self.omega_p}
+
+    @classmethod
+    def from_parameters(cls, params, label=None):
+        return cls(params["omega_p"], label=label)
+
     def eps(self, xi):
-        arr = _as_xi(xi)
-        if arr.ndim == 0:
-            x = float(arr)
-            if x == 0.0:
-                return DIVERGENT
-            r = self.omega_p / x
-            return 1.0 + r * r  # inf, not OverflowError, beyond float range
-        if np.any(arr == 0.0):
-            raise DomainError("plasma permittivity diverges at xi=0; "
-                              "evaluate scalars there to receive the sentinel")
-        return 1.0 + (self.omega_p / arr) ** 2
+        with np.errstate(divide="ignore", over="ignore"):  # diverging: inf
+            r = self.omega_p / _as_xi(xi)
+            return (1.0 + r * r)[()]
 
     def xi2_susceptibility(self, xi):
         return self.omega_p ** 2  # at every xi
@@ -262,8 +262,6 @@ class LorentzOscillators(MaterialResponse):
     strengths f_j >= 0, the three frequencies positive.
     """
 
-    kind = "LorentzOscillators"
-
     def __init__(self, oscillators, label=None):
         terms = []
         for j, osc in enumerate(oscillators):
@@ -281,13 +279,23 @@ class LorentzOscillators(MaterialResponse):
         self.oscillators = tuple(terms)
         self.label = label or f"Lorentz({len(terms)} osc)"
 
+    @property
+    def parameters(self):
+        return {"oscillators": [{"f": f, "omega_p": wp, "omega0": w0, "gamma": g}
+                                for f, wp, w0, g in self.oscillators]}
+
+    @classmethod
+    def from_parameters(cls, params, label=None):
+        return cls([(o["f"], o["omega_p"], o["omega0"], o["gamma"])
+                    for o in params["oscillators"]], label=label)
+
     def eps(self, xi):
         arr = np.minimum(_as_xi(xi), _XI_FLAT)
         total = np.zeros(arr.shape)
         for f, wp, w0, g in self.oscillators:
             total = total + f * wp ** 2 / (w0 ** 2 + arr ** 2 + g * arr)
         result = 1.0 + total
-        return float(result) if arr.ndim == 0 else result
+        return result[()]
 
     @property
     def resonance_scale(self):
@@ -309,8 +317,6 @@ class DebyeMagnetic(MaterialResponse):
     at all would be as fictitious as an ideal mirror.
     """
 
-    kind = "DebyeMagnetic"
-
     def __init__(self, delta_mu, omega_m, delta_eps=11.0, omega_e=2.0e14,
                  label=None):
         self.delta_mu = _nonnegative("delta_mu", delta_mu)
@@ -320,15 +326,26 @@ class DebyeMagnetic(MaterialResponse):
         self.label = label or (f"Debye ferrite(dmu={self.delta_mu:g}, "
                                f"wm={self.omega_m:.3g})")
 
+    @property
+    def parameters(self):
+        return {"delta_mu": self.delta_mu, "omega_m": self.omega_m,
+                "delta_eps": self.delta_eps, "omega_e": self.omega_e}
+
+    @classmethod
+    def from_parameters(cls, params, label=None):
+        return cls(params["delta_mu"], params["omega_m"],
+                   delta_eps=params.get("delta_eps", 11.0),
+                   omega_e=params.get("omega_e", 2.0e14), label=label)
+
     def eps(self, xi):
         arr = np.minimum(_as_xi(xi), _XI_FLAT)
         result = 1.0 + self.delta_eps * self.omega_e ** 2 / (self.omega_e ** 2 + arr ** 2)
-        return float(result) if arr.ndim == 0 else result
+        return result[()]
 
     def mu(self, xi):
         arr = _as_xi(xi)
         result = 1.0 + self.delta_mu / (1.0 + arr / self.omega_m)
-        return float(result) if arr.ndim == 0 else result
+        return result[()]
 
     @property
     def resonance_scale(self):
@@ -376,6 +393,16 @@ class HighTail:
                     "high-frequency tail exponent must be >= 1 "
                     f"(got {self.exponent!r}): slower decay makes the "
                     "transform tail divergent")
+
+
+def tails_from_dict(doc):
+    """(LowTail, HighTail) from a document's optional "low_tail" and
+    "high_tail" entries, as model files and table sidecars give them."""
+    low = doc.get("low_tail", {})
+    high = doc.get("high_tail", {})
+    return (LowTail(model=low.get("model", "constant")),
+            HighTail(model=high.get("model", "power"),
+                     exponent=float(high.get("exponent", 3.0))))
 
 
 class TabulatedAbsorption:
@@ -587,7 +614,7 @@ def kramers_kronig(table, xi, tol=1e-6):
     Parameters
     ----------
     table : TabulatedAbsorption
-    xi : float or 1-D array, > 0 (rad/s)
+    xi : float or array, > 0 (rad/s)
     tol : float
         Requested relative accuracy.
 
@@ -596,9 +623,9 @@ def kramers_kronig(table, xi, tol=1e-6):
     PermittivityEstimate
     """
     arr = _as_xi(xi)
-    if np.any(np.asarray(arr) <= 0.0):
+    if np.any(arr <= 0.0):
         raise DomainError("the transform needs xi > 0")
-    flat = np.atleast_1d(arr)
+    flat = arr.reshape(-1)
     value = _kk_value(table, flat)
     value_h = _kk_value(table.halved(), flat)
     err = np.abs(value - value_h)
@@ -608,15 +635,12 @@ def kramers_kronig(table, xi, tol=1e-6):
         warning = (f"requested tolerance {tol:g} not reached at "
                    f"{int(bad.sum())}/{flat.size} frequencies; "
                    "denser sampling of eps'' is needed")
-    if arr.ndim == 0:
-        return PermittivityEstimate(float(value[0]), float(err[0]), warning)
-    return PermittivityEstimate(value, err, warning)
+    return PermittivityEstimate(value.reshape(arr.shape)[()],
+                                err.reshape(arr.shape)[()], warning)
 
 
 class Tabulated(MaterialResponse):
     """Material whose eps(i xi) comes from a measured absorption table."""
-
-    kind = "Tabulated"
 
     def __init__(self, table, label=None):
         if not isinstance(table, TabulatedAbsorption):
@@ -624,21 +648,31 @@ class Tabulated(MaterialResponse):
         self.table = table
         self.label = label or f"tabulated({table.n_samples} samples)"
 
+    @property
+    def parameters(self):
+        t = self.table
+        return {"omega_rad_s": t.omega.tolist(), "eps_imag": t.eps_imag.tolist(),
+                "low_tail": asdict(t.low_tail), "high_tail": asdict(t.high_tail)}
+
+    @classmethod
+    def from_parameters(cls, params, label=None):
+        table = TabulatedAbsorption(params["omega_rad_s"], params["eps_imag"],
+                                    *tails_from_dict(params))
+        return cls(table, label=label)
+
     def eps(self, xi):
         arr = _as_xi(xi)
-        if arr.ndim == 0:
-            if float(arr) == 0.0:
-                return self._eps_at_zero()
-            return float(_kk_value(self.table, np.atleast_1d(arr))[0])
-        if np.any(arr == 0.0):
-            raise DomainError("tabulated permittivity at xi=0 must be "
-                              "evaluated as a scalar")
-        return _kk_value(self.table, arr)
+        live = arr > 0.0
+        out = np.empty(arr.shape)
+        out[live] = _kk_value(self.table, arr[live])
+        if not live.all():
+            out[~live] = self._eps_at_zero()
+        return out[()]
 
     def _eps_at_zero(self):
         t = self.table
         if t.low_tail.model == "constant" and t.eps_imag[0] > 0.0:
-            return DIVERGENT  # integral of eps''/w diverges logarithmically
+            return np.inf  # integral of eps''/w diverges logarithmically
         low = t.eps_imag[0] if t.low_tail.model == "linear" else 0.0
         high = t.eps_imag[-1] / 3.0 if t.high_tail.model == "power" and t.high_tail.exponent == 3.0 else None
         if high is None:

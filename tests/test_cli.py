@@ -74,6 +74,15 @@ def test_unknown_material_is_usage_error(capsys):
     assert "neither a builtin" in err
 
 
+def test_malformed_model_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"kind": "Drude", "parameters": {"omega_p": "abc", "gamma": 1e14}}')
+    code, _, err = run(capsys, "energy", "--material1", str(path),
+                       "--material2", "pc", "--gap", "1e-6")
+    assert code == 2
+    assert "'Drude' has malformed parameters" in err
+
+
 def test_vacuum_is_indeterminate(capsys):
     code, out, _ = run(capsys, "energy", "--material1", "pc",
                        "--material2", "vacuum", "--gap", "1e-6")

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from casimir import (DIVERGENT, ConstantEpsMu, ContinuumModelWarning,
+from casimir import (ConstantEpsMu, ContinuumModelWarning,
                      ConvergenceError, DebyeMagnetic, DegenerateIntegrandError,
                      DomainError, Drude, GapConfig, HighTail, InfinitelyPermeable,
                      LorentzOscillators, LowTail, PerfectConductor, Plasma,
@@ -139,9 +139,9 @@ def test_reflection_magnitudes_bounded(model, xi, k):
 
 def fresnel_normal_incidence(eps, mu):
     """(r_te, r_tm) at k = 0, with the ideal-mirror limits of an infinite eps or mu."""
-    if eps is DIVERGENT or math.isinf(eps):
+    if math.isinf(eps):
         return (-1.0, 1.0)
-    if mu is DIVERGENT:
+    if math.isinf(mu):
         return (1.0, -1.0)
     n = math.sqrt(eps * mu)
     return ((mu - n) / (mu + n), (eps - n) / (eps + n))
@@ -186,7 +186,7 @@ def test_limit_formula_matches_the_plain_one(model):
     # finite values, against the plain one of the integrand
     xi = np.geomspace(1e10, 1e18, 9)
     e, m = model.eps(xi), model.mu(xi)
-    if e is DIVERGENT or m is DIVERGENT:
+    if np.isinf(e).any() or np.isinf(m).any():
         return
     kappa0 = np.hypot(np.outer(xi / C_LIGHT, [0.0, 0.1, 1.0, 30.0, 1e3]),
                       (xi / C_LIGHT)[:, None])
@@ -196,6 +196,25 @@ def test_limit_formula_matches_the_plain_one(model):
     limit = _reflection_at_limits(*args, np.asarray(e), np.asarray(m))(kappa0, owner)
     for p, q in zip(plain, limit):
         np.testing.assert_allclose(q, p, rtol=1e-13, atol=1e-15)
+
+
+# a table finite at xi = 0, through the generic high tail
+LINEAR_TABLE = Tabulated(TabulatedAbsorption(
+    np.geomspace(1e13, 1e17, 40), np.linspace(2.0, 0.1, 40), LowTail("linear"),
+    HighTail("power", 2.5)), label="linear-tail table")
+
+
+@pytest.mark.parametrize("model", REFLECTION_MODELS + [LINEAR_TABLE], ids=repr)
+def test_scalar_and_array_evaluation_agree(model):
+    # one array path: xi = 0 and values beyond float range are inf, silently
+    xs = [0.0, 5e-324, 1e-300, 1.0, 1e15, 1.7e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (model.eps, model.mu):
+            scalars = [fn(x) for x in xs]
+            assert all(isinstance(v, float) for v in scalars)
+            assert [v.hex() for v in fn(np.array(xs)).tolist()] == \
+                [float(v).hex() for v in scalars]
 
 
 @pytest.mark.parametrize("eps, mu", [(1e200, 1e200), (1e300, 1.0), (1.0, 1e300),

@@ -35,11 +35,8 @@ def test_round_trip_preserves_response(model):
     assert clone.label == model.label
     xi = np.geomspace(1e12, 1e17, 6)
     for x in xi:
-        e0, e1 = model.eps(float(x)), clone.eps(float(x))
-        m0, m1 = model.mu(float(x)), clone.mu(float(x))
-        if e0 is not e1:
-            assert e0 == e1
-        assert m0 == m1
+        assert model.eps(float(x)) == clone.eps(float(x))
+        assert model.mu(float(x)) == clone.mu(float(x))
 
 
 def test_digest_is_canonical():
@@ -69,6 +66,15 @@ def test_missing_material_errors(tmp_path):
         material_from_dict({"kind": "Drude", "parameters": {"omega_p": 1e16}})
     with pytest.raises(IngestionError):
         material_from_dict(["not", "a", "dict"])
+    # malformed parameters name the kind, whatever the parse raised
+    for kind, params in [
+            ("Drude", [1, 2]),
+            ("Drude", {"omega_p": "abc", "gamma": 1e14}),
+            ("Drude", {"omega_p": 1e16, "gamma": None}),
+            ("LorentzOscillators", {"oscillators": [[1, 2, 3, 4]]}),
+            ("Tabulated", {"omega_rad_s": [1e14, "x"], "eps_imag": [0.5, 0.1]})]:
+        with pytest.raises(IngestionError, match=f"kind '{kind}'"):
+            material_from_dict({"kind": kind, "parameters": params})
 
 
 def test_save_and_load_material_file(tmp_path):

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from casimir import (DIVERGENT, DomainError, HighTail, IngestionError,
-                     LowTail, QuadraturePoint, Tabulated, TabulatedAbsorption,
+from casimir import (DomainError, HighTail, IngestionError, LowTail,
+                     QuadraturePoint, Tabulated, TabulatedAbsorption,
                      kramers_kronig, reflection)
 from casimir.materials import _KK_CHUNK, _atan_series, _kk_value, _x_minus_atan
 
@@ -134,7 +134,7 @@ def test_generic_power_tail_agrees_with_closed_form_at_p3():
 
 def test_tabulated_model_zero_frequency():
     table_const = TabulatedAbsorption([1e14, 1e15], [0.5, 0.1])  # default constant tail
-    assert Tabulated(table_const).eps(0.0) is DIVERGENT
+    assert Tabulated(table_const).eps(0.0) == np.inf
     table_lin = TabulatedAbsorption([1e14, 1e15], [0.5, 0.1], LowTail("linear"))
     eps0 = Tabulated(table_lin).eps(0.0)
     assert np.isfinite(eps0) and eps0 > 1.0
@@ -149,8 +149,8 @@ def test_tabulated_model_matches_transform():
     est = kramers_kronig(table, xi)
     assert np.allclose(model.eps(xi), est.value, rtol=1e-14)
     assert model.mu(1e15) == 1.0
-    with pytest.raises(DomainError):
-        model.eps(np.array([0.0, 1e15]))
+    # an array holding xi = 0 takes the static limit there
+    assert model.eps(np.array([0.0, 1e15])).tolist() == [model.eps(0.0), model.eps(1e15)]
 
 
 @pytest.mark.parametrize("low", ["constant", "linear", "zero"])
