@@ -5,8 +5,7 @@ fixed headers) together with a run manifest identifying the inputs, the
 constants table and the tool version.  A material spec given for both
 sides is loaded once and the two sides share the model.  Exit codes: 0
 success, 2 bad usage or input, 3 quadrature non-convergence (best
-estimate still printed).  ``sweep`` runs its gaps on up to min(cpus, 4)
-threads; every other command runs on one.
+estimate still printed).
 
 Verdicts follow ``sign_analysis.verdict_for``: Indeterminate unless the
 value clears max(10 x its error estimate, floor), with the floor in the
@@ -20,14 +19,14 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
 from .constants import CONSTANTS_VERSION
-from .engine import (GapConfig, QuadratureConfig, energy_per_area, pressure)
+from .engine import (GapConfig, QuadratureConfig, energy_per_area, integrate_gaps,
+                     pressure)
 from .errors import CasimirError, ConvergenceError, DomainError
 from .io import load_absorption_table, load_material, material_digest, material_to_dict
 from .materials import Tabulated
@@ -130,19 +129,10 @@ def _cmd_sweep(args):
                                    "points": args.points,
                                    "rel_tol": quad.rel_tol}, [m1, m2])
 
-    def one(a):
-        cfg = GapConfig(float(a), m1, m2)
-        e = energy_per_area(cfg, quad)
-        p = pressure(cfg, quad)
-        return e, p
-
-    # measured faster than one thread: numpy releases the interpreter lock
-    # inside each gap's array work
-    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, 4)) as pool:
-        results = list(pool.map(one, gaps))
-
+    results = integrate_gaps([(GapConfig(float(a), m1, m2), kind) for a in gaps
+                              for kind in ("energy", "pressure")], quad)
     print("a_m,energy_J_m2,pressure_Pa,error,verdict")
-    for a, (e, p) in zip(gaps, results):
+    for a, e, p in zip(gaps, results[::2], results[1::2]):
         verdict = verdict_for(p.value, p.error_estimate)[0].value
         print(f"{_fmt(a)},{_fmt(e.value)},{_fmt(p.value)},"
               f"{_fmt(p.error_estimate)},{verdict}")

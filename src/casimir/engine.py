@@ -13,9 +13,11 @@ mean attraction (the plates bind).
 Numerics: the inner integral is rewritten over the dimensionless variable
 y = 2 kappa0 a (so k dk -> y dy / (2a)^2 with lower limit y0 = 2 a xi / c),
 which makes the exponential kernel separation-independent.  Both axes use
-vectorized adaptive Gauss-Kronrod panels.  Each round of the outer axis
-hands its xi nodes to the inner axis: eps and mu are evaluated once, as
-arrays, and the inner integrals refine together in blocks of ``_BLOCK``,
+vectorized adaptive Gauss-Kronrod panels.  The outer axis refines the
+(gap, kind) integrals of one material pair together, one owner each
+(``integrate_gaps``).  Each round hands their xi nodes to the inner axis:
+eps and mu are evaluated once per distinct frequency, as arrays, and the
+inner integrals refine in blocks of up to ``_BLOCK`` nodes of one owner,
 one ``integrate_panels`` call per block, each to its own tolerance and
 budget.  Inner-integral error estimates are propagated into the outer
 total in quadrature sum.
@@ -32,6 +34,7 @@ from .constants import C, HBAR
 from .errors import (ContinuumModelWarning, ConvergenceError,
                      DegenerateIntegrandError, DomainError)
 from .materials import MaterialResponse
+# integrate_adaptive stays bound here for the benchmark's tracer to patch
 from .quadrature import (geometric_edges, geometric_panels,
                          integrate_adaptive, integrate_panels)
 
@@ -92,7 +95,6 @@ class GapConfig:
 
 # Fixed floor and truncation of the double quadrature.
 _ABS_FLOOR = 1e-30         # absolute error floor, in the unit of the result
-_XI_CUTOFF_FACTOR = 60.0   # outer cutoff xi_max, in units of c / a
 _Y_CUTOFF = 80.0           # inner cutoff of y = 2 kappa0 a
 
 
@@ -105,9 +107,9 @@ class QuadratureConfig:
     budgets the outer adaptive axis.  The inner integrals at the outer
     nodes refine together, but each keeps its own budget of
     min(max_subdivisions, 300) splits and its own tolerance, so one that
-    exhausts its budget stops alone.  The truncation is fixed: the outer
-    axis ends at xi = max(60 c/a, 1e3 x the larger resonance scale), capped
-    where y0 = 2 a xi / c reaches 80, and the inner axis at y = 80.
+    exhausts its budget stops alone.  The truncation is fixed: the inner
+    axis ends at y = 80, so the outer axis ends where y0 = 2 a xi / c
+    reaches 80, at xi = 40 c/a.
     """
 
     rel_tol: float = 1e-8
@@ -266,13 +268,9 @@ def _ln_one_minus(p, emy, y):
 
 
 def _xi_cutoff(cfg):
-    """Outer truncation: the fixed cutoff, capped by the exact dead zone
-    where the inner lower limit y0 already exceeds ``_Y_CUTOFF``."""
-    scale = C / cfg.a
-    resonance = max(cfg.material1.resonance_scale, cfg.material2.resonance_scale)
-    configured = max(_XI_CUTOFF_FACTOR * scale, 1e3 * resonance)
-    dead = _Y_CUTOFF * C / (2.0 * cfg.a)
-    return min(configured, dead)
+    """Outer truncation: beyond it the inner lower limit y0 = 2 a xi / c
+    exceeds ``_Y_CUTOFF`` and the integrand is exactly zero."""
+    return _Y_CUTOFF * C / (2.0 * cfg.a)
 
 
 _INNER_BUDGET = 300
@@ -280,38 +278,46 @@ _INNER_BUDGET = 300
 # the working set of a round (seed panels of every node, kept points)
 # while leaving the per-call Python overhead negligible.
 _BLOCK = 64
+# Configurations per batched outer call, for the same reason.
+_CONFIGS = 32
 
 
-def _inner_integrals(cfg, xi, kind, rel_tol, budget):
-    """Inner y-integrals at every outer node of the array ``xi``.
+def _inner_integrals(cfgs, kinds, xi, own, rel_tol, budget):
+    """Inner y-integrals at outer nodes ``xi`` of ``cfgs[own]``, of kinds
+    ``kinds[own]``; returns (values, errors), summed over polarizations.
 
-    Returns (values, errors), summed over polarizations.  Nodes whose
-    lower limit y0 = 2 a xi / c reaches ``_Y_CUTOFF`` contribute exactly
-    zero; the others refine together, ``_BLOCK`` nodes per
-    ``integrate_panels`` call, each from the seed panels
-    ``geometric_edges(y0, _Y_CUTOFF, 0.25)``.
+    Nodes whose lower limit y0 = 2 a xi / c reaches ``_Y_CUTOFF`` give
+    exactly zero; the others refine from the seed panels
+    ``geometric_edges(y0, _Y_CUTOFF, 0.25)``, ``_BLOCK`` nodes of one owner
+    per ``integrate_panels`` call: BLAS may round a row differently with
+    other rows alongside, so only such a block gives an owner's solo sums.
     """
-    y0 = 2.0 * cfg.a * xi / C
+    two_a = 2.0 * np.array([cfg.a for cfg in cfgs])
+    y0 = two_a[own] * xi / C
     vals = np.zeros(xi.shape)
     errs = np.zeros(xi.shape)
     live = np.flatnonzero(y0 < _Y_CUTOFF)
+    order = live[np.argsort(xi[live], kind="stable")]
+    new = np.diff(xi[order], prepend=-np.inf) != 0.0
+    node = np.empty(xi.size, dtype=np.intp)
+    node[order] = np.cumsum(new) - 1
+    distinct = xi[order][new]
     # lengths in metres: u = kappa0 (1/m), v = xi / c
-    xi_live = xi[live]
-    v = xi_live / C
-    rf1 = _reflection_by_owner(cfg.material1, xi_live, C, v)
+    m1, m2 = cfgs[0].material1, cfgs[0].material2
+    rf1 = _reflection_by_owner(m1, distinct, C, distinct / C)
     # one model on both sides (a table, say) is evaluated once
-    rf2 = (rf1 if cfg.material2 is cfg.material1
-           else _reflection_by_owner(cfg.material2, xi_live, C, v))
-    for start in range(0, live.size, _BLOCK):
-        idx = live[start:start + _BLOCK]
-        vals[idx], errs[idx] = _inner_block(cfg, rf1, rf2, start, y0[idx], kind,
-                                            rel_tol, budget)
+    rf2 = rf1 if m2 is m1 else _reflection_by_owner(m2, distinct, C, distinct / C)
+    for k, kind in enumerate(kinds):
+        mine = live[own[live] == k]
+        for start in range(0, mine.size, _BLOCK):
+            idx = mine[start:start + _BLOCK]
+            vals[idx], errs[idx] = _inner_block(two_a[k], kind, rf1, rf2, node[idx],
+                                                y0[idx], rel_tol, budget)
     return vals, errs
 
 
-def _inner_block(cfg, rf1, rf2, first, y0, kind, rel_tol, budget):
-    """One batched call of ``_inner_integrals``, from live node ``first``."""
-    two_a = 2.0 * cfg.a
+def _inner_block(two_a, kind, rf1, rf2, node, y0, rel_tol, budget):
+    """One block of ``_inner_integrals``; ``node`` indexes ``rf1`` and ``rf2``."""
 
     # a function of its own so that the four coefficient arrays are freed
     # before the kernel below makes its temporaries
@@ -321,7 +327,7 @@ def _inner_block(cfg, rf1, rf2, first, y0, kind, rel_tol, budget):
         return r1te * r2te, r1tm * r2tm
 
     def g(y, owner):
-        pte, ptm = products(y / two_a, owner + first)
+        pte, ptm = products(y / two_a, node[owner])
         emy = np.exp(-y)
         if kind == "energy":
             return y * (_ln_one_minus(pte, emy, y) + _ln_one_minus(ptm, emy, y))
@@ -334,31 +340,57 @@ def _inner_block(cfg, rf1, rf2, first, y0, kind, rel_tol, budget):
     return res.value, res.error
 
 
-def _integrate_double(cfg, quad, kind):
-    """Raw double integral (no physical prefactor) plus diagnostics."""
-    a = cfg.a
-    inner_tol = 0.1 * quad.rel_tol
-    inner_budget = min(quad.max_subdivisions, _INNER_BUDGET)
+def _integrate_batch(items, quad):
+    """``integrate_gaps`` of up to ``_CONFIGS`` items, one outer owner each."""
+    cfgs, kinds = zip(*items)
+    edges = [np.concatenate([[0.0], geometric_edges(1e-4 * C / cfg.a, _xi_cutoff(cfg),
+                                                    1e-4 * C / cfg.a)])
+             for cfg in cfgs]
+    prefs = np.array([HBAR / (16.0 * np.pi ** 2 * c.a ** (2 if k == "energy" else 3))
+                      for c, k in items])
 
-    def outer(xi_arr):
-        return _inner_integrals(cfg, xi_arr, kind, inner_tol, inner_budget)
+    def outer(x, owner):
+        vals, errs = _inner_integrals(cfgs, kinds, x.reshape(-1),
+                                      owner.repeat(x.shape[1]), 0.1 * quad.rel_tol,
+                                      min(quad.max_subdivisions, _INNER_BUDGET))
+        return vals.reshape(x.shape), errs.reshape(x.shape)
 
-    xi_max = _xi_cutoff(cfg)
-    xi_edges = np.concatenate([[0.0],
-                               geometric_edges(1e-4 * C / a, xi_max, 1e-4 * C / a)])
-    res = integrate_adaptive(outer, xi_edges, rel_tol=quad.rel_tol,
-                             abs_floor=_ABS_FLOOR / _prefactor(cfg, kind),
-                             max_subdivisions=quad.max_subdivisions,
-                             with_errors=True)
+    res = integrate_panels(outer, np.concatenate([e[:-1] for e in edges]),
+                           np.concatenate([e[1:] for e in edges]),
+                           np.repeat(range(len(edges)), [e.size - 1 for e in edges]),
+                           len(items), quad.rel_tol, _ABS_FLOOR / prefs,
+                           quad.max_subdivisions, with_errors=True)
     weight = res.points * np.abs(res.values)
-    dominant = float(res.points[np.argmax(weight)]) if np.any(weight > 0.0) else None
-    return res, dominant
+    results = []
+    for k, kind in enumerate(kinds):
+        mine = np.where(res.owners == k, weight, 0.0)
+        dominant = float(res.points[np.argmax(mine)]) if np.any(mine > 0.0) else None
+        pref = prefs[k] if kind == "energy" else -prefs[k]
+        result = (EnergyResult if kind == "energy" else PressureResult)(
+            float(pref * res.value[k]), float(prefs[k] * res.error[k]), dominant)
+        if not res.converged[k]:
+            raise ConvergenceError(f"{kind} quadrature did not converge within "
+                                   f"{quad.max_subdivisions} subdivisions", best=result)
+        results.append(result)
+    return results
 
 
-def _prefactor(cfg, kind):
-    if kind == "energy":
-        return HBAR / (16.0 * np.pi ** 2 * cfg.a ** 2)
-    return HBAR / (16.0 * np.pi ** 2 * cfg.a ** 3)
+def integrate_gaps(items, quad=None):
+    """Energy or pressure of each (GapConfig, kind "energy" or "pressure")
+    item, in order, as owners of one outer ``integrate_panels`` call per
+    ``_CONFIGS`` items; the configurations share one material pair.  Each
+    result is its single-item call's, but where the outer axis refines,
+    BLAS may round an outer panel's sum differently in the last bit (see
+    ``quadrature``).  The first item that does not converge raises its
+    ConvergenceError.
+    """
+    quad = quad or QuadratureConfig()
+    if len({(id(cfg.material1), id(cfg.material2)) for cfg, _ in items}) > 1:
+        raise DomainError("batched configurations must share one material pair")
+    results = []
+    for start in range(0, len(items), _CONFIGS):
+        results += _integrate_batch(items[start:start + _CONFIGS], quad)
+    return results
 
 
 def energy_per_area(cfg, quad=None):
@@ -369,26 +401,12 @@ def energy_per_area(cfg, quad=None):
     ConvergenceError carrying the best estimate is raised.  The integral is
     truncated as ``QuadratureConfig`` describes.
     """
-    quad = quad or QuadratureConfig()
-    res, dominant = _integrate_double(cfg, quad, "energy")
-    pref = _prefactor(cfg, "energy")
-    result = EnergyResult(pref * res.value, pref * res.error, dominant)
-    if not res.converged:
-        raise ConvergenceError("energy quadrature did not converge within "
-                               f"{quad.max_subdivisions} subdivisions", best=result)
-    return result
+    return integrate_gaps([(cfg, "energy")], quad)[0]
 
 
 def pressure(cfg, quad=None):
     """Casimir pressure on the plates, Pa; negative = attraction."""
-    quad = quad or QuadratureConfig()
-    res, dominant = _integrate_double(cfg, quad, "pressure")
-    pref = _prefactor(cfg, "pressure")
-    result = PressureResult(-pref * res.value, pref * res.error, dominant)
-    if not res.converged:
-        raise ConvergenceError("pressure quadrature did not converge within "
-                               f"{quad.max_subdivisions} subdivisions", best=result)
-    return result
+    return integrate_gaps([(cfg, "pressure")], quad)[0]
 
 
 def dominant_frequency(cfg):
@@ -404,7 +422,8 @@ def dominant_frequency(cfg):
     xi_lo = 1e-4 * C / a
     n = max(int(25 * np.log10(xi_max / xi_lo)), 50)
     grid = np.geomspace(xi_lo, xi_max, n)
-    vals, _ = _inner_integrals(cfg, grid, "energy", 1e-6, _INNER_BUDGET)
+    vals, _ = _inner_integrals([cfg], ["energy"], grid, np.zeros(n, dtype=np.intp),
+                               1e-6, _INNER_BUDGET)
     weight = grid * np.abs(vals)
     if not np.any(weight > 0.0):
         raise DegenerateIntegrandError("outer integrand vanishes everywhere; "

@@ -118,8 +118,9 @@ def load_absorption_table(csv_path):
     sidecar = csv_path.with_suffix(".json")
     if sidecar.exists():
         try:
-            cfg = json.loads(sidecar.read_text())
+            low, high = tails_from_dict(json.loads(sidecar.read_text()))
         except json.JSONDecodeError as exc:
             raise IngestionError(f"{sidecar}: not valid JSON ({exc})")
-        low, high = tails_from_dict(cfg)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise IngestionError(f"{sidecar}: bad tail configuration ({exc})")
     return TabulatedAbsorption(omega, eps_imag, low, high)

@@ -9,9 +9,10 @@ Python overhead per round is the same for one integral or a thousand.
 
 Each owner is bisected until its summed Kronrod error estimate meets
 ``rel_tol * |value| + abs_floor``, by the same rule and within the same
-split budget as if it were integrated alone, and the sums it reports are
-the ones it would report alone; ``integrate_adaptive`` is the one-owner
-case.
+split budget as if it were integrated alone.  Its sums are the solo ones
+up to BLAS rounding: a panel's Kronrod sum is a row of a matrix-vector
+product, whose last bit may change with the rows evaluated alongside.
+``integrate_adaptive`` is the one-owner case.
 
 An integrand may also return a per-point error array (``with_errors``);
 those foreign errors are propagated into the total in quadrature sum.
@@ -52,10 +53,10 @@ class QuadResult:
     From ``integrate_panels``, ``value``, ``error`` and ``converged`` are
     arrays indexed by owner; ``integrate_adaptive`` returns them as
     scalars.  ``error`` already includes foreign (integrand-supplied)
-    errors.  ``n_evals`` counts every integrand point of every owner, and
-    ``points``/``values`` hold those abscissae and integrand values in
-    evaluation order; they are kept so callers can locate the peak of the
-    integrand without extra work.
+    errors.  ``n_evals`` counts every integrand point of every owner;
+    ``points``, ``values`` and ``owners`` hold their abscissae, integrand
+    values and owners in evaluation order, so callers can locate the peak
+    of each owner's integrand without extra work.
     """
 
     value: object
@@ -64,6 +65,12 @@ class QuadResult:
     n_evals: int
     points: np.ndarray
     values: np.ndarray
+    panel_owners: np.ndarray
+
+    @property
+    def owners(self):
+        """Owner of each of ``points``; ``panel_owners`` has one per panel."""
+        return self.panel_owners.repeat(_GK_NODES.size)
 
 
 def _eval_panels(f, lo, hi, owner, with_errors):
@@ -101,14 +108,12 @@ def _worst_first(owner, errs, sel):
 
 
 def _sums_by_owner(owner, n_owners, *arrays):
-    """Per-owner sums of each array, taken over that owner's panels alone
-    in numpy's own (pairwise) order, so that a batch reports what
-    integrating each owner separately reports, to the last bit."""
+    """Per-owner sums of each array over that owner's panels alone, in
+    numpy's own (pairwise) order: the sums a solo integration takes."""
     counts = np.bincount(owner, minlength=n_owners)
     starts = np.cumsum(counts) - counts
     order = np.argsort(owner, kind="stable")
     out = np.zeros((len(arrays), n_owners))
-    # (np.unique would import numpy.ma, a megabyte of resident memory)
     for c in np.flatnonzero(np.bincount(counts)[1:]) + 1:
         own = np.flatnonzero(counts == c)
         rows = order[starts[own, None] + np.arange(c)]
@@ -135,8 +140,10 @@ def integrate_panels(f, lo, hi, owner, n_owners, rel_tol, abs_floor=0.0,
         belongs to.  Seeding matters: panels should roughly track the
         scale of variation of the integrand.  An owner without panels
         integrates to an exact, converged zero.
-    rel_tol, abs_floor : float
-        Per-owner convergence target ``err <= rel_tol*|value| + abs_floor``.
+    rel_tol : float
+    abs_floor : float or array_like
+        Per-owner convergence target ``err <= rel_tol*|value| + abs_floor``;
+        an array gives each owner its own floor.
     max_subdivisions : int
         Panel-split budget of each owner.  On exhaustion that owner keeps
         its best estimate with ``converged`` False (no exception: the
@@ -152,6 +159,7 @@ def integrate_panels(f, lo, hi, owner, n_owners, rel_tol, abs_floor=0.0,
     vals, errs, fsq, pts, fvs = _eval_panels(f, lo, hi, owner, with_errors)
     all_pts = [pts]
     all_fvs = [fvs]
+    all_own = [owner]
     n_evals = pts.size
     splits = np.zeros(n_owners, dtype=np.intp)
     active = np.ones(n_owners, dtype=bool)
@@ -200,6 +208,7 @@ def integrate_panels(f, lo, hi, owner, n_owners, rel_tol, abs_floor=0.0,
                                            with_errors)
         all_pts.append(cp)
         all_fvs.append(cfx)
+        all_own.append(child_owner)
         n_evals += cp.size
 
         keep = ~mask
@@ -212,7 +221,8 @@ def integrate_panels(f, lo, hi, owner, n_owners, rel_tol, abs_floor=0.0,
 
     total, err_sum, fsq_sum = _sums_by_owner(owner, n_owners, vals, errs, fsq)
     return QuadResult(total, err_sum + np.sqrt(fsq_sum), converged, n_evals,
-                      np.concatenate(all_pts), np.concatenate(all_fvs))
+                      np.concatenate(all_pts), np.concatenate(all_fvs),
+                      np.concatenate(all_own))
 
 
 def integrate_adaptive(f, edges, rel_tol, abs_floor=0.0, max_subdivisions=1000,
@@ -238,14 +248,14 @@ def integrate_adaptive(f, edges, rel_tol, abs_floor=0.0, max_subdivisions=1000,
     """
     edges = np.asarray(edges, dtype=float)
     if edges.size < 2 or edges[-1] <= edges[0]:
-        return QuadResult(0.0, 0.0, True, 0,
-                          np.empty(0), np.empty(0))
+        return QuadResult(0.0, 0.0, True, 0, np.empty(0), np.empty(0),
+                          np.empty(0, dtype=np.intp))
     res = integrate_panels(lambda x, _owner: f(x.reshape(-1)), edges[:-1], edges[1:],
                            np.zeros(edges.size - 1, dtype=np.intp), 1, rel_tol,
                            abs_floor, max_subdivisions, with_errors)
     return QuadResult(float(res.value[0]), float(res.error[0]),
                       bool(res.converged[0]), res.n_evals,
-                      res.points, res.values)
+                      res.points, res.values, res.panel_owners)
 
 
 def geometric_panels(starts, stop, first_width):

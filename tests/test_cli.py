@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -149,19 +150,34 @@ def test_sweep_csv_shape_and_determinism(capsys):
 def test_sweep_prints_the_library_numbers(capsys, tmp_path):
     path = tmp_path / "gold.json"
     save_material(Drude(1.37e16, 5.3e13, label="gold-like"), path)
-    code, out, _ = run(capsys, "sweep", "--material1", str(path),
-                       "--material2", "pc", "--gap-min", "2e-7",
-                       "--gap-max", "3e-6", "--points", "4", "--rel-tol", "1e-6")
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))[1:]
-    assert [float(r[0]) for r in rows] == np.geomspace(2e-7, 3e-6, 4).tolist()
     quad = QuadratureConfig(rel_tol=1e-6)
     m1, m2 = load_material(str(path)), load_material("pc")
-    for r in rows:
-        cfg = GapConfig(float(r[0]), m1, m2)
-        p = pressure(cfg, quad)
-        expected = [energy_per_area(cfg, quad).value, p.value, p.error_estimate]
-        assert [float(x) for x in r[1:4]] == expected
+    # 17 gaps are 34 configurations, more than one batched call holds
+    for points in (4, 17):
+        code, out, _ = run(capsys, "sweep", "--material1", str(path),
+                           "--material2", "pc", "--gap-min", "2e-7",
+                           "--gap-max", "3e-6", "--points", str(points),
+                           "--rel-tol", "1e-6")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        gaps = np.geomspace(2e-7, 3e-6, points).tolist()
+        assert [float(r[0]) for r in rows] == gaps
+        for r in rows:
+            cfg = GapConfig(float(r[0]), m1, m2)
+            p = pressure(cfg, quad)
+            expected = [energy_per_area(cfg, quad).value, p.value, p.error_estimate]
+            assert [float(x) for x in r[1:4]] == expected
+
+
+def test_casimir_starts_no_threads(capsys, monkeypatch):
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    code, out, _ = run(capsys, "sweep", "--material1", "pc", "--material2", "pc",
+                       "--points", "3")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 3
 
 
 @pytest.mark.parametrize("flag, value", [("--gap-min", "0"), ("--gap-max", "inf"),
@@ -247,6 +263,18 @@ def test_kk_bad_table_is_usage_error(capsys, tmp_path):
     assert "header" in err
 
 
+@pytest.mark.parametrize("sidecar", ['{"low_tail": "linear"}', "[1, 2]",
+                                     '{"high_tail": {"exponent": "abc"}}'])
+def test_kk_malformed_sidecar_is_usage_error(capsys, tmp_path, sidecar):
+    table = tmp_path / "t.csv"
+    table.write_text("omega_rad_s,eps_imag\n1e14,0.5\n1e15,0.1\n")
+    (tmp_path / "t.json").write_text(sidecar)
+    code, out, err = run(capsys, "kk", "--table", str(table))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "t.json" in err
+
+
 def test_pfa_command(capsys):
     code, out, _ = run(capsys, "pfa", "--radius", "100e-6", "--gap", "1e-6",
                        "--sphere", "pc", "--plate", "pc")
@@ -290,13 +318,17 @@ def test_signmap_keeps_the_map_when_a_bisection_fails(capsys, tmp_path, monkeypa
     assert err.startswith("warning: ")
 
 
-def test_one_table_file_given_twice_is_transformed_once_per_node(capsys, tmp_path,
-                                                                  kk_nodes):
+def save_table(path):
     w = np.geomspace(1e13, 1e17, 300)
     eps_imag = 8e31 * 5e13 * w / ((25e30 - w ** 2) ** 2 + (5e13 * w) ** 2)
-    path = tmp_path / "table.json"
     save_material(Tabulated(TabulatedAbsorption(w, eps_imag, LowTail("linear"),
                                                 HighTail("power", 3.0))), path)
+
+
+def test_one_table_file_given_twice_is_transformed_once_per_node(capsys, tmp_path,
+                                                                  kk_nodes):
+    path = tmp_path / "table.json"
+    save_table(path)
     copy = tmp_path / "copy.json"
     copy.write_bytes(path.read_bytes())
     argv = ["pressure", "--gap", "4e-7", "--rel-tol", "1e-6", "--csv"]
@@ -309,3 +341,23 @@ def test_one_table_file_given_twice_is_transformed_once_per_node(capsys, tmp_pat
     assert code == 0
     assert sum(x.size for x in kk_nodes) == 2 * nodes.size
     assert out_two == out
+
+
+def test_table_sweep_transforms_each_distinct_node_once(capsys, tmp_path, kk_nodes):
+    path = tmp_path / "table.json"
+    save_table(path)
+    code, out, _ = run(capsys, "sweep", "--material1", str(path),
+                       "--material2", str(path), "--gap-min", "2e-7",
+                       "--gap-max", "2e-6", "--points", "3", "--rel-tol", "1e-6")
+    assert code == 0
+    nodes = np.concatenate(kk_nodes)
+    kk_nodes.clear()
+    # one gap and one kind at a time, energy and pressure transform their
+    # shared seed nodes twice
+    model, quad = load_material(str(path)), QuadratureConfig(rel_tol=1e-6)
+    for a in np.geomspace(2e-7, 2e-6, 3):
+        energy_per_area(GapConfig(float(a), model, model), quad)
+        pressure(GapConfig(float(a), model, model), quad)
+    alone = np.concatenate(kk_nodes)
+    assert nodes.size == np.unique(nodes).size == np.unique(alone).size
+    assert alone.size == 2 * nodes.size

@@ -23,7 +23,7 @@ from casimir import (ConstantEpsMu, ContinuumModelWarning,
                      QuadratureConfig, QuadraturePoint, Tabulated,
                      TabulatedAbsorption, dominant_frequency, energy_per_area,
                      pressure, reflection, vacuum)
-from casimir.engine import _reflection_at_limits, _reflection_by_owner
+from casimir.engine import _reflection_at_limits, _reflection_by_owner, integrate_gaps
 
 HBAR = 1.054571817e-34
 C_LIGHT = 2.99792458e8
@@ -422,3 +422,45 @@ def test_one_model_on_both_sides_is_transformed_once_per_node(kk_nodes):
     pressure(GapConfig(4e-7, TABLE, small_table()), quad)
     assert len(kk_nodes) == 2 * calls
     assert sum(x.size for x in kk_nodes) == 2 * nodes.size
+
+
+# ---------------------------------------------------------------------------
+# configurations batched as owners of one outer quadrature
+# ---------------------------------------------------------------------------
+
+BATCH_GAPS = (1e-7, 4e-7, 2e-6)
+
+
+def bits(result):
+    return [x.hex() for x in (result.value, result.error_estimate, result.dominant_xi)]
+
+
+@pytest.mark.parametrize("m1, m2", [(LORENTZ, TABLE), (TABLE, TABLE), (PC, IPP)],
+                         ids=["lorentz-table", "table-table", "pc-permeable"])
+def test_batched_call_gives_the_bits_of_one_configuration_calls(m1, m2):
+    items = [(GapConfig(a, m1, m2), kind) for a in BATCH_GAPS
+             for kind in ("energy", "pressure")]
+    alone = [(energy_per_area if kind == "energy" else pressure)(cfg)
+             for cfg, kind in items]
+    assert [bits(r) for r in integrate_gaps(items)] == [bits(r) for r in alone]
+
+
+def test_batched_convergence_error_is_the_first_owner_in_gap_order():
+    # with one split the pressures at 1e-5 and 2e-5 m fail, the one at 1e-6 m does not
+    quad = QuadratureConfig(rel_tol=1e-10, max_subdivisions=1)
+    items = [(GapConfig(a, GOLD, GOLD), "pressure") for a in (1e-6, 1e-5, 2e-5)]
+    with pytest.raises(ConvergenceError, match="^pressure quadrature") as batched:
+        integrate_gaps(items, quad)
+    with pytest.raises(ConvergenceError) as alone:
+        pressure(items[1][0], quad)
+    best, expected = batched.value.best, alone.value.best
+    assert best.value == pytest.approx(expected.value, rel=1e-13, abs=0.0)
+    assert best.error_estimate == pytest.approx(expected.error_estimate,
+                                                rel=1e-6, abs=0.0)
+    assert best.dominant_xi == expected.dominant_xi
+
+
+def test_batched_configurations_share_one_material_pair():
+    with pytest.raises(DomainError, match="one material pair"):
+        integrate_gaps([(GapConfig(1e-6, PC, PC), "energy"),
+                        (GapConfig(1e-6, PC, PerfectConductor()), "energy")])

@@ -110,6 +110,16 @@ def test_absorption_sidecar_configures_tails(tmp_path):
     assert table.high_tail.exponent == 4.0
 
 
+@pytest.mark.parametrize("sidecar", ['{"low_tail": "linear"}', "[1, 2]",
+                                     '{"high_tail": {"exponent": "abc"}}'])
+def test_malformed_sidecar_is_an_ingestion_error(tmp_path, sidecar):
+    path = tmp_path / "t.csv"
+    path.write_text("omega_rad_s,eps_imag\n1e14,0.5\n1e15,0.1\n")
+    (tmp_path / "t.json").write_text(sidecar)
+    with pytest.raises(IngestionError, match="t.json"):
+        load_absorption_table(path)
+
+
 def test_absorption_csv_validation(tmp_path):
     missing = tmp_path / "missing.csv"
     with pytest.raises(IngestionError, match="no such file"):

@@ -131,6 +131,8 @@ def test_batched_refinement_matches_each_owner_alone():
     np.testing.assert_allclose(batch.error, [r.error for r in alone], rtol=1e-14)
     assert batch.value[1] == 0.0 and batch.error[1] == 0.0
     assert batch.n_evals == sum(r.n_evals for r in alone)
+    for k, r in enumerate(alone):
+        np.testing.assert_array_equal(batch.points[batch.owners == k], r.points)
 
 
 def test_owner_without_panels_is_an_exact_zero():
