@@ -14,13 +14,13 @@ Numerics: the inner integral is rewritten over the dimensionless variable
 y = 2 kappa0 a (so k dk -> y dy / (2a)^2 with lower limit y0 = 2 a xi / c),
 which makes the exponential kernel separation-independent.  Both axes use
 vectorized adaptive Gauss-Kronrod panels.  The outer axis refines the
-(gap, kind) integrals of one material pair together, one owner each
+(gap, kind) integrals of any material pairs together, one owner each
 (``integrate_gaps``).  Each round hands their xi nodes to the inner axis:
-eps and mu are evaluated once per distinct frequency, as arrays, and the
-inner integrals refine in blocks of up to ``_BLOCK`` nodes of one owner,
-one ``integrate_panels`` call per block, each to its own tolerance and
-budget.  Inner-integral error estimates are propagated into the outer
-total in quadrature sum.
+each model's eps and mu are evaluated once per distinct frequency of the
+owners that use it, as arrays, and the inner integrals refine in blocks
+of up to ``_BLOCK`` nodes of one owner, one ``integrate_panels`` call per
+block, each to its own tolerance and budget.  Inner-integral error
+estimates are propagated into the outer total in quadrature sum.
 """
 
 import math
@@ -282,52 +282,69 @@ _BLOCK = 64
 _CONFIGS = 32
 
 
-def _inner_integrals(cfgs, kinds, xi, own, rel_tol, budget):
-    """Inner y-integrals at outer nodes ``xi`` of ``cfgs[own]``, of kinds
-    ``kinds[own]``; returns (values, errors), summed over polarizations.
-
-    Nodes whose lower limit y0 = 2 a xi / c reaches ``_Y_CUTOFF`` give
-    exactly zero; the others refine from the seed panels
-    ``geometric_edges(y0, _Y_CUTOFF, 0.25)``, ``_BLOCK`` nodes of one owner
-    per ``integrate_panels`` call: BLAS may round a row differently with
-    other rows alongside, so only such a block gives an owner's solo sums.
+def _inner_integrals(cfgs, kinds, rel_tol, budget):
+    """Inner y-integrals of the owners ``cfgs``, of kinds ``kinds``, as a
+    function of outer nodes ``x`` and their owners (broadcast against
+    ``x``); it returns (values, errors) shaped like ``x``, summed over
+    polarizations.  Each distinct model (by identity) is evaluated once per
+    distinct frequency of the nodes of the owners that use it.  Nodes whose
+    lower limit y0 = 2 a xi / c reaches ``_Y_CUTOFF`` give exactly zero;
+    the others refine from the seed panels ``geometric_edges(y0,
+    _Y_CUTOFF, 0.25)`` to ``rel_tol`` within ``budget`` splits, ``_BLOCK``
+    nodes of one owner per ``integrate_panels`` call: BLAS may round a row
+    differently with other rows alongside, so only such a block gives an
+    owner's solo sums.
     """
     two_a = 2.0 * np.array([cfg.a for cfg in cfgs])
-    y0 = two_a[own] * xi / C
-    vals = np.zeros(xi.shape)
-    errs = np.zeros(xi.shape)
-    live = np.flatnonzero(y0 < _Y_CUTOFF)
-    order = live[np.argsort(xi[live], kind="stable")]
-    new = np.diff(xi[order], prepend=-np.inf) != 0.0
-    node = np.empty(xi.size, dtype=np.intp)
-    node[order] = np.cumsum(new) - 1
-    distinct = xi[order][new]
-    # lengths in metres: u = kappa0 (1/m), v = xi / c
-    m1, m2 = cfgs[0].material1, cfgs[0].material2
-    rf1 = _reflection_by_owner(m1, distinct, C, distinct / C)
-    # one model on both sides (a table, say) is evaluated once
-    rf2 = rf1 if m2 is m1 else _reflection_by_owner(m2, distinct, C, distinct / C)
-    for k, kind in enumerate(kinds):
-        mine = live[own[live] == k]
-        for start in range(0, mine.size, _BLOCK):
-            idx = mine[start:start + _BLOCK]
-            vals[idx], errs[idx] = _inner_block(two_a[k], kind, rf1, rf2, node[idx],
-                                                y0[idx], rel_tol, budget)
-    return vals, errs
+    sides = [(id(cfg.material1), id(cfg.material2)) for cfg in cfgs]
+    models = {id(m): m for cfg in cfgs for m in (cfg.material1, cfg.material2)}
+    uses = {key: np.array([key in pair for pair in sides]) for key in models}
+
+    def integrals(x, owners):
+        xi = x.reshape(-1)
+        own = np.broadcast_to(owners, x.shape).reshape(-1)
+        y0 = two_a[own] * xi / C
+        vals = np.zeros(xi.shape)
+        errs = np.zeros(xi.shape)
+        live = np.flatnonzero(y0 < _Y_CUTOFF)
+        # models used by the same owners share one map from node to frequency
+        maps, rfs, nodes = {}, {}, {}
+        for key, model in models.items():
+            group = uses[key].tobytes()
+            if group not in maps:
+                used = live[uses[key][own[live]]]
+                order = used[np.argsort(xi[used], kind="stable")]
+                new = np.diff(xi[order], prepend=-np.inf) != 0.0
+                node = np.empty(xi.size, dtype=np.intp)
+                node[order] = np.cumsum(new) - 1
+                maps[group] = node, xi[order][new]
+            nodes[key], distinct = maps[group]
+            # lengths in metres: u = kappa0 (1/m), v = xi / c
+            rfs[key] = _reflection_by_owner(model, distinct, C, distinct / C)
+        for k, ((i, j), kind) in enumerate(zip(sides, kinds)):
+            mine = live[own[live] == k]
+            for start in range(0, mine.size, _BLOCK):
+                idx = mine[start:start + _BLOCK]
+                vals[idx], errs[idx] = _inner_block(
+                    two_a[k], kind, rfs[i], rfs[j], nodes[i][idx], nodes[j][idx],
+                    y0[idx], rel_tol, budget)
+        return vals.reshape(x.shape), errs.reshape(x.shape)
+
+    return integrals
 
 
-def _inner_block(two_a, kind, rf1, rf2, node, y0, rel_tol, budget):
-    """One block of ``_inner_integrals``; ``node`` indexes ``rf1`` and ``rf2``."""
+def _inner_block(two_a, kind, rf1, rf2, node1, node2, y0, rel_tol, budget):
+    """One block of ``_inner_integrals``; ``node1``/``node2`` index ``rf1``/``rf2``."""
 
     # a function of its own so that the four coefficient arrays are freed
     # before the kernel below makes its temporaries
     def products(kappa0, owner):
-        r1te, r1tm = rf1(kappa0, owner)
-        r2te, r2tm = (r1te, r1tm) if rf2 is rf1 else rf2(kappa0, owner)
+        r1te, r1tm = rf1(kappa0, node1[owner])
+        r2te, r2tm = (r1te, r1tm) if rf2 is rf1 else rf2(kappa0, node2[owner])
         return r1te * r2te, r1tm * r2tm
 
     def g(y, owner):
-        pte, ptm = products(y / two_a, node[owner])
+        pte, ptm = products(y / two_a, owner)
         emy = np.exp(-y)
         if kind == "energy":
             return y * (_ln_one_minus(pte, emy, y) + _ln_one_minus(ptm, emy, y))
@@ -341,55 +358,51 @@ def _inner_block(two_a, kind, rf1, rf2, node, y0, rel_tol, budget):
 
 
 def _integrate_batch(items, quad):
-    """``integrate_gaps`` of up to ``_CONFIGS`` items, one outer owner each."""
+    """One batch of ``_outcomes``: up to ``_CONFIGS`` items, one outer owner each."""
     cfgs, kinds = zip(*items)
     edges = [np.concatenate([[0.0], geometric_edges(1e-4 * C / cfg.a, _xi_cutoff(cfg),
                                                     1e-4 * C / cfg.a)])
              for cfg in cfgs]
     prefs = np.array([HBAR / (16.0 * np.pi ** 2 * c.a ** (2 if k == "energy" else 3))
                       for c, k in items])
-
-    def outer(x, owner):
-        vals, errs = _inner_integrals(cfgs, kinds, x.reshape(-1),
-                                      owner.repeat(x.shape[1]), 0.1 * quad.rel_tol,
-                                      min(quad.max_subdivisions, _INNER_BUDGET))
-        return vals.reshape(x.shape), errs.reshape(x.shape)
-
-    res = integrate_panels(outer, np.concatenate([e[:-1] for e in edges]),
+    res = integrate_panels(_inner_integrals(cfgs, kinds, 0.1 * quad.rel_tol,
+                                            min(quad.max_subdivisions, _INNER_BUDGET)),
+                           np.concatenate([e[:-1] for e in edges]),
                            np.concatenate([e[1:] for e in edges]),
                            np.repeat(range(len(edges)), [e.size - 1 for e in edges]),
                            len(items), quad.rel_tol, _ABS_FLOOR / prefs,
                            quad.max_subdivisions, with_errors=True)
     weight = res.points * np.abs(res.values)
-    results = []
     for k, kind in enumerate(kinds):
         mine = np.where(res.owners == k, weight, 0.0)
         dominant = float(res.points[np.argmax(mine)]) if np.any(mine > 0.0) else None
         pref = prefs[k] if kind == "energy" else -prefs[k]
         result = (EnergyResult if kind == "energy" else PressureResult)(
             float(pref * res.value[k]), float(prefs[k] * res.error[k]), dominant)
-        if not res.converged[k]:
-            raise ConvergenceError(f"{kind} quadrature did not converge within "
-                                   f"{quad.max_subdivisions} subdivisions", best=result)
-        results.append(result)
-    return results
+        yield result if res.converged[k] else ConvergenceError(
+            f"{kind} quadrature did not converge within "
+            f"{quad.max_subdivisions} subdivisions", best=result)
+
+
+def _outcomes(items, quad):
+    """Each item's result, or its ConvergenceError unraised, batch by batch."""
+    for start in range(0, len(items), _CONFIGS):
+        yield from _integrate_batch(items[start:start + _CONFIGS], quad)
 
 
 def integrate_gaps(items, quad=None):
     """Energy or pressure of each (GapConfig, kind "energy" or "pressure")
     item, in order, as owners of one outer ``integrate_panels`` call per
-    ``_CONFIGS`` items; the configurations share one material pair.  Each
-    result is its single-item call's, but where the outer axis refines,
-    BLAS may round an outer panel's sum differently in the last bit (see
-    ``quadrature``).  The first item that does not converge raises its
-    ConvergenceError.
+    ``_CONFIGS`` items, whatever their material pairs.  Each result is its
+    single-item call's, but where the outer axis refines, BLAS may round
+    an outer panel's sum differently in the last bit (see ``quadrature``).
+    The first item that does not converge raises its ConvergenceError.
     """
-    quad = quad or QuadratureConfig()
-    if len({(id(cfg.material1), id(cfg.material2)) for cfg, _ in items}) > 1:
-        raise DomainError("batched configurations must share one material pair")
     results = []
-    for start in range(0, len(items), _CONFIGS):
-        results += _integrate_batch(items[start:start + _CONFIGS], quad)
+    for result in _outcomes(items, quad or QuadratureConfig()):
+        if isinstance(result, ConvergenceError):
+            raise result
+        results.append(result)
     return results
 
 
@@ -422,8 +435,7 @@ def dominant_frequency(cfg):
     xi_lo = 1e-4 * C / a
     n = max(int(25 * np.log10(xi_max / xi_lo)), 50)
     grid = np.geomspace(xi_lo, xi_max, n)
-    vals, _ = _inner_integrals([cfg], ["energy"], grid, np.zeros(n, dtype=np.intp),
-                               1e-6, _INNER_BUDGET)
+    vals, _ = _inner_integrals([cfg], ["energy"], 1e-6, _INNER_BUDGET)(grid, 0)
     weight = grid * np.abs(vals)
     if not np.any(weight > 0.0):
         raise DegenerateIntegrandError("outer integrand vanishes everywhere; "

@@ -16,8 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import GapConfig, QuadratureConfig, pressure
-from .errors import DomainError, InconclusiveConfigurationError
+# pressure stays bound here for the benchmark's tracer to patch
+from .engine import GapConfig, QuadratureConfig, _outcomes, pressure
+from .errors import ConvergenceError, DomainError, InconclusiveConfigurationError
 from .materials import (ConstantEpsMu, DebyeMagnetic, InfinitelyPermeable,
                         MaterialResponse, PerfectConductor)
 
@@ -147,6 +148,23 @@ def verdict_for(value, error, floor=VERDICT_FLOOR_PA, threshold=None):
     return Verdict.INDETERMINATE, threshold
 
 
+def _classify_all(configs, quad=None, threshold=None):
+    """``classify`` of each configuration, in order, all refined in the
+    batches of ``engine.integrate_gaps``.  The first configuration that
+    fails raises what its own ``classify`` call would."""
+    quad = quad or QuadratureConfig()
+    for res in _outcomes([(cfg, "pressure") for cfg in configs], quad):
+        if isinstance(res, ConvergenceError):
+            raise res
+        err = res.error_estimate
+        if threshold is not None and threshold < err:
+            raise InconclusiveConfigurationError(
+                f"threshold {threshold:g} Pa is below the quadrature error "
+                f"{err:g} Pa; tighten rel_tol or raise the threshold")
+        verdict, band = verdict_for(res.value, err, threshold=threshold)
+        yield SignVerdict(verdict, res.value, err, band)
+
+
 def classify(cfg, quad=None, threshold=None):
     """Classify the sign of the force for one gap configuration.
 
@@ -156,28 +174,19 @@ def classify(cfg, quad=None, threshold=None):
     below the achieved quadrature error raises
     InconclusiveConfigurationError.
     """
-    quad = quad or QuadratureConfig()
-    res = pressure(cfg, quad)
-    err = res.error_estimate
-    if threshold is not None and threshold < err:
-        raise InconclusiveConfigurationError(
-            f"threshold {threshold:g} Pa is below the quadrature error "
-            f"{err:g} Pa; tighten rel_tol or raise the threshold")
-    verdict, threshold = verdict_for(res.value, err, threshold=threshold)
-    return SignVerdict(verdict, res.value, err, threshold)
+    return next(_classify_all([cfg], quad, threshold))
 
 
 def _map_rows(params, a, quad, threshold):
     """Classify every (eps1, mu1, eps2, mu2) of ``params`` at gap ``a``.
 
-    One flagged ConstantEpsMu pair per tuple, in the order given; the
-    impedances are z = sqrt(mu / eps).
+    One flagged ConstantEpsMu pair per tuple, in the order given, all
+    refined in one batch; the impedances are z = sqrt(mu / eps).
     """
     if not params:
         raise DomainError("empty grid")
-    configs = [GapConfig(a, ConstantEpsMu(e1, m1), ConstantEpsMu(e2, m2))
-               for e1, m1, e2, m2 in params]
-    verdicts = [classify(c, quad, threshold) for c in configs]
+    verdicts = _classify_all([GapConfig(a, ConstantEpsMu(e1, m1), ConstantEpsMu(e2, m2))
+                              for e1, m1, e2, m2 in params], quad, threshold)
     return [SignMapRow(e1, m1, e2, m2,
                        float(np.sqrt(m1 / e1)), float(np.sqrt(m2 / e2)),
                        v.pressure, v.error, v.verdict, "non-dispersive")
@@ -188,9 +197,9 @@ def sign_map(eps1_values, mu1_values, eps2_values, mu2_values, a,
              quad=None, threshold=None):
     """Force sign over a Cartesian grid of non-dispersive constants >= 1.
 
-    Every grid point is evaluated with flagged ConstantEpsMu materials;
-    the rows are ordered by itertools.product over the four value lists,
-    so repeated runs emit byte-identical tables.
+    Every grid point is evaluated with flagged ConstantEpsMu materials,
+    all refined in one batch; the rows are ordered by itertools.product
+    over the four value lists, so repeated runs emit byte-identical tables.
     """
     grid = list(itertools.product(eps1_values, mu1_values, eps2_values, mu2_values))
     for point in grid:
@@ -395,7 +404,8 @@ def dispersion_restores_attraction(models, separations=None, quad=None,
     """Check that dispersive models attract at every pairing and separation.
 
     Models must all be dispersive; constant models are rejected (use
-    sign_map for the non-dispersive regime).  Ferrite-class models whose
+    sign_map for the non-dispersive regime).  Every (pair, separation)
+    configuration is refined in one batch.  Ferrite-class models whose
     relaxation frequency exceeds 1e11 rad/s describe no known material:
     their rows are recorded but excluded from the assertion and from the
     counterexample list.
@@ -409,25 +419,13 @@ def dispersion_restores_attraction(models, separations=None, quad=None,
     if separations is None:
         separations = np.geomspace(0.05e-6, 5e-6, 20)
 
-    def is_asserted(model):
-        if isinstance(model, DebyeMagnetic):
-            return model.omega_m <= _OMEGA_M_ASSERT_MAX
-        return True
-
-    tasks = []
-    for m1, m2 in itertools.combinations_with_replacement(models, 2):
-        for a in separations:
-            tasks.append((m1, m2, float(a)))
-    configs = [GapConfig(a, m1, m2) for m1, m2, a in tasks]
-    verdicts = [classify(c, quad, threshold) for c in configs]
-
-    rows = []
-    counterexamples = []
-    for (m1, m2, a), v in zip(tasks, verdicts):
-        asserted = is_asserted(m1) and is_asserted(m2)
-        row = AttractionRow(m1.label, m2.label, a, v.pressure, v.error,
-                            v.verdict, asserted)
-        rows.append(row)
-        if asserted and v.verdict != Verdict.ATTRACTIVE:
-            counterexamples.append(row)
+    configs = [GapConfig(float(a), m1, m2)
+               for m1, m2 in itertools.combinations_with_replacement(models, 2)
+               for a in separations]
+    asserted = {id(m): not isinstance(m, DebyeMagnetic) or m.omega_m <= _OMEGA_M_ASSERT_MAX
+                for m in models}
+    rows = [AttractionRow(c.material1.label, c.material2.label, c.a, v.pressure, v.error,
+                          v.verdict, asserted[id(c.material1)] and asserted[id(c.material2)])
+            for c, v in zip(configs, _classify_all(configs, quad, threshold))]
+    counterexamples = [r for r in rows if r.asserted and r.verdict != Verdict.ATTRACTIVE]
     return AttractionReport(rows, counterexamples)

@@ -21,8 +21,9 @@ from casimir import (ConstantEpsMu, ContinuumModelWarning,
                      DomainError, Drude, GapConfig, HighTail, InfinitelyPermeable,
                      LorentzOscillators, LowTail, PerfectConductor, Plasma,
                      QuadratureConfig, QuadraturePoint, Tabulated,
-                     TabulatedAbsorption, dominant_frequency, energy_per_area,
-                     pressure, reflection, vacuum)
+                     TabulatedAbsorption, dispersion_restores_attraction,
+                     dominant_frequency, energy_per_area, pressure, reflection,
+                     vacuum)
 from casimir.engine import _reflection_at_limits, _reflection_by_owner, integrate_gaps
 
 HBAR = 1.054571817e-34
@@ -460,7 +461,31 @@ def test_batched_convergence_error_is_the_first_owner_in_gap_order():
     assert best.dominant_xi == expected.dominant_xi
 
 
-def test_batched_configurations_share_one_material_pair():
-    with pytest.raises(DomainError, match="one material pair"):
-        integrate_gaps([(GapConfig(1e-6, PC, PC), "energy"),
-                        (GapConfig(1e-6, PC, PerfectConductor()), "energy")])
+MIXED_PAIRS = [(LORENTZ, TABLE), (TABLE, TABLE), (LORENTZ, LORENTZ), (PC, IPP)]
+
+
+@pytest.mark.parametrize("gaps", [[BATCH_GAPS] * 4, [(1e-7,), (4e-7,), (2e-6,), (1e-7,)]],
+                         ids=["every-gap", "one-gap-each"])
+def test_mixed_material_pairs_batched_give_the_bits_of_one_configuration_calls(gaps):
+    # with one gap per pair, the owners of the Lorentz model and of the
+    # table lie at different gaps, so each model has its own nodes
+    items = [(GapConfig(a, m1, m2), kind) for (m1, m2), pair_gaps in zip(MIXED_PAIRS, gaps)
+             for a in pair_gaps for kind in ("energy", "pressure")]
+    alone = [(energy_per_area if kind == "energy" else pressure)(cfg)
+             for cfg, kind in items]
+    assert [bits(r) for r in integrate_gaps(items)] == [bits(r) for r in alone]
+
+
+def test_attraction_check_transforms_each_node_once(kk_nodes):
+    gaps = (1e-7, 2e-6)
+    dispersion_restores_attraction([LORENTZ, TABLE], gaps)
+    nodes = np.concatenate(kk_nodes)
+    assert nodes.size > 0
+    assert np.unique(nodes).size == nodes.size
+    kk_nodes.clear()
+    # one configuration at a time, (Lorentz, table) and (table, table)
+    # transform the table at the same nodes twice
+    for a in gaps:
+        for m1 in (LORENTZ, TABLE):
+            pressure(GapConfig(a, m1, TABLE))
+    assert sum(x.size for x in kk_nodes) == 2 * nodes.size

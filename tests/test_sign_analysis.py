@@ -1,12 +1,15 @@
 """Sign classification, parameter maps, and the dispersive-attraction report."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from casimir import (ConstantEpsMu, DebyeMagnetic, DomainError, Drude,
-                     GapConfig, ImpedancePoint, InconclusiveConfigurationError,
-                     InfinitelyPermeable, LorentzOscillators, PerfectConductor,
-                     Plasma, Verdict, boundary_points, classify,
+from casimir import (ConstantEpsMu, ConvergenceError, DebyeMagnetic, DomainError,
+                     Drude, GapConfig, ImpedancePoint,
+                     InconclusiveConfigurationError, InfinitelyPermeable,
+                     LorentzOscillators, PerfectConductor, Plasma,
+                     QuadratureConfig, Verdict, boundary_points, classify,
                      dispersion_restores_attraction, find_sign_boundary,
                      sign_map, uvl_map, vacuum)
 
@@ -201,3 +204,58 @@ def test_constant_models_rejected_from_dispersive_report(quad_fast):
     with pytest.raises(DomainError):
         dispersion_restores_attraction([GOLD, PC], quad=quad_fast)
 
+
+# ---------------------------------------------------------------------------
+# reports longer than one batch of configurations
+# ---------------------------------------------------------------------------
+
+LORENTZ = LorentzOscillators([(1.0, 8e15, 5e15, 5e13)])
+SEPARATIONS = np.geomspace(0.05e-6, 5e-6, 20)   # the report's default
+
+
+def one_at_a_time(models, quad, threshold=None):
+    """The report's configurations, in its order, each classified alone:
+    the verdicts, or the first exception raised."""
+    verdicts = []
+    for (m1, m2), a in itertools.product(
+            itertools.combinations_with_replacement(models, 2), SEPARATIONS):
+        try:
+            verdicts.append(classify(GapConfig(float(a), m1, m2), quad, threshold))
+        except (ConvergenceError, InconclusiveConfigurationError) as exc:
+            return exc
+    return verdicts
+
+
+def test_report_of_several_batches_gives_the_bits_of_one_classify_each(quad_fast):
+    # 3 pairs x 20 separations: 60 configurations, two batched outer calls
+    report = dispersion_restores_attraction([LORENTZ, GOLD], quad=quad_fast)
+    alone = one_at_a_time([LORENTZ, GOLD], quad_fast)
+    assert len(report.rows) == len(alone) == 60
+    assert [(r.pressure.hex(), r.error.hex(), r.verdict) for r in report.rows] == \
+        [(v.pressure.hex(), v.error.hex(), v.verdict) for v in alone]
+
+
+def test_report_raises_the_first_nonconverged_configuration_in_order():
+    # with one split, rows 40, 58 and 59 of 60 fail (the second batch)
+    quad = QuadratureConfig(rel_tol=1e-10, max_subdivisions=1)
+    expected = one_at_a_time([LORENTZ, GOLD], quad)
+    assert isinstance(expected, ConvergenceError)
+    with pytest.raises(ConvergenceError) as batched:
+        dispersion_restores_attraction([LORENTZ, GOLD], quad=quad)
+    assert str(batched.value) == str(expected)
+    best, solo = batched.value.best, expected.best
+    assert [best.value.hex(), best.error_estimate.hex(), best.dominant_xi.hex()] == \
+        [solo.value.hex(), solo.error_estimate.hex(), solo.dominant_xi.hex()]
+
+
+def test_report_raises_the_first_inconclusive_configuration_in_order(quad_fast):
+    errors = [v.error for v in one_at_a_time([LORENTZ, GOLD], quad_fast)]
+    # no row of the first batch of 32 exceeds the threshold; a later one does
+    threshold = max(errors[:32])
+    assert max(errors) > threshold
+    expected = one_at_a_time([LORENTZ, GOLD], quad_fast, threshold)
+    assert isinstance(expected, InconclusiveConfigurationError)
+    with pytest.raises(InconclusiveConfigurationError) as batched:
+        dispersion_restores_attraction([LORENTZ, GOLD], quad=quad_fast,
+                                       threshold=threshold)
+    assert str(batched.value) == str(expected)
