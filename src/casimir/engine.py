@@ -126,8 +126,8 @@ class QuadratureConfig:
 class EnergyResult:
     """Signed Casimir energy per unit area.
 
-    dominant_xi is the abscissa of the peak of the per-log-frequency
-    contribution xi*|F(xi)| among the sampled outer points (None when the
+    dominant_xi is the outer node, of those the quadrature sampled, where
+    the per-log-frequency contribution xi*|F(xi)| peaks (None when the
     integrand vanishes identically); 2 pi c / dominant_xi is the
     wavelength doing most of the work, of order the separation.
     """
@@ -365,17 +365,33 @@ def _integrate_batch(items, quad):
              for cfg in cfgs]
     prefs = np.array([HBAR / (16.0 * np.pi ** 2 * c.a ** (2 if k == "energy" else 3))
                       for c, k in items])
-    res = integrate_panels(_inner_integrals(cfgs, kinds, 0.1 * quad.rel_tol,
-                                            min(quad.max_subdivisions, _INNER_BUDGET)),
-                           np.concatenate([e[:-1] for e in edges]),
+    inner = _inner_integrals(cfgs, kinds, 0.1 * quad.rel_tol,
+                             min(quad.max_subdivisions, _INNER_BUDGET))
+    # each owner's largest xi |F(xi)| so far and the first node reaching it
+    peak = np.zeros(len(items))
+    peak_xi = np.zeros(len(items))
+
+    def outer(x, owners):
+        vals, errs = inner(x, owners)
+        xi = x.reshape(-1)
+        own = np.broadcast_to(owners, x.shape).reshape(-1)
+        weight = xi * np.abs(vals.reshape(-1))
+        top = np.zeros(len(items))
+        np.maximum.at(top, own, weight)
+        hits = np.flatnonzero(weight == top[own])
+        k, first = np.unique(own[hits], return_index=True)
+        rise = top[k] > peak[k]
+        peak[k[rise]] = top[k[rise]]
+        peak_xi[k[rise]] = xi[hits[first[rise]]]
+        return vals, errs
+
+    res = integrate_panels(outer, np.concatenate([e[:-1] for e in edges]),
                            np.concatenate([e[1:] for e in edges]),
                            np.repeat(range(len(edges)), [e.size - 1 for e in edges]),
                            len(items), quad.rel_tol, _ABS_FLOOR / prefs,
                            quad.max_subdivisions, with_errors=True)
-    weight = res.points * np.abs(res.values)
     for k, kind in enumerate(kinds):
-        mine = np.where(res.owners == k, weight, 0.0)
-        dominant = float(res.points[np.argmax(mine)]) if np.any(mine > 0.0) else None
+        dominant = float(peak_xi[k]) if peak[k] > 0.0 else None
         pref = prefs[k] if kind == "energy" else -prefs[k]
         result = (EnergyResult if kind == "energy" else PressureResult)(
             float(pref * res.value[k]), float(prefs[k] * res.error[k]), dominant)

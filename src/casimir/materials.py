@@ -102,16 +102,11 @@ class MaterialResponse:
         forms override it, as a scalar where it is the same at every xi (inf
         for the ideal conductor).
         """
-        arr = np.asarray(xi, dtype=float)
+        arr = _as_xi(xi)
         live = arr > 0.0
         out = np.zeros(arr.shape)
         out[live] = (self.eps(arr[live]) - 1.0) * arr[live] * arr[live]
         return out[()]
-
-    @property
-    def resonance_scale(self):
-        """Largest characteristic frequency of the model (0 if none), rad/s."""
-        return 0.0
 
     def __repr__(self):
         return f"{type(self).__name__}({self.label!r})"
@@ -131,6 +126,7 @@ class PerfectConductor(MaterialResponse):
         return _constant(xi, np.inf)
 
     def xi2_susceptibility(self, xi):
+        _as_xi(xi)
         return np.inf
 
 
@@ -218,11 +214,8 @@ class Drude(MaterialResponse):
             return (1.0 + self.omega_p ** 2 / (arr * (arr + self.gamma)))[()]
 
     def xi2_susceptibility(self, xi):
-        return self.omega_p ** 2 * xi / (xi + self.gamma)
-
-    @property
-    def resonance_scale(self):
-        return self.omega_p
+        xi = _as_xi(xi)
+        return (self.omega_p ** 2 * xi / (xi + self.gamma))[()]
 
 
 class Plasma(MaterialResponse):
@@ -246,11 +239,8 @@ class Plasma(MaterialResponse):
             return (1.0 + r * r)[()]
 
     def xi2_susceptibility(self, xi):
+        _as_xi(xi)
         return self.omega_p ** 2  # at every xi
-
-    @property
-    def resonance_scale(self):
-        return self.omega_p
 
 
 class LorentzOscillators(MaterialResponse):
@@ -297,10 +287,6 @@ class LorentzOscillators(MaterialResponse):
         result = 1.0 + total
         return result[()]
 
-    @property
-    def resonance_scale(self):
-        return max(max(wp, w0) for _, wp, w0, _ in self.oscillators)
-
 
 class DebyeMagnetic(MaterialResponse):
     """Ferrite/garnet-class material: relaxing permeability plus an
@@ -346,11 +332,6 @@ class DebyeMagnetic(MaterialResponse):
         arr = _as_xi(xi)
         result = 1.0 + self.delta_mu / (1.0 + arr / self.omega_m)
         return result[()]
-
-    @property
-    def resonance_scale(self):
-        # mu relaxes to 1 only once xi >> dmu * omega_m
-        return max(max(self.delta_mu, 1.0) * self.omega_m, self.omega_e)
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +659,3 @@ class Tabulated(MaterialResponse):
         if high is None:
             high = float(_kk_high_tail(t, np.array([t.omega[0] * 1e-12]))[0])
         return 1.0 + (2.0 / np.pi) * (_kk_sampled_at_zero(t) + low + high)
-
-    @property
-    def resonance_scale(self):
-        return float(self.table.omega[-1])
-

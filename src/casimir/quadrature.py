@@ -12,7 +12,9 @@ Each owner is bisected until its summed Kronrod error estimate meets
 split budget as if it were integrated alone.  Its sums are the solo ones
 up to BLAS rounding: a panel's Kronrod sum is a row of a matrix-vector
 product, whose last bit may change with the rows evaluated alongside.
-``integrate_adaptive`` is the one-owner case.
+``integrate_adaptive`` is the one-owner case.  Like QUADPACK's QAG
+(Piessens et al. 1983), a call keeps no sample: it returns per-owner
+values, errors and convergence flags, and the evaluation count.
 
 An integrand may also return a per-point error array (``with_errors``);
 those foreign errors are propagated into the total in quadrature sum.
@@ -53,24 +55,15 @@ class QuadResult:
     From ``integrate_panels``, ``value``, ``error`` and ``converged`` are
     arrays indexed by owner; ``integrate_adaptive`` returns them as
     scalars.  ``error`` already includes foreign (integrand-supplied)
-    errors.  ``n_evals`` counts every integrand point of every owner;
-    ``points``, ``values`` and ``owners`` hold their abscissae, integrand
-    values and owners in evaluation order, so callers can locate the peak
-    of each owner's integrand without extra work.
+    errors.  ``n_evals`` counts every integrand point of every owner.  No
+    sample is kept: a caller that wants one (say, the peak of an owner's
+    integrand) records it in its integrand.
     """
 
     value: object
     error: object
     converged: object
     n_evals: int
-    points: np.ndarray
-    values: np.ndarray
-    panel_owners: np.ndarray
-
-    @property
-    def owners(self):
-        """Owner of each of ``points``; ``panel_owners`` has one per panel."""
-        return self.panel_owners.repeat(_GK_NODES.size)
 
 
 def _eval_panels(f, lo, hi, owner, with_errors):
@@ -93,7 +86,7 @@ def _eval_panels(f, lo, hi, owner, with_errors):
         foreign_sq = ((fe * _GK_WEIGHTS) ** 2).sum(axis=1) * half * half
     else:
         foreign_sq = np.zeros_like(kron)
-    return kron, err, foreign_sq, x.reshape(-1), fx.reshape(-1)
+    return kron, err, foreign_sq
 
 
 def _worst_first(owner, errs, sel):
@@ -156,11 +149,8 @@ def integrate_panels(f, lo, hi, owner, n_owners, rel_tol, abs_floor=0.0,
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     owner = np.asarray(owner, dtype=np.intp)
-    vals, errs, fsq, pts, fvs = _eval_panels(f, lo, hi, owner, with_errors)
-    all_pts = [pts]
-    all_fvs = [fvs]
-    all_own = [owner]
-    n_evals = pts.size
+    vals, errs, fsq = _eval_panels(f, lo, hi, owner, with_errors)
+    n_panels = owner.size
     splits = np.zeros(n_owners, dtype=np.intp)
     active = np.ones(n_owners, dtype=bool)
     converged = np.zeros(n_owners, dtype=bool)
@@ -204,12 +194,8 @@ def integrate_panels(f, lo, hi, owner, n_owners, rel_tol, abs_floor=0.0,
         child_lo = np.concatenate([lo[mask], mid])
         child_hi = np.concatenate([mid, hi[mask]])
         child_owner = np.concatenate([owner[mask], owner[mask]])
-        cv, ce, cf, cp, cfx = _eval_panels(f, child_lo, child_hi, child_owner,
-                                           with_errors)
-        all_pts.append(cp)
-        all_fvs.append(cfx)
-        all_own.append(child_owner)
-        n_evals += cp.size
+        cv, ce, cf = _eval_panels(f, child_lo, child_hi, child_owner, with_errors)
+        n_panels += child_owner.size
 
         keep = ~mask
         lo = np.concatenate([lo[keep], child_lo])
@@ -220,9 +206,8 @@ def integrate_panels(f, lo, hi, owner, n_owners, rel_tol, abs_floor=0.0,
         fsq = np.concatenate([fsq[keep], cf])
 
     total, err_sum, fsq_sum = _sums_by_owner(owner, n_owners, vals, errs, fsq)
-    return QuadResult(total, err_sum + np.sqrt(fsq_sum), converged, n_evals,
-                      np.concatenate(all_pts), np.concatenate(all_fvs),
-                      np.concatenate(all_own))
+    return QuadResult(total, err_sum + np.sqrt(fsq_sum), converged,
+                      n_panels * _GK_NODES.size)
 
 
 def integrate_adaptive(f, edges, rel_tol, abs_floor=0.0, max_subdivisions=1000,
@@ -248,14 +233,12 @@ def integrate_adaptive(f, edges, rel_tol, abs_floor=0.0, max_subdivisions=1000,
     """
     edges = np.asarray(edges, dtype=float)
     if edges.size < 2 or edges[-1] <= edges[0]:
-        return QuadResult(0.0, 0.0, True, 0, np.empty(0), np.empty(0),
-                          np.empty(0, dtype=np.intp))
+        return QuadResult(0.0, 0.0, True, 0)
     res = integrate_panels(lambda x, _owner: f(x.reshape(-1)), edges[:-1], edges[1:],
                            np.zeros(edges.size - 1, dtype=np.intp), 1, rel_tol,
                            abs_floor, max_subdivisions, with_errors)
     return QuadResult(float(res.value[0]), float(res.error[0]),
-                      bool(res.converged[0]), res.n_evals,
-                      res.points, res.values, res.panel_owners)
+                      bool(res.converged[0]), res.n_evals)
 
 
 def geometric_panels(starts, stop, first_width):

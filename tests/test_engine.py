@@ -24,7 +24,8 @@ from casimir import (ConstantEpsMu, ContinuumModelWarning,
                      TabulatedAbsorption, dispersion_restores_attraction,
                      dominant_frequency, energy_per_area, pressure, reflection,
                      vacuum)
-from casimir.engine import _reflection_at_limits, _reflection_by_owner, integrate_gaps
+from casimir.engine import (_inner_integrals, _reflection_at_limits, _reflection_by_owner,
+                            integrate_gaps)
 
 HBAR = 1.054571817e-34
 C_LIGHT = 2.99792458e8
@@ -433,7 +434,8 @@ BATCH_GAPS = (1e-7, 4e-7, 2e-6)
 
 
 def bits(result):
-    return [x.hex() for x in (result.value, result.error_estimate, result.dominant_xi)]
+    return [None if x is None else x.hex()
+            for x in (result.value, result.error_estimate, result.dominant_xi)]
 
 
 @pytest.mark.parametrize("m1, m2", [(LORENTZ, TABLE), (TABLE, TABLE), (PC, IPP)],
@@ -489,3 +491,49 @@ def test_attraction_check_transforms_each_node_once(kk_nodes):
         for m1 in (LORENTZ, TABLE):
             pressure(GapConfig(a, m1, TABLE))
     assert sum(x.size for x in kk_nodes) == 2 * nodes.size
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-12], ids=["seed-panels", "outer-refines"])
+def test_batched_dominant_xi_is_each_owners_first_largest_sampled_weight(monkeypatch,
+                                                                          rel_tol):
+    quad = QuadratureConfig(rel_tol=rel_tol)
+    vacuum_side = vacuum()
+    items = [(GapConfig(a, m1, m2), kind)
+             for m1, m2 in [(PC, IPP), (LORENTZ, TABLE), (PC, vacuum_side)]
+             for a in BATCH_GAPS for kind in ("energy", "pressure")]
+    # every (node, owner, outer integrand value) the batched call samples,
+    # in evaluation order
+    seen = []
+
+    def recorded(*args):
+        integrals = _inner_integrals(*args)
+
+        def f(x, owners):
+            vals, errs = integrals(x, owners)
+            seen.append((x.reshape(-1), np.broadcast_to(owners, x.shape).reshape(-1),
+                         vals.reshape(-1)))
+            return vals, errs
+        return f
+
+    monkeypatch.setattr("casimir.engine._inner_integrals", recorded)
+    batched = integrate_gaps(items, quad)
+    monkeypatch.undo()
+    # one round on the seed panels at 1e-8; at 1e-12 the outer axis refines
+    assert (len(seen) == 1) == (rel_tol == 1e-8)
+    if rel_tol == 1e-8:
+        # where the outer axis refines, BLAS may round an owner's panel sums
+        # differently in the last bit (see integrate_gaps)
+        alone = [(energy_per_area if kind == "energy" else pressure)(cfg, quad)
+                 for cfg, kind in items]
+        assert [bits(r) for r in batched] == [bits(r) for r in alone]
+    xi, owner, vals = (np.concatenate(a) for a in zip(*seen))
+    weight = xi * np.abs(vals)
+    for k, ((cfg, _), result) in enumerate(zip(items, batched)):
+        mine = owner == k
+        if cfg.material2 is vacuum_side:
+            assert result.value == 0.0 and result.error_estimate == 0.0
+            assert result.dominant_xi is None
+            assert not weight[mine].any()
+        else:
+            assert result.value != 0.0
+            assert result.dominant_xi == xi[mine][np.argmax(weight[mine])]

@@ -116,6 +116,15 @@ def test_negative_frequency_rejected():
         DebyeMagnetic(10.0, 1e9).mu(np.array([1e15, -1e10]))
     with pytest.raises(DomainError):
         Plasma(1e16).eps(np.inf)
+    # the weight of an infinite eps checks its frequency as eps does; the
+    # constant-eps model takes the base-class default
+    for model in (Drude(1e16, 1e14), Plasma(1e16), PerfectConductor(),
+                  ConstantEpsMu(4.0, 2.0)):
+        for xi in (-1.0, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                model.xi2_susceptibility(xi)
+        np.testing.assert_array_equal(model.xi2_susceptibility([1.0, 2.0]),
+                                      model.xi2_susceptibility(np.array([1.0, 2.0])))
 
 
 def test_vectorized_matches_scalar():
@@ -168,9 +177,3 @@ def test_high_frequency_vacuum_limit():
         xi = 1e6 * scale
         assert abs(model.eps(xi) - 1.0) < 1e-6
         assert abs(model.mu(xi) - 1.0) < 1e-6
-
-
-def test_resonance_scale_exposed():
-    assert Drude(1e16, 1e14).resonance_scale == 1e16
-    assert ConstantEpsMu(4.0, 1.0).resonance_scale == 0.0
-    assert DebyeMagnetic(1e3, 1e9).resonance_scale >= 1e12
