@@ -17,9 +17,9 @@ vectorized adaptive Gauss-Kronrod panels.  The outer axis refines the
 (gap, kind) integrals of any material pairs together, one owner each
 (``integrate_gaps``).  Each round hands their xi nodes to the inner axis:
 each model's eps and mu are evaluated once per distinct frequency of the
-owners that use it, as arrays, and the inner integrals refine in blocks
-of up to ``_BLOCK`` nodes of one owner, one ``integrate_panels`` call per
-block, each to its own tolerance and budget.  Inner-integral error
+owners that use it, as arrays, and the inner integrals of each owner's
+nodes refine in one ``integrate_panels`` call per owner per round, each
+node to its own tolerance and budget.  Inner-integral error
 estimates are propagated into the outer total in quadrature sum.
 """
 
@@ -256,15 +256,20 @@ def reflection(material, point):
 # Integrand kernels
 # ---------------------------------------------------------------------------
 
-def _stable_q(p, emy, y):
-    """1 - p e^{-y} = (1 - e^{-y}) + (1-p) e^{-y}, exact to rounding for p <= 1."""
-    return -np.expm1(-y) + (1.0 - p) * emy
+def _stable_q(p, emy, omy):
+    """1 - p e^{-y} = omy + (1-p) e^{-y}, exact to rounding for p <= 1; omy = -expm1(-y)."""
+    return omy + (1.0 - p) * emy
 
 
-def _ln_one_minus(p, emy, y):
-    """ln(1 - p e^{-y}) via log1p for small arguments, stable q otherwise."""
+def _ln_one_minus(p, emy, omy):
+    """ln(1 - p e^{-y}): log1p where |p e^{-y}| < 0.5, and the log of the
+    stable q, computed only there, elsewhere."""
     x = p * emy
-    return np.where(np.abs(x) < 0.5, np.log1p(-x), np.log(_stable_q(p, emy, y)))
+    out = np.log1p(-x)
+    far = np.abs(x) >= 0.5
+    if far.any():
+        out[far] = np.log(_stable_q(p[far] if np.ndim(p) else p, emy[far], omy[far]))
+    return out
 
 
 def _xi_cutoff(cfg):
@@ -274,11 +279,7 @@ def _xi_cutoff(cfg):
 
 
 _INNER_BUDGET = 300
-# Outer nodes whose inner integrals refine in one batched call.  Bounds
-# the working set of a round (seed panels of every node, kept points)
-# while leaving the per-call Python overhead negligible.
-_BLOCK = 64
-# Configurations per batched outer call, for the same reason.
+# Configurations per batched outer call: bounds the working set of a round.
 _CONFIGS = 32
 
 
@@ -290,10 +291,10 @@ def _inner_integrals(cfgs, kinds, rel_tol, budget):
     distinct frequency of the nodes of the owners that use it.  Nodes whose
     lower limit y0 = 2 a xi / c reaches ``_Y_CUTOFF`` give exactly zero;
     the others refine from the seed panels ``geometric_edges(y0,
-    _Y_CUTOFF, 0.25)`` to ``rel_tol`` within ``budget`` splits, ``_BLOCK``
-    nodes of one owner per ``integrate_panels`` call: BLAS may round a row
-    differently with other rows alongside, so only such a block gives an
-    owner's solo sums.
+    _Y_CUTOFF, 0.25)`` to ``rel_tol`` within ``budget`` splits, the nodes of
+    one owner per ``integrate_panels`` call: BLAS may round a panel's sum
+    differently with other panels alongside (see ``quadrature``), so only
+    a call that holds one owner's nodes and no other gives its solo sums.
     """
     two_a = 2.0 * np.array([cfg.a for cfg in cfgs])
     sides = [(id(cfg.material1), id(cfg.material2)) for cfg in cfgs]
@@ -322,9 +323,8 @@ def _inner_integrals(cfgs, kinds, rel_tol, budget):
             # lengths in metres: u = kappa0 (1/m), v = xi / c
             rfs[key] = _reflection_by_owner(model, distinct, C, distinct / C)
         for k, ((i, j), kind) in enumerate(zip(sides, kinds)):
-            mine = live[own[live] == k]
-            for start in range(0, mine.size, _BLOCK):
-                idx = mine[start:start + _BLOCK]
+            idx = live[own[live] == k]
+            if idx.size:
                 vals[idx], errs[idx] = _inner_block(
                     two_a[k], kind, rfs[i], rfs[j], nodes[i][idx], nodes[j][idx],
                     y0[idx], rel_tol, budget)
@@ -334,7 +334,7 @@ def _inner_integrals(cfgs, kinds, rel_tol, budget):
 
 
 def _inner_block(two_a, kind, rf1, rf2, node1, node2, y0, rel_tol, budget):
-    """One block of ``_inner_integrals``; ``node1``/``node2`` index ``rf1``/``rf2``."""
+    """One owner's inner integrals; ``node1``/``node2`` index ``rf1``/``rf2``."""
 
     # a function of its own so that the four coefficient arrays are freed
     # before the kernel below makes its temporaries
@@ -343,13 +343,19 @@ def _inner_block(two_a, kind, rf1, rf2, node1, node2, y0, rel_tol, budget):
         r2te, r2tm = (r1te, r1tm) if rf2 is rf1 else rf2(kappa0, node2[owner])
         return r1te * r2te, r1tm * r2tm
 
+    def term(p, emy, omy):
+        if kind == "energy":
+            return _ln_one_minus(p, emy, omy)
+        return p * emy / _stable_q(p, emy, omy)
+
     def g(y, owner):
         pte, ptm = products(y / two_a, owner)
         emy = np.exp(-y)
-        if kind == "energy":
-            return y * (_ln_one_minus(pte, emy, y) + _ln_one_minus(ptm, emy, y))
-        return y * y * (pte * emy / _stable_q(pte, emy, y)
-                        + ptm * emy / _stable_q(ptm, emy, y))
+        omy = -np.expm1(-y)
+        t_te = term(pte, emy, omy)
+        # the ideal mirrors give both polarizations one float product
+        t_tm = t_te if isinstance(pte, float) and pte == ptm else term(ptm, emy, omy)
+        return y * (t_te + t_tm) if kind == "energy" else y * y * (t_te + t_tm)
 
     lo, hi, owner = geometric_panels(y0, _Y_CUTOFF, 0.25)
     res = integrate_panels(g, lo, hi, owner, y0.size, rel_tol=rel_tol,
@@ -410,8 +416,9 @@ def integrate_gaps(items, quad=None):
     """Energy or pressure of each (GapConfig, kind "energy" or "pressure")
     item, in order, as owners of one outer ``integrate_panels`` call per
     ``_CONFIGS`` items, whatever their material pairs.  Each result is its
-    single-item call's, but where the outer axis refines, BLAS may round
-    an outer panel's sum differently in the last bit (see ``quadrature``).
+    single-item call's, but where the outer axis refines or a round has
+    more than ``_EVAL_ROWS`` outer panels, BLAS may round a panel's sum
+    differently in the last bit (see ``quadrature``).
     The first item that does not converge raises its ConvergenceError.
     """
     results = []

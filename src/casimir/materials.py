@@ -214,8 +214,12 @@ class Drude(MaterialResponse):
             return (1.0 + self.omega_p ** 2 / (arr * (arr + self.gamma)))[()]
 
     def xi2_susceptibility(self, xi):
+        # wp^2 / (1 + gamma/xi) above gamma, where wp^2 xi may overflow, and
+        # wp^2 xi / (xi + gamma) below it, where gamma/xi may
         xi = _as_xi(xi)
-        return (self.omega_p ** 2 * xi / (xi + self.gamma))[()]
+        g = self.gamma
+        return np.where(xi > g, self.omega_p ** 2 / (1.0 + g / np.maximum(xi, g)),
+                        self.omega_p ** 2 * np.minimum(xi, g) / (np.minimum(xi, g) + g))[()]
 
 
 class Plasma(MaterialResponse):

@@ -3,15 +3,20 @@
 One refinement loop, ``integrate_panels``, refines many independent
 integrals together.  Every panel carries the index of the integral it
 belongs to (its owner), and the per-owner totals, errors and split counts
-that steer refinement come from ``np.bincount``.  Each round calls the
-integrand once on the nodes of all pending panels of all owners, so the
-Python overhead per round is the same for one integral or a thousand.
+that steer refinement come from ``np.bincount``.  Each round evaluates the
+pending panels of all owners together, so the Python overhead per round is
+nearly the same for one integral or a thousand; an owner that converges or
+stops leaves the working arrays.  The integrand sees at most
+``_EVAL_ROWS`` panels per call: a float temporary of that many panels
+(69 KB) stays below glibc's 128 KiB mmap threshold, above which every
+round would map and page-fault its arrays afresh.
 
 Each owner is bisected until its summed Kronrod error estimate meets
 ``rel_tol * |value| + abs_floor``, by the same rule and within the same
 split budget as if it were integrated alone.  Its sums are the solo ones
 up to BLAS rounding: a panel's Kronrod sum is a row of a matrix-vector
-product, whose last bit may change with the rows evaluated alongside.
+product, whose last bit may change with the rows evaluated alongside
+(OpenBLAS rounds the last rows of a product apart from the others).
 ``integrate_adaptive`` is the one-owner case.  Like QUADPACK's QAG
 (Piessens et al. 1983), a call keeps no sample: it returns per-owner
 values, errors and convergence flags, and the evaluation count.
@@ -46,6 +51,8 @@ _G_WEIGHTS = np.array([
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
 ])
+# Panels per integrand call; keep _EVAL_ROWS * 15 * 8 bytes below 128 KiB.
+_EVAL_ROWS = 576
 
 
 @dataclass
@@ -67,26 +74,23 @@ class QuadResult:
 
 
 def _eval_panels(f, lo, hi, owner, with_errors):
-    """Apply the GK15 rule to every [lo_i, hi_i] panel in one integrand call."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid[:, None] + np.outer(half, _GK_NODES)
-    out = f(x, owner[:, None])
-    if with_errors:
-        fx, fe = out
-        fe = np.asarray(fe, dtype=float).reshape(x.shape)
-    else:
-        fx = out
-        fe = None
-    fx = np.asarray(fx, dtype=float).reshape(x.shape)
-    kron = (fx @ _GK_WEIGHTS) * half
-    gauss = (fx[:, 1::2] @ _G_WEIGHTS) * half
-    err = np.abs(kron - gauss)
-    if with_errors:
-        foreign_sq = ((fe * _GK_WEIGHTS) ** 2).sum(axis=1) * half * half
-    else:
-        foreign_sq = np.zeros_like(kron)
-    return kron, err, foreign_sq
+    """Kronrod sums, errors and foreign squared errors of every [lo_i, hi_i]
+    panel by the GK15 rule, ``_EVAL_ROWS`` panels per integrand call."""
+    out = np.zeros((3, lo.size))
+    for start in range(0, lo.size, _EVAL_ROWS):
+        rows = slice(start, start + _EVAL_ROWS)
+        mid = 0.5 * (lo[rows] + hi[rows])
+        half = 0.5 * (hi[rows] - lo[rows])
+        x = mid[:, None] + np.outer(half, _GK_NODES)
+        fx = f(x, owner[rows, None])
+        if with_errors:
+            fx, fe = fx
+            fe = np.asarray(fe, dtype=float).reshape(x.shape)
+            out[2, rows] = ((fe * _GK_WEIGHTS) ** 2).sum(axis=1) * half * half
+        fx = np.asarray(fx, dtype=float).reshape(x.shape)
+        out[0, rows] = (fx @ _GK_WEIGHTS) * half
+        out[1, rows] = np.abs(out[0, rows] - (fx[:, 1::2] @ _G_WEIGHTS) * half)
+    return out
 
 
 def _worst_first(owner, errs, sel):
@@ -154,6 +158,7 @@ def integrate_panels(f, lo, hi, owner, n_owners, rel_tol, abs_floor=0.0,
     splits = np.zeros(n_owners, dtype=np.intp)
     active = np.ones(n_owners, dtype=bool)
     converged = np.zeros(n_owners, dtype=bool)
+    retired = []
 
     def per_owner(weights):
         return np.bincount(owner, weights=weights, minlength=n_owners)
@@ -176,7 +181,9 @@ def integrate_panels(f, lo, hi, owner, n_owners, rel_tol, abs_floor=0.0,
             idx, rank = _worst_first(owner, errs, bare[owner])
             mask[idx[rank == 0]] = True
         # panels narrower than a few ulps cannot be split further
-        mask &= (hi - lo) > 16 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+        cand = np.flatnonzero(mask)
+        mask[cand] = (hi[cand] - lo[cand]) > 16 * np.spacing(
+            np.maximum(np.abs(lo[cand]), np.abs(hi[cand])))
         n_split = per_owner(mask).astype(np.intp)
         over = splits + n_split > max_subdivisions
         if over.any():
@@ -189,6 +196,11 @@ def integrate_panels(f, lo, hi, owner, n_owners, rel_tol, abs_floor=0.0,
         if not active.any():
             break
         splits += n_split
+        keep = active[owner]
+        if not keep.all():
+            # finished owners leave the working arrays, their panels in order
+            retired.append((owner[~keep], vals[~keep], errs[~keep], fsq[~keep]))
+        keep &= ~mask
 
         mid = 0.5 * (lo[mask] + hi[mask])
         child_lo = np.concatenate([lo[mask], mid])
@@ -197,7 +209,6 @@ def integrate_panels(f, lo, hi, owner, n_owners, rel_tol, abs_floor=0.0,
         cv, ce, cf = _eval_panels(f, child_lo, child_hi, child_owner, with_errors)
         n_panels += child_owner.size
 
-        keep = ~mask
         lo = np.concatenate([lo[keep], child_lo])
         hi = np.concatenate([hi[keep], child_hi])
         owner = np.concatenate([owner[keep], child_owner])
@@ -205,6 +216,9 @@ def integrate_panels(f, lo, hi, owner, n_owners, rel_tol, abs_floor=0.0,
         errs = np.concatenate([errs[keep], ce])
         fsq = np.concatenate([fsq[keep], cf])
 
+    if retired:
+        owner, vals, errs, fsq = (np.concatenate(a) for a in
+                                  zip(*retired, (owner, vals, errs, fsq)))
     total, err_sum, fsq_sum = _sums_by_owner(owner, n_owners, vals, errs, fsq)
     return QuadResult(total, err_sum + np.sqrt(fsq_sum), converged,
                       n_panels * _GK_NODES.size)

@@ -24,8 +24,9 @@ from casimir import (ConstantEpsMu, ContinuumModelWarning,
                      TabulatedAbsorption, dispersion_restores_attraction,
                      dominant_frequency, energy_per_area, pressure, reflection,
                      vacuum)
-from casimir.engine import (_inner_integrals, _reflection_at_limits, _reflection_by_owner,
-                            integrate_gaps)
+from casimir import engine
+from casimir.engine import (_inner_integrals, _ln_one_minus, _reflection_at_limits,
+                            _reflection_by_owner, integrate_gaps)
 
 HBAR = 1.054571817e-34
 C_LIGHT = 2.99792458e8
@@ -537,3 +538,77 @@ def test_batched_dominant_xi_is_each_owners_first_largest_sampled_weight(monkeyp
         else:
             assert result.value != 0.0
             assert result.dominant_xi == xi[mine][np.argmax(weight[mine])]
+
+
+# ---------------------------------------------------------------------------
+# inner quadrature calls and the integrand kernel
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-12], ids=["seed-panels", "outer-refines"])
+def test_one_inner_call_per_owner_per_outer_round(monkeypatch, rel_tol):
+    # per outer integrand call: the owners of its nodes, and the inner calls made
+    rounds = []
+    real = engine.integrate_panels
+
+    def counted(f, *args, with_errors=False, **kwargs):
+        if not with_errors:
+            rounds[-1][1].append(1)
+            return real(f, *args, **kwargs)
+
+        def outer(x, owners):
+            rounds.append((np.unique(np.broadcast_to(owners, x.shape)), []))
+            return f(x, owners)
+        return real(outer, *args, with_errors=True, **kwargs)
+
+    monkeypatch.setattr(engine, "integrate_panels", counted)
+    quad = QuadratureConfig(rel_tol=rel_tol)
+    pressure(GapConfig(1e-6, PC, PC), quad)
+    if rel_tol == 1e-8:
+        assert [len(calls) for _, calls in rounds] == [1]
+    rounds.clear()
+    integrate_gaps([(GapConfig(1e-6, PC, PC), "pressure"),
+                    (GapConfig(4e-7, GOLD, GOLD), "energy"),
+                    (GapConfig(2e-6, PC, IPP), "energy")], quad)
+    assert [len(calls) for _, calls in rounds] == [owners.size for owners, _ in rounds]
+    assert rounds[0][0].tolist() == [0, 1, 2]
+    assert (len(rounds) > 1) == (rel_tol == 1e-12)
+
+
+def test_ln_one_minus_takes_each_elements_own_branch_bit_for_bit():
+    y = np.geomspace(1e-12, 80.0, 3001)
+    # |p e^{-y}| exactly 0.5 and one ulp either side
+    emy = np.append(np.exp(-y), [0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)])
+    omy = np.append(-np.expm1(-y), [0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)])
+    p_array = np.random.default_rng(5).uniform(-1.0, 1.0, emy.size)
+    p_array[-3:] = 1.0
+    near = np.append(y > 1.0, [False] * 3)
+    for p in (1.0, -1.0, p_array):
+        # every element, and the elements where |p e^{-y}| < 0.5 alone
+        for part in (np.ones(emy.size, dtype=bool), near):
+            pp = p if np.ndim(p) == 0 else p[part]
+            x = pp * emy[part]
+            expected = np.where(np.abs(x) < 0.5, np.log1p(-x),
+                                np.log(omy[part] + (1.0 - pp) * emy[part]))
+            got = _ln_one_minus(pp, emy[part], omy[part])
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected.tolist()]
+
+
+@pytest.mark.parametrize("m2", [PC, IPP], ids=["pc-pc", "pc-permeable"])
+def test_equal_polarizations_share_one_term_bit_for_bit(monkeypatch, m2):
+    cfg = GapConfig(1e-6, PC, m2)
+    xi = np.geomspace(1e11, 1.2e16, 97)
+
+    def inner():
+        return [[v.hex() for a in _inner_integrals([cfg], [kind], 1e-9, 300)(xi, 0)
+                 for v in a.tolist()] for kind in ("energy", "pressure")]
+
+    shared = inner()
+    real = _reflection_by_owner
+
+    def as_arrays(*args):
+        # float coefficients as arrays: the two polarizations are formed apart
+        rf = real(*args)
+        return lambda u, owner: tuple(np.full(np.shape(u), r) for r in rf(u, owner))
+
+    monkeypatch.setattr(engine, "_reflection_by_owner", as_arrays)
+    assert inner() == shared

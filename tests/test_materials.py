@@ -76,6 +76,26 @@ def test_xi2_susceptibility_takes_arrays():
     assert np.all(PerfectConductor().xi2_susceptibility(xi) == np.inf)
 
 
+def test_drude_weight_reaches_the_plasma_weight_at_huge_xi():
+    drude = Drude(1.37e16, 5.3e13)
+    wp2 = 1.37e16 ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for xi in (1e290, 1.7e308):
+            assert drude.xi2_susceptibility(xi) == pytest.approx(wp2, rel=1e-15, abs=0.0)
+        np.testing.assert_allclose(drude.xi2_susceptibility(np.array([1e290, 1.7e308])),
+                                   wp2, rtol=1e-15, atol=0.0)
+        assert drude.xi2_susceptibility(0.0) == 0.0
+    # it agrees with the direct form wp^2 xi / (xi + gamma) wherever that is finite
+    xi = np.concatenate([[0.0, 1e-320, 1e-300, 5.3e13], np.geomspace(1e-10, 1e300, 700)])
+    with np.errstate(over="ignore"):
+        old = wp2 * xi / (xi + 5.3e13)
+    finite = np.isfinite(old)
+    assert not finite.all()
+    np.testing.assert_allclose(drude.xi2_susceptibility(xi)[finite], old[finite],
+                               rtol=1e-15, atol=0.0)
+
+
 def test_debye_magnetic_static_and_optical_limits():
     m = DebyeMagnetic(99.0, 1e9)
     assert m.mu(0.0) == pytest.approx(100.0, rel=1e-14)

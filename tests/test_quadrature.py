@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from casimir.quadrature import (geometric_edges, geometric_panels,
+from casimir import quadrature
+from casimir.quadrature import (_EVAL_ROWS, _GK_NODES, geometric_edges, geometric_panels,
                                 integrate_adaptive, integrate_panels)
 
 
@@ -148,3 +149,30 @@ def test_owner_without_panels_is_an_exact_zero():
     assert res.converged.tolist() == [True, True, True]
     assert res.value[0] == 0.0 and res.value[1] == 0.0
     assert res.value[2] == pytest.approx(1.0 - np.exp(-1.0), rel=1e-12)
+
+
+def test_integrand_sees_at_most_eval_rows_panels_per_call(monkeypatch):
+    # one float temporary of a call stays below glibc's 128 KiB mmap threshold
+    assert _EVAL_ROWS * _GK_NODES.size * 8 < 128 * 1024
+    # exp(-c x) on [0, 1], five seed panels per owner, over 3 * _EVAL_ROWS in all
+    rate = np.linspace(0.5, 20.0, 3 * _EVAL_ROWS // 5 + 7)
+    edges = np.linspace(0.0, 1.0, 6)
+    lo, hi = np.tile(edges[:-1], rate.size), np.tile(edges[1:], rate.size)
+    owner = np.repeat(np.arange(rate.size), 5)
+    assert owner.size > 3 * _EVAL_ROWS
+    rows = []
+
+    def f(x, own):
+        rows.append(x.shape[0])
+        return np.exp(-rate[own] * x)
+
+    res = integrate_panels(f, lo, hi, owner, rate.size, rel_tol=1e-13)
+    assert max(rows) <= _EVAL_ROWS and len(rows) > 3
+    np.testing.assert_allclose(res.value, -np.expm1(-rate) / rate, rtol=1e-14, atol=0.0)
+    monkeypatch.setattr(quadrature, "_EVAL_ROWS", 10 * owner.size)
+    whole = integrate_panels(lambda x, own: np.exp(-rate[own] * x), lo, hi, owner,
+                             rate.size, rel_tol=1e-13)
+    assert res.converged.tolist() == whole.converged.tolist()
+    # the owners refine past their seed panels
+    assert res.converged.all() and res.n_evals > owner.size * _GK_NODES.size
+    assert res.n_evals == whole.n_evals
