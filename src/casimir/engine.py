@@ -35,7 +35,7 @@ from .errors import (ContinuumModelWarning, ConvergenceError,
                      DegenerateIntegrandError, DomainError)
 from .materials import MaterialResponse
 # integrate_adaptive stays bound here for the benchmark's tracer to patch
-from .quadrature import (geometric_edges, geometric_panels,
+from .quadrature import (_EVAL_ROWS, geometric_edges, geometric_panels,
                          integrate_adaptive, integrate_panels)
 
 
@@ -279,8 +279,13 @@ def _xi_cutoff(cfg):
 
 
 _INNER_BUDGET = 300
-# Configurations per batched outer call: bounds the working set of a round.
-_CONFIGS = 32
+# Outer seed panels per owner: [0, 1e-4 c/a] and the geometric panels from
+# there to the cutoff, the same 20 at every gap (in the unit c/a).
+_OUTER_SEED_PANELS = geometric_edges(1e-4, 0.5 * _Y_CUTOFF, 1e-4).size
+# Configurations per batched outer call (28): as many as one integrand call
+# of ``_EVAL_ROWS`` panels seeds, so that each owner's seed round takes one
+# inner quadrature.  It also bounds the working set of a round.
+_CONFIGS = _EVAL_ROWS // _OUTER_SEED_PANELS
 
 
 def _inner_integrals(cfgs, kinds, rel_tol, budget):

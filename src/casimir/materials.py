@@ -10,10 +10,23 @@ tabulated data with a conductor-like low-frequency tail) at xi = 0 and
 wherever they leave float range at tiny xi, and the ideal mirrors at every
 xi.  Reflection code takes the finite weight xi^2 (eps - 1) of an infinite
 eps from ``xi2_susceptibility``.
+
+Tabulated absorption data reach the imaginary axis through the
+Kramers-Kronig integral of a piecewise-linear eps''.  Its sampled part is
+split per node xi into a near and a far field, as in a fast multipole
+method (Greengard & Rokhlin, J. Comput. Phys. 73, 325 (1987)): the
+intervals go in blocks of 64, the blocks that meet rho xi < w < xi/rho
+(rho = 1/4) are summed interval by interval in closed form, and every other
+block adds a 14-term series in (w/xi)^2 or (xi/w)^2 from moments the table
+builds once, at its first transform.  The series is exact to 1.4e-17 of a
+block's part and its moments have non-negative integrands, so the far
+field is more accurate than the direct sum it replaces.
 """
 
 import numpy as np
 from dataclasses import asdict, dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DomainError, IngestionError, InvalidModelError
 from .quadrature import _GK_NODES as _TAIL_NODES, _GK_WEIGHTS as _TAIL_WEIGHTS
@@ -419,28 +432,36 @@ class TabulatedAbsorption:
         self.eps_imag.flags.writeable = False
         self.low_tail = low_tail or LowTail()
         self.high_tail = high_tail or HighTail()
-        # per-interval linear coefficients eps'' = slope*w + offset
+        # per-interval linear coefficients eps'' = slope*w + offset and the
+        # xi-independent factors of _kk_sampled, formed once per table
         w1, w2 = omega[:-1], omega[1:]
         s1, s2 = eps_imag[:-1], eps_imag[1:]
-        self._dw = w2 - w1
-        self._slope = (s2 - s1) / self._dw
-        self._offset = s1 - self._slope * w1
-        # the xi-independent factors of _kk_sampled, formed once per table
-        self._w1w2 = w1 * w2
-        self._dw_w1w2 = self._dw * self._w1w2
-        self._sq_diff = self._dw * (w2 + w1)
-        self._w1_sq = w1 * w1
-        self._half_offset = 0.5 * self._offset
+        dw = w2 - w1
+        slope = (s2 - s1) / dw
+        offset = s1 - slope * w1
+        w1w2 = w1 * w2
+        self._factors = np.array([slope, dw, dw * w1w2, w1w2, 0.5 * offset,
+                                  dw * (w2 + w1), w1 * w1])
+        self._halved = None
+
+    @cached_property
+    def _blocks(self):
+        """The near/far split of the transform (``_KK_BLOCK``), built at
+        the first transform: the data of ``_kk_blocks``."""
+        return _kk_blocks(self)
 
     @property
     def n_samples(self):
         return self.omega.size
 
     def halved(self):
-        """Every-other-sample copy (endpoints kept) for error estimation."""
-        idx = np.unique(np.r_[np.arange(0, self.omega.size, 2), self.omega.size - 1])
-        return TabulatedAbsorption(self.omega[idx], self.eps_imag[idx],
-                                   self.low_tail, self.high_tail)
+        """Every-other-sample copy (endpoints kept) for error estimation,
+        made once per table."""
+        if self._halved is None:
+            idx = np.unique(np.r_[np.arange(0, self.omega.size, 2), self.omega.size - 1])
+            self._halved = TabulatedAbsorption(self.omega[idx], self.eps_imag[idx],
+                                               self.low_tail, self.high_tail)
+        return self._halved
 
 
 def _atan_series(x2):
@@ -468,29 +489,32 @@ def _x_minus_atan(x):
     return out
 
 
-def _kk_sampled(table, xi):
-    """Integral of w*eps''(w)/(w^2+xi^2) over the sampled range.
+def _kk_interval_sums(x, factors):
+    """Sum over intervals of the integral of w*eps''(w)/(w^2+x^2) over each,
+    at frequencies ``x`` (one per row) from the table's ``_factors`` or a
+    gather of them, each row's intervals along the trailing axes.
 
-    Exact for the piecewise-linear eps'' model; the per-interval
-    antiderivative is rearranged so no term suffers cancellation even for
-    xi far above the sampled range.
+    Exact for the piecewise-linear eps'' model.  Each of the two terms of
+    the per-interval antiderivative is rearranged to be free of
+    cancellation even for x far above the interval, but where eps'' is
+    steep (a large negative offset) the two terms cancel each other: on a
+    Q = 100 Lorentz table their magnitudes sum to ~200 times the result,
+    which costs up to ~2e-14 relative.
     """
-    x = xi[:, None]
+    slope, dw, dw_w1w2, w1w2, half_offset, sq_diff, w1_sq = factors
     x2 = x * x
-    denom = x2 + table._w1w2
-    v = x * table._dw / denom
+    denom = x2 + w1w2
+    v = x * dw / denom
     # alpha * (dw - xi*(atan(w2/xi)-atan(w1/xi))), cancellation-free form
-    term_a = table._slope * (table._dw_w1w2 / denom + x * _x_minus_atan(v))
-    term_b = table._half_offset * np.log1p(table._sq_diff / (table._w1_sq + x2))
-    return (term_a + term_b).sum(axis=1)
+    term_a = slope * (dw_w1w2 / denom + x * _x_minus_atan(v))
+    term_b = half_offset * np.log1p(sq_diff / (w1_sq + x2))
+    return (term_a + term_b).reshape(x.shape[0], -1).sum(axis=1)
 
 
-def _kk_sampled_at_zero(table):
-    """xi = 0 limit of the sampled part: integral of eps''(w)/w."""
-    w1 = table.omega[:-1]
-    w2 = table.omega[1:]
-    return float(np.sum(table._slope * (w2 - w1)
-                        + table._offset * np.log(w2 / w1)))
+def _kk_sampled(table, xi):
+    """Integral of w*eps''(w)/(w^2+xi^2) over the sampled range: the direct
+    sum over every interval."""
+    return _kk_interval_sums(xi[:, None], table._factors)
 
 
 # Below xi = w1 * _FAR the low tails take their xi -> 0 forms: (w1/xi)^2
@@ -553,26 +577,212 @@ def _kk_high_tail(table, xi):
     return sn * wn ** 2 * (integrand * w).sum(axis=1)
 
 
-# (xi x interval) elements per pass of _kk_sampled: bounds the size of its
-# 2-D temporaries however many frequencies are asked for.  Only the sampled
-# part runs per chunk; the 1-D tails run once on the whole xi array.
-# Larger chunks (65536, 262144) measured 10-25 % slower.
-_KK_CHUNK = 16384
+# The near/far split of the sampled part.  Intervals go in blocks of
+# _KK_BLOCK; a block meeting a node's window rho xi < w < xi / rho is near
+# and summed interval by interval, every other block is far and adds
+# _KK_TERMS terms of its moment series, whose ratio is at most rho^2: the
+# truncation is rho^(2 _KK_TERMS) ~ 1.4e-17 of the block's part.
+_KK_BLOCK = 64
+_KK_TERMS = 14
+_KK_RHO = 0.25
+# The 15-point Gauss-Legendre rule on [-1, 1] (numpy's leggauss(15), kept
+# here so that no transform imports numpy.polynomial): exact to degree 29,
+# and the moments' integrands are polynomials of degree 2 _KK_TERMS at most.
+_GL_HALF_NODES = np.array([0.0, 0.20119409399743451, 0.3941513470775634,
+                           0.5709721726085388, 0.7244177313601701, 0.8482065834104272,
+                           0.9372733924007058, 0.9879925180204854])
+_GL_HALF_WEIGHTS = np.array([0.2025782419255613, 0.1984314853271116, 0.1861610000155622,
+                             0.16626920581699398, 0.13957067792615444,
+                             0.10715922046717141, 0.0703660474881084,
+                             0.030753241996117203])
+_GL_NODES = np.concatenate([-_GL_HALF_NODES[:0:-1], _GL_HALF_NODES])
+_GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[:0:-1], _GL_HALF_WEIGHTS])
+# (xi x interval) and (xi x block) elements per pass of the near and far
+# sums: bounds the size of their 2-D temporaries however many frequencies
+# are asked for.  The 1-D tails run once on the whole xi array.  A pass
+# holds ~12 temporaries of up to 40 KB.  glibc gives freed heap back to the
+# system once its trim threshold (128 KiB by default) lies free at the
+# top, and a pass then faults its temporaries in afresh.  Freeing the
+# moment build's whole-table arrays (~300 KB at 2,500 samples) raises that
+# threshold, so a large table's passes reuse the heap: with the moments
+# built eight blocks at a time, an attraction check of the benchmark's
+# dispersive-attraction workload took ~6,500 page faults and 40 rather
+# than 29 ms on a 2-core VM.  At 16384 elements each temporary was mapped
+# afresh: ~9,000 faults per 600-node transform.
+_KK_CHUNK = 5120
+
+
+class _KKBlocks(NamedTuple):
+    """A table's blocks: bottom and top samples ``lo``/``hi``, the most
+    blocks one node's window meets (``width``), the interval factors
+    blocked as (7, n_blocks + 1, _KK_BLOCK) with zero intervals as padding
+    and as the last block, and the moments ``p``/``q`` (_KK_TERMS, n_blocks).
+
+    p[k] = int (w/hi)^(2k+1) eps'' dw / hi and q[k] = int (lo/w)^(2k) eps''/w dw
+    over the block, so that a block wholly below rho xi adds
+    sum_k (-1)^k t^(k+1) p[k] with t = (hi/xi)^2, and one wholly above
+    xi/rho adds sum_k (-t)^k q[k] with t = (xi/lo)^2.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    width: int
+    near: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+
+
+def _log_mean_weights(w1, w2):
+    """(c1, c2): the integral of eps''/w over [w1, w2] is s1 c1 + s2 c2 for
+    eps'' linear from s1 to s2.  Both are positive, formed without
+    cancellation from z = (w2-w1)/(w2+w1) and
+    S = (atanh(z)/z - 1)/z^2 = sum_j z^(2j)/(2j+3) as
+    c1 = z (1 + z (1+z) S) and c2 = z (1 - z (1-z) S)."""
+    total = w1 + w2
+    z = (w2 - w1) / total
+    s = np.empty(z.shape)
+    small = z < 0.5
+    z2 = z[small] ** 2
+    acc = np.full(z2.shape, 1.0 / 57.0)
+    for j in range(26, -1, -1):  # to z^54/57; z^56/59 < 1e-18 S
+        acc = 1.0 / (2 * j + 3) + z2 * acc
+    s[small] = acc
+    big = ~small  # w2 >= 3 w1: atanh(z) = log(w2/w1)/2, and atanh(z)/z - 1 >= 0.098
+    zb = z[big]
+    s[big] = (0.5 * np.log(w2[big] / w1[big]) / zb - 1.0) / (zb * zb)
+    c1 = z * (1.0 + z * (2.0 * w2 / total) * s)
+    c2 = z * (1.0 - z * (2.0 * w1 / total) * s)
+    return c1, c2
+
+
+def _kk_blocks(table):
+    """The blocks and moments of ``table`` (a ``_KKBlocks``).
+
+    Every moment integrand is non-negative: eps'' is the convex combination
+    s1 (1-tau) + s2 tau on each interval.  p and q[k >= 1] take the
+    Gauss-Legendre rule per interval in w and in u = 1/w respectively,
+    where they are polynomials; q[0] takes the closed form of
+    ``_log_mean_weights``.
+    """
+    w, s = table.omega, table.eps_imag
+    n_int = w.size - 1
+    n_blocks = -(-n_int // _KK_BLOCK)
+    lo = w[:-1:_KK_BLOCK]
+    hi = w[np.minimum(np.arange(1, n_blocks + 1) * _KK_BLOCK, n_int)]
+    # a window (y, y/rho^2) meets the most blocks with y just below some hi
+    width = int(np.max(np.searchsorted(lo * _KK_RHO ** 2, hi, side="left")
+                       - np.arange(n_blocks)))
+    zero = np.array([[0.0], [0.0], [0.0], [1.0], [0.0], [0.0], [1.0]])
+    pad = np.repeat(zero, (n_blocks + 1) * _KK_BLOCK - n_int, axis=1)
+    near = np.concatenate([table._factors, pad], axis=1).reshape(7, n_blocks + 1, _KK_BLOCK)
+
+    block = np.arange(n_int) // _KK_BLOCK
+    w1, w2 = w[:-1, None], w[1:, None]
+    s1, s2 = s[:-1, None], s[1:, None]
+    l, h = lo[block, None], hi[block, None]
+    dw = w2 - w1
+    x = _GL_NODES
+    # in w: node (w1 (1-x) + w2 (1+x))/2, eps'' = (s1 (1-x) + s2 (1+x))/2
+    wn = 0.5 * (w1 * (1.0 - x) + w2 * (1.0 + x))
+    y = wn / h
+    p_term = 0.25 * dw * (s1 * (1.0 - x) + s2 * (1.0 + x)) * y / h
+    # in u = 1/w: node u = wn / (w1 w2), so w = w1 w2 / wn and
+    # (lo u)^(2k) eps''/u du = (lo u)^(2k-2) (lo/w1)(lo/w2) dw/4 *
+    # (s1 (1+x)/w1 + s2 (1-x)/w2) times the rule's weight
+    z2 = (l * wn / (w1 * w2)) ** 2
+    q_term = 0.25 * dw * (l / w1) * (l / w2) * (s1 * (1.0 + x) / w1 + s2 * (1.0 - x) / w2)
+
+    def block_sums(a):
+        return np.bincount(block, weights=a, minlength=n_blocks)
+
+    p = np.empty((_KK_TERMS, n_blocks))
+    q = np.empty((_KK_TERMS, n_blocks))
+    c1, c2 = _log_mean_weights(w1[:, 0], w2[:, 0])
+    q[0] = block_sums(s1[:, 0] * c1 + s2[:, 0] * c2)
+    y2 = y * y
+    for k in range(_KK_TERMS):
+        p[k] = block_sums(p_term @ _GL_WEIGHTS)
+        p_term *= y2
+        if k:
+            q[k] = block_sums(q_term @ _GL_WEIGHTS)
+            q_term *= z2
+    return _KKBlocks(lo, hi, width, near, p, q)
+
+
+def _kk_window(blocks, xi):
+    """Each node's first near block and number of near blocks: the blocks
+    that meet rho xi < w < xi / rho, never more than ``width``."""
+    first = np.searchsorted(blocks.hi, _KK_RHO * xi, side="right")
+    stop = np.searchsorted(blocks.lo, xi / _KK_RHO, side="left")
+    return first, np.minimum(stop - first, blocks.width)
+
+
+def _kk_near(blocks, xi):
+    """The near blocks' part of the sampled integral, interval by interval.
+
+    Each node sums a row of ``width`` blocks from its first near one, the
+    blocks past its near ones replaced by zero intervals, so its bits do
+    not depend on the other nodes.
+    """
+    first, count = _kk_window(blocks, xi)
+    out = np.zeros(xi.shape)
+    live = np.flatnonzero(count)
+    if live.size:
+        j = np.arange(blocks.width)
+        idx = np.where(j < count[live, None], first[live, None] + j, blocks.hi.size)
+        out[live] = _kk_interval_sums(xi[live, None, None], [f[idx] for f in blocks.near])
+    return out
+
+
+def _alternating(c, t):
+    """sum_k c[k] (-t)^k, by Horner's rule."""
+    acc = c[-1]
+    for ck in c[-2::-1]:
+        acc = ck - t * acc
+    return acc
+
+
+def _kk_far(blocks, xi):
+    """The far blocks' part of the sampled integral, from their moments."""
+    first, count = _kk_window(blocks, xi)
+    b = np.arange(blocks.hi.size)
+    x = xi[:, None]
+    # the minimum keeps t <= rho^2 (and finite) on the blocks it masks off
+    t = (np.minimum(blocks.hi, _KK_RHO * x) / x) ** 2 * (b < first[:, None])
+    below = t * _alternating(blocks.p, t)
+    t = (np.minimum(x, _KK_RHO * blocks.lo) / blocks.lo) ** 2
+    above = _alternating(blocks.q, t) * (b >= (first + count)[:, None])
+    return (below + above).sum(axis=1)
+
+
+def _by_rows(part, blocks, xi, width):
+    """``part(blocks, xi)`` over chunks of ``_KK_CHUNK // width`` nodes."""
+    rows = max(1, _KK_CHUNK // width)
+    out = np.empty(xi.shape)
+    for start in range(0, xi.size, rows):
+        out[start:start + rows] = part(blocks, xi[start:start + rows])
+    return out
+
+
+def _kk_near_far(table, xi):
+    """The integral ``_kk_sampled`` sums directly, as the near blocks'
+    direct sum plus the far blocks' moment series, each chunk by chunk
+    (``_KK_CHUNK``).  The table's ``_blocks`` are built at its first call.
+    """
+    blocks = table._blocks
+    return (_by_rows(_kk_near, blocks, xi, blocks.width * _KK_BLOCK)
+            + _by_rows(_kk_far, blocks, xi, blocks.hi.size))
 
 
 def _kk_value(table, xi):
     """eps(i xi) - operates on a validated positive 1-D array.
 
-    The sampled part runs chunk by chunk (``_KK_CHUNK``) from factors the
-    table formed at construction; the two tails run once on all of xi.
-    Each node's value does not depend on the other nodes of the array.
+    The sampled part comes from ``_kk_near_far``; the two tails run once
+    on all of xi.  Each node's value does not depend on the other nodes of
+    the array.
     """
-    rows = max(1, _KK_CHUNK // table.n_samples)
     xi = np.minimum(xi, _XI_FLAT)
-    core = np.empty(xi.shape)
-    for start in range(0, xi.size, rows):
-        core[start:start + rows] = _kk_sampled(table, xi[start:start + rows])
-    core = (core + _kk_low_tail(table, xi)) + _kk_high_tail(table, xi)
+    core = (_kk_near_far(table, xi) + _kk_low_tail(table, xi)) + _kk_high_tail(table, xi)
     return 1.0 + (2.0 / np.pi) * core
 
 
@@ -662,4 +872,5 @@ class Tabulated(MaterialResponse):
         high = t.eps_imag[-1] / 3.0 if t.high_tail.model == "power" and t.high_tail.exponent == 3.0 else None
         if high is None:
             high = float(_kk_high_tail(t, np.array([t.omega[0] * 1e-12]))[0])
-        return 1.0 + (2.0 / np.pi) * (_kk_sampled_at_zero(t) + low + high)
+        # the sampled part at xi = 0 is the integral of eps''/w: the q[0] moments
+        return 1.0 + (2.0 / np.pi) * (float(t._blocks.q[0].sum()) + low + high)

@@ -27,6 +27,7 @@ from casimir import (ConstantEpsMu, ContinuumModelWarning,
 from casimir import engine
 from casimir.engine import (_inner_integrals, _ln_one_minus, _reflection_at_limits,
                             _reflection_by_owner, integrate_gaps)
+from casimir.quadrature import _EVAL_ROWS
 
 HBAR = 1.054571817e-34
 C_LIGHT = 2.99792458e8
@@ -492,6 +493,39 @@ def test_attraction_check_transforms_each_node_once(kk_nodes):
         for m1 in (LORENTZ, TABLE):
             pressure(GapConfig(a, m1, TABLE))
     assert sum(x.size for x in kk_nodes) == 2 * nodes.size
+
+
+def test_a_full_batch_takes_one_inner_quadrature_per_owner_in_its_seed_round(monkeypatch):
+    # every owner seeds the same number of outer panels, and a full batch's
+    # seed panels fit one integrand call, so none is split across two
+    assert engine._CONFIGS * engine._OUTER_SEED_PANELS <= _EVAL_ROWS
+    gaps = np.geomspace(1e-7, 1e-5, engine._CONFIGS + 4)
+    for a in gaps:
+        xi_lo = 1e-4 * C_LIGHT / a
+        cutoff = engine._xi_cutoff(GapConfig(a, PC, PC))
+        assert engine.geometric_edges(xi_lo, cutoff, xi_lo).size == engine._OUTER_SEED_PANELS
+    rounds = []  # per outer integrand call, the gap of each inner quadrature
+    inner_block = engine._inner_block
+
+    def counted(two_a, *args):
+        rounds[-1].append(two_a / 2.0)
+        return inner_block(two_a, *args)
+
+    def recorded(*args):
+        integrals = _inner_integrals(*args)
+
+        def f(x, owners):
+            rounds.append([])
+            return integrals(x, owners)
+        return f
+
+    monkeypatch.setattr(engine, "_inner_block", counted)
+    monkeypatch.setattr(engine, "_inner_integrals", recorded)
+    integrate_gaps([(GapConfig(a, PC, PC), "pressure") for a in gaps])
+    # a full batch and the rest, each converging on its seed panels
+    assert sorted(rounds[0]) == sorted(gaps[:engine._CONFIGS])
+    assert sorted(rounds[1]) == sorted(gaps[engine._CONFIGS:])
+    assert len(rounds) == 2
 
 
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-12], ids=["seed-panels", "outer-refines"])

@@ -16,7 +16,9 @@ from scipy.integrate import quad as scipy_quad
 from casimir import (DomainError, HighTail, IngestionError, LowTail,
                      QuadraturePoint, Tabulated, TabulatedAbsorption,
                      kramers_kronig, reflection)
-from casimir.materials import _KK_CHUNK, _atan_series, _kk_value, _x_minus_atan
+from casimir import materials
+from casimir.materials import (_GL_NODES, _GL_WEIGHTS, _KK_CHUNK, _atan_series,
+                               _kk_near_far, _kk_value, _kk_window, _x_minus_atan)
 
 
 def lorentz_eps_imag(w, f, wp, w0, g):
@@ -246,3 +248,104 @@ def test_kk_value_at_a_node_does_not_depend_on_the_other_nodes(low, high):
     together = _kk_value(table, xi)
     alone = np.array([_kk_value(table, xi[i:i + 1])[0] for i in range(xi.size)])
     np.testing.assert_array_equal(together, alone)
+
+
+# ---------------------------------------------------------------------------
+# near/far split of the sampled part against a 40-digit reference
+# ---------------------------------------------------------------------------
+
+def reference_sampled(w, s, xi):
+    """The sampled part of the piecewise-linear model at 40 digits: per
+    interval, with eps'' = a + b w, (a/2) log(w^2+xi^2) + b (w - xi atan(w/xi))
+    differenced across it."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        x = mp.mpf(float(xi))
+        ws = [mp.mpf(float(v)) for v in w]
+        ss = [mp.mpf(float(v)) for v in s]
+        logs = [mp.log(v * v + x * x) for v in ws]
+        rest = [v - x * mp.atan(v / x) for v in ws]
+        total = mp.mpf(0)
+        for i in range(len(ws) - 1):
+            b = (ss[i + 1] - ss[i]) / (ws[i + 1] - ws[i])
+            a = ss[i] - b * ws[i]
+            total += a / 2 * (logs[i + 1] - logs[i]) + b * (rest[i + 1] - rest[i])
+        return float(total)
+
+
+def sharp_lorentz_samples(n):
+    # Q = w0 / g = 100: steep flanks, where the direct sum's terms cancel
+    w = np.geomspace(5e15 * 1e-3, 5e15 * 1e3, n)
+    return w, lorentz_eps_imag(w, 1.0, 8e15, 5e15, 5e13)
+
+
+SPLIT_TABLES = {
+    "sharp-lorentz": sharp_lorentz_samples(1000),
+    "300-samples": (np.geomspace(W0 * 1e-3, W0 * 1e3, 300),
+                    lorentz_eps_imag(np.geomspace(W0 * 1e-3, W0 * 1e3, 300), F, WP, W0, G)),
+    # one interval over a factor of 10: its block is wholly far below or above
+    "two-samples": (np.array([1e14, 1e15]), np.array([0.5, 0.1])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_TABLES))
+def test_near_far_split_against_40_digit_reference(name):
+    w, s = SPLIT_TABLES[name]
+    table = TabulatedAbsorption(w, s)
+    # below, inside and above the samples
+    xi = np.geomspace(w[0] * 1e-4, w[-1] * 1e4, 19)
+    ref = np.array([reference_sampled(w, s, x) for x in xi])
+    rel = np.abs(_kk_near_far(table, xi) / ref - 1.0)
+    _, count = _kk_window(table._blocks, xi)
+    all_far = count == 0
+    assert all_far.sum() >= 6 and (~all_far).sum() >= 3
+    assert rel.max() <= 1e-14
+    assert rel[all_far].max() <= 2e-15
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_TABLES))
+def test_near_far_switch_adds_no_error_to_the_direct_sum(name):
+    # The series' truncation (1.4e-17 of a block) cannot show at a switch;
+    # what the split may change there is rounding.  The direct sum itself
+    # moves by up to ~90 ulps between neighbouring floats xi where its terms
+    # cancel, so the split is held to the direct sum's accuracy, not to a
+    # fixed number of ulps.
+    w, s = SPLIT_TABLES[name]
+    table = TabulatedAbsorption(w, s)
+    blocks = table._blocks
+    # a block turns far below where rho xi reaches its top sample, and far
+    # above where xi / rho falls to its bottom one
+    for switch in np.concatenate([blocks.hi / materials._KK_RHO,
+                                  blocks.lo * materials._KK_RHO]):
+        xi = np.array([np.nextafter(switch, 0.0), switch, np.nextafter(switch, np.inf)])
+        split = _kk_near_far(table, xi)
+        direct = materials._kk_sampled(table, xi)
+        ref = reference_sampled(w, s, switch)  # within 2 ulps at either neighbour
+        allowed = np.max(np.abs(direct - ref)) + 4.0 * np.spacing(ref)
+        assert np.all(np.abs(split - ref) <= allowed)
+
+
+def test_block_moments_are_built_once_per_table_and_not_at_construction(monkeypatch):
+    built = []
+    original = materials._kk_blocks
+
+    def counted(table):
+        built.append(table)
+        return original(table)
+
+    monkeypatch.setattr(materials, "_kk_blocks", counted)
+    table = lorentz_table(500)
+    model = Tabulated(table)
+    assert built == []
+    model.eps(np.geomspace(W0 * 1e-2, W0 * 1e2, 9))
+    model.eps(W0)
+    kramers_kronig(table, W0)
+    kramers_kronig(table, 2.0 * W0)
+    # the table and the every-other-sample copy of the error estimate
+    assert built == [table, table.halved()]
+
+
+def test_moment_rule_is_numpys_gauss_legendre():
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    np.testing.assert_array_equal(_GL_NODES, nodes)
+    np.testing.assert_array_equal(_GL_WEIGHTS, weights)

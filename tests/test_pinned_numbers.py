@@ -77,13 +77,13 @@ PINNED = {
     ("plasma", 1e-06, "pressure"):
         (-0.0010999530678712476, 1.0439254224764797e-13, 296416395705023.0),
     ("lorentz-table", 1e-07, "energy"):
-        (-4.1253675264691965e-08, 1.3268765201081923e-18, 1714350103762458.2),
+        (-4.1253675264691965e-08, 1.3268847948567623e-18, 1714350103762458.2),
     ("lorentz-table", 1e-07, "pressure"):
-        (-1.1345188641777189, 1.2955748303480374e-10, 2201767745378885.5),
+        (-1.1345188641777189, 1.295576354381384e-10, 2201767745378885.5),
     ("lorentz-table", 1e-06, "energy"):
-        (-4.9296800018725277e-11, 3.1115337068801664e-21, 209110362009356.72),
+        (-4.9296800018725277e-11, 3.1115317345829444e-21, 209110362009356.72),
     ("lorentz-table", 1e-06, "pressure"):
-        (-0.0001475819878850194, 1.1749774386685442e-14, 296416395705023.0),
+        (-0.0001475819878850194, 1.1749759288017256e-14, 296416395705023.0),
 }
 
 # dominant_frequency at a = 1 um
