@@ -297,9 +297,7 @@ def _inner_integrals(cfgs, kinds, rel_tol, budget):
     lower limit y0 = 2 a xi / c reaches ``_Y_CUTOFF`` give exactly zero;
     the others refine from the seed panels ``geometric_edges(y0,
     _Y_CUTOFF, 0.25)`` to ``rel_tol`` within ``budget`` splits, the nodes of
-    one owner per ``integrate_panels`` call: BLAS may round a panel's sum
-    differently with other panels alongside (see ``quadrature``), so only
-    a call that holds one owner's nodes and no other gives its solo sums.
+    one owner per ``integrate_panels`` call.
     """
     two_a = 2.0 * np.array([cfg.a for cfg in cfgs])
     sides = [(id(cfg.material1), id(cfg.material2)) for cfg in cfgs]
@@ -319,11 +317,9 @@ def _inner_integrals(cfgs, kinds, rel_tol, budget):
             group = uses[key].tobytes()
             if group not in maps:
                 used = live[uses[key][own[live]]]
-                order = used[np.argsort(xi[used], kind="stable")]
-                new = np.diff(xi[order], prepend=-np.inf) != 0.0
                 node = np.empty(xi.size, dtype=np.intp)
-                node[order] = np.cumsum(new) - 1
-                maps[group] = node, xi[order][new]
+                distinct, node[used] = np.unique(xi[used], return_inverse=True)
+                maps[group] = node, distinct
             nodes[key], distinct = maps[group]
             # lengths in metres: u = kappa0 (1/m), v = xi / c
             rfs[key] = _reflection_by_owner(model, distinct, C, distinct / C)
@@ -420,11 +416,9 @@ def _outcomes(items, quad):
 def integrate_gaps(items, quad=None):
     """Energy or pressure of each (GapConfig, kind "energy" or "pressure")
     item, in order, as owners of one outer ``integrate_panels`` call per
-    ``_CONFIGS`` items, whatever their material pairs.  Each result is its
-    single-item call's, but where the outer axis refines or a round has
-    more than ``_EVAL_ROWS`` outer panels, BLAS may round a panel's sum
-    differently in the last bit (see ``quadrature``).
-    The first item that does not converge raises its ConvergenceError.
+    ``_CONFIGS`` items, whatever their material pairs.  Each result has
+    the bits of its single-item call.  The first item that does not
+    converge raises its ConvergenceError.
     """
     results = []
     for result in _outcomes(items, quad or QuadratureConfig()):

@@ -13,13 +13,13 @@ round would map and page-fault its arrays afresh.
 
 Each owner is bisected until its summed Kronrod error estimate meets
 ``rel_tol * |value| + abs_floor``, by the same rule and within the same
-split budget as if it were integrated alone.  Its sums are the solo ones
-up to BLAS rounding: a panel's Kronrod sum is a row of a matrix-vector
-product, whose last bit may change with the rows evaluated alongside
-(OpenBLAS rounds the last rows of a product apart from the others).
-``integrate_adaptive`` is the one-owner case.  Like QUADPACK's QAG
-(Piessens et al. 1983), a call keeps no sample: it returns per-owner
-values, errors and convergence flags, and the evaluation count.
+split budget as if it were integrated alone.  A panel's sums do not
+depend on the panels evaluated alongside, and ``np.bincount`` adds each
+owner's panels in their own order, so an owner's result has the bits of
+its solo integration.  ``integrate_adaptive`` is the one-owner case.
+Like QUADPACK's QAG (Piessens et al. 1983), a call returns the sums its
+convergence test saw and keeps no sample: per-owner values, errors and
+convergence flags, and the evaluation count.
 
 An integrand may also return a per-point error array (``with_errors``);
 those foreign errors are propagated into the total in quadrature sum.
@@ -61,10 +61,11 @@ class QuadResult:
 
     From ``integrate_panels``, ``value``, ``error`` and ``converged`` are
     arrays indexed by owner; ``integrate_adaptive`` returns them as
-    scalars.  ``error`` already includes foreign (integrand-supplied)
-    errors.  ``n_evals`` counts every integrand point of every owner.  No
-    sample is kept: a caller that wants one (say, the peak of an owner's
-    integrand) records it in its integrand.
+    scalars.  ``value`` and ``error`` are the sums of the round the owner
+    stopped in, the ones its convergence test compared.  ``error`` already
+    includes foreign (integrand-supplied) errors.  ``n_evals`` counts every
+    integrand point of every owner.  No sample is kept: a caller that wants
+    one (say, the peak of an owner's integrand) records it in its integrand.
     """
 
     value: object
@@ -88,8 +89,10 @@ def _eval_panels(f, lo, hi, owner, with_errors):
             fe = np.asarray(fe, dtype=float).reshape(x.shape)
             out[2, rows] = ((fe * _GK_WEIGHTS) ** 2).sum(axis=1) * half * half
         fx = np.asarray(fx, dtype=float).reshape(x.shape)
-        out[0, rows] = (fx @ _GK_WEIGHTS) * half
-        out[1, rows] = np.abs(out[0, rows] - (fx[:, 1::2] @ _G_WEIGHTS) * half)
+        # einsum, not a matrix product: a row's sums keep their bits in any block
+        out[0, rows] = np.einsum("ij,j->i", fx, _GK_WEIGHTS) * half
+        out[1, rows] = np.abs(out[0, rows]
+                              - np.einsum("ij,j->i", fx[:, 1::2], _G_WEIGHTS) * half)
     return out
 
 
@@ -102,22 +105,6 @@ def _worst_first(owner, errs, sel):
     first = np.flatnonzero(np.r_[True, own[1:] != own[:-1]])
     rank = np.arange(idx.size) - np.repeat(first, np.diff(np.r_[first, idx.size]))
     return idx, rank
-
-
-def _sums_by_owner(owner, n_owners, *arrays):
-    """Per-owner sums of each array over that owner's panels alone, in
-    numpy's own (pairwise) order: the sums a solo integration takes."""
-    counts = np.bincount(owner, minlength=n_owners)
-    starts = np.cumsum(counts) - counts
-    order = np.argsort(owner, kind="stable")
-    out = np.zeros((len(arrays), n_owners))
-    for c in np.flatnonzero(np.bincount(counts)[1:]) + 1:
-        own = np.flatnonzero(counts == c)
-        rows = order[starts[own, None] + np.arange(c)]
-        for j, a in enumerate(arrays):
-            # a C-contiguous (owners, c) block sums each row as a 1-D array
-            out[j, own] = a[rows].sum(axis=1)
-    return out
 
 
 def integrate_panels(f, lo, hi, owner, n_owners, rel_tol, abs_floor=0.0,
@@ -158,7 +145,8 @@ def integrate_panels(f, lo, hi, owner, n_owners, rel_tol, abs_floor=0.0,
     splits = np.zeros(n_owners, dtype=np.intp)
     active = np.ones(n_owners, dtype=bool)
     converged = np.zeros(n_owners, dtype=bool)
-    retired = []
+    value = np.zeros(n_owners)
+    value_err = np.zeros(n_owners)
 
     def per_owner(weights):
         return np.bincount(owner, weights=weights, minlength=n_owners)
@@ -167,6 +155,9 @@ def integrate_panels(f, lo, hi, owner, n_owners, rel_tol, abs_floor=0.0,
         total = per_owner(vals)
         error = per_owner(errs) + np.sqrt(per_owner(fsq))
         tol = rel_tol * np.abs(total) + abs_floor
+        # an owner's numbers of the round it stops in are its result
+        value[active] = total[active]
+        value_err[active] = error[active]
         done = active & (error <= tol)
         converged |= done
         active &= ~done
@@ -196,11 +187,8 @@ def integrate_panels(f, lo, hi, owner, n_owners, rel_tol, abs_floor=0.0,
         if not active.any():
             break
         splits += n_split
-        keep = active[owner]
-        if not keep.all():
-            # finished owners leave the working arrays, their panels in order
-            retired.append((owner[~keep], vals[~keep], errs[~keep], fsq[~keep]))
-        keep &= ~mask
+        # finished owners leave the working arrays
+        keep = active[owner] & ~mask
 
         mid = 0.5 * (lo[mask] + hi[mask])
         child_lo = np.concatenate([lo[mask], mid])
@@ -216,12 +204,7 @@ def integrate_panels(f, lo, hi, owner, n_owners, rel_tol, abs_floor=0.0,
         errs = np.concatenate([errs[keep], ce])
         fsq = np.concatenate([fsq[keep], cf])
 
-    if retired:
-        owner, vals, errs, fsq = (np.concatenate(a) for a in
-                                  zip(*retired, (owner, vals, errs, fsq)))
-    total, err_sum, fsq_sum = _sums_by_owner(owner, n_owners, vals, errs, fsq)
-    return QuadResult(total, err_sum + np.sqrt(fsq_sum), converged,
-                      n_panels * _GK_NODES.size)
+    return QuadResult(value, value_err, converged, n_panels * _GK_NODES.size)
 
 
 def integrate_adaptive(f, edges, rel_tol, abs_floor=0.0, max_subdivisions=1000,

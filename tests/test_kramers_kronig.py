@@ -237,6 +237,19 @@ def test_x_minus_atan_takes_each_element_by_its_own_branch(x):
     np.testing.assert_array_equal(got, reference_x_minus_atan(x))
 
 
+def test_x_minus_atan_series_against_40_digit_reference():
+    mp = pytest.importorskip("mpmath")
+    # the series' side of the switch, up to just below it, where the first
+    # dropped term is largest
+    x = np.concatenate([np.geomspace(1e-4, 0.01, 50), np.linspace(0.01, 0.04999999, 400),
+                        [0.0499, np.nextafter(0.05, 0.0)]])
+    got = _x_minus_atan(x)
+    with mp.workdps(40):
+        ref = [v - mp.atan(v) for v in map(mp.mpf, x)]
+        worst = max(abs(mp.mpf(g) / r - 1) for g, r in zip(got, ref))
+    assert worst < 4 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("high", [HighTail("power", 3.0), HighTail("power", 2.0)],
                          ids=["power3", "power2"])
 @pytest.mark.parametrize("low", ["constant", "linear"])

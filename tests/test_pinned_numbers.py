@@ -1,11 +1,13 @@
 """Energies, pressures and dominant frequencies pinned to recorded numbers.
 
-The figures were recorded from the engine that integrated each inner
-y-integral with its own adaptive call, one outer node at a time.  The
-batched refinement must reproduce them: values to rel 1e-13, error
-estimates to rel 1e-6 (the Kronrod-Gauss differences that make them up
-amplify last-bit changes of the integrand) and dominant frequencies to
-rel 1e-12.
+The values and dominant frequencies were recorded from the engine that
+integrated each inner y-integral with its own adaptive call, one outer
+node at a time.  The error estimates were re-recorded when the quadrature
+came to report the sums its convergence test compared, each panel's sum
+formed apart from the other rows.  The batched refinement must reproduce
+them: values to rel 1e-13, error estimates to rel 1e-6 (the Kronrod-Gauss
+differences that make them up amplify last-bit changes of the integrand)
+and dominant frequencies to rel 1e-12.
 """
 
 import numpy as np
@@ -37,53 +39,53 @@ PAIRS = {
 # QuadratureConfig
 PINNED = {
     ("pc-pc", 1e-07, "energy"):
-        (-4.333752574825819e-07, 2.961855109287721e-17, 2297206437508089.0),
+        (-4.333752574825819e-07, 2.9618571863491794e-17, 2297206437508089.0),
     ("pc-pc", 1e-07, "pressure"):
-        (-13.001257724477455, 9.746775383000992e-10, 3185492207620866.5),
+        (-13.001257724477455, 9.746763487785577e-10, 3185492207620866.5),
     ("pc-pc", 1e-06, "energy"):
-        (-4.3337525748258177e-10, 2.9618551158184676e-20, 229720643750808.94),
+        (-4.3337525748258177e-10, 2.961854453219289e-20, 229720643750808.94),
     ("pc-pc", 1e-06, "pressure"):
-        (-0.0013001257724477458, 9.746753748641446e-14, 318549220762086.7),
+        (-0.0013001257724477458, 9.746753631903877e-14, 318549220762086.7),
     ("pc-permeable", 1e-07, "energy"):
-        (3.7920335029725926e-07, 3.25916102758411e-17, 2518392750291008.5),
+        (3.7920335029725926e-07, 3.259160380586453e-17, 2518392750291008.5),
     ("pc-permeable", 1e-07, "pressure"):
-        (11.376100508917773, 1.0072710738311559e-09, 3428700207524916.5),
+        (11.376100508917773, 1.0072713176284397e-09, 3428700207524916.5),
     ("pc-permeable", 1e-06, "energy"):
-        (3.7920335029725917e-10, 3.259158273406507e-20, 251839275029100.88),
+        (3.7920335029725917e-10, 3.2591579597421554e-20, 251839275029100.88),
     ("pc-permeable", 1e-06, "pressure"):
-        (0.0011376100508917778, 1.0072732153959255e-13, 342870020752491.75),
+        (0.0011376100508917778, 1.0072734558974523e-13, 342870020752491.75),
     ("const", 1e-07, "energy"):
-        (-7.082281320647219e-08, 3.910206396157931e-18, 1841924861952000.0),
+        (-7.082281320647219e-08, 3.910206643519376e-18, 1841924861952000.0),
     ("const", 1e-07, "pressure"):
-        (-2.12468439619415, 1.5761644225514763e-10, 2621839534834574.0),
+        (-2.12468439619415, 1.5761662956809656e-10, 2621839534834574.0),
     ("const", 1e-06, "energy"):
-        (-7.082281320647219e-11, 3.910201895974452e-21, 184192486195200.03),
+        (-7.082281320647219e-11, 3.91019967994607e-21, 184192486195200.03),
     ("const", 1e-06, "pressure"):
-        (-0.00021246843961941504, 1.576165055888447e-14, 262183953483457.5),
+        (-0.00021246843961941504, 1.5761676632840107e-14, 262183953483457.5),
     ("drude", 1e-07, "energy"):
-        (-2.244420681043866e-07, 8.096813418609529e-18, 1592746103810433.2),
+        (-2.244420681043866e-07, 8.096822837408904e-18, 1592746103810433.2),
     ("drude", 1e-07, "pressure"):
-        (-5.682574018084891, 5.542850019073174e-10, 2201767745378885.5),
+        (-5.682574018084891, 5.542851702958023e-10, 2201767745378885.5),
     ("drude", 1e-06, "energy"):
-        (-3.914029860041405e-10, 7.632125254450676e-20, 220176774537888.56),
+        (-3.914029860041405e-10, 7.63212624150829e-20, 220176774537888.56),
     ("drude", 1e-06, "pressure"):
-        (-0.0011414739869132925, 1.3986341157850025e-13, 318549220762086.7),
+        (-0.0011414739869132925, 1.3986343421524866e-13, 318549220762086.7),
     ("plasma", 1e-07, "energy"):
-        (-1.8315289874837984e-07, 9.491634637056606e-18, 1386643286395911.0),
+        (-1.8315289874837984e-07, 9.491636877855465e-18, 1386643286395911.0),
     ("plasma", 1e-07, "pressure"):
-        (-4.459355652505521, 1.6911584414528472e-10, 1841924861952000.0),
+        (-4.459355652505521, 1.6911566567603226e-10, 1841924861952000.0),
     ("plasma", 1e-06, "energy"):
-        (-3.819111130647368e-10, 2.5584430235088173e-20, 220176774537888.56),
+        (-3.819111130647368e-10, 2.5584386027713716e-20, 220176774537888.56),
     ("plasma", 1e-06, "pressure"):
-        (-0.0010999530678712476, 1.0439254224764797e-13, 296416395705023.0),
+        (-0.0010999530678712476, 1.0439259435069723e-13, 296416395705023.0),
     ("lorentz-table", 1e-07, "energy"):
-        (-4.1253675264691965e-08, 1.3268847948567623e-18, 1714350103762458.2),
+        (-4.1253675264691965e-08, 1.3268867356515488e-18, 1714350103762458.2),
     ("lorentz-table", 1e-07, "pressure"):
-        (-1.1345188641777189, 1.295576354381384e-10, 2201767745378885.5),
+        (-1.1345188641777189, 1.2955776951654975e-10, 2201767745378885.5),
     ("lorentz-table", 1e-06, "energy"):
-        (-4.9296800018725277e-11, 3.1115317345829444e-21, 209110362009356.72),
+        (-4.9296800018725277e-11, 3.1115289552723865e-21, 209110362009356.72),
     ("lorentz-table", 1e-06, "pressure"):
-        (-0.0001475819878850194, 1.1749759288017256e-14, 296416395705023.0),
+        (-0.0001475819878850194, 1.1749754436287408e-14, 296416395705023.0),
 }
 
 # dominant_frequency at a = 1 um

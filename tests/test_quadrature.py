@@ -7,8 +7,12 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 
 from casimir import quadrature
-from casimir.quadrature import (_EVAL_ROWS, _GK_NODES, geometric_edges, geometric_panels,
-                                integrate_adaptive, integrate_panels)
+from casimir.quadrature import (_EVAL_ROWS, _GK_NODES, _eval_panels, geometric_edges,
+                                geometric_panels, integrate_adaptive, integrate_panels)
+
+
+def hexes(a):
+    return [float(v).hex() for v in np.ravel(a)]
 
 
 @pytest.mark.parametrize("f, lo, hi, exact", [
@@ -134,13 +138,31 @@ def test_batched_refinement_matches_each_owner_alone():
 
     assert [r.converged for r in alone] == [True, True, False, True, True]
     assert batch.converged.tolist() == [r.converged for r in alone]
-    np.testing.assert_allclose(batch.value, [r.value for r in alone], rtol=1e-14)
-    np.testing.assert_allclose(batch.error, [r.error for r in alone], rtol=1e-14)
+    assert hexes(batch.value) == hexes([r.value for r in alone])
+    assert hexes(batch.error) == hexes([r.error for r in alone])
     assert batch.value[1] == 0.0 and batch.error[1] == 0.0
     assert batch.n_evals == sum(r.n_evals for r in alone)
     for k in range(len(_OWNERS)):
         np.testing.assert_array_equal(np.concatenate(seen_batched[k]),
                                       np.concatenate(seen_alone[k]))
+
+
+def test_each_panels_sums_have_the_same_bits_alone_as_in_a_block():
+    rng = np.random.default_rng(40)
+    lo = rng.uniform(0.0, 10.0, 40)
+    hi = lo + rng.uniform(1e-3, 3.0, 40)
+    owner = rng.integers(0, 5, 40)
+
+    def f(x, own):
+        # values and foreign errors, both varying from panel to panel
+        vals = np.exp(-x / (1.0 + own)) * np.cos(3.0 * x)
+        return vals, 1e-3 * vals * np.sin(x)
+
+    alone = [hexes(_eval_panels(f, lo[i:i + 1], hi[i:i + 1], owner[i:i + 1], True))
+             for i in range(lo.size)]
+    for n in range(1, lo.size + 1):
+        block = _eval_panels(f, lo[:n], hi[:n], owner[:n], True)
+        assert [hexes(block[:, i]) for i in range(n)] == alone[:n]
 
 
 def test_owner_without_panels_is_an_exact_zero():
