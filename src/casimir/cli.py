@@ -45,11 +45,13 @@ def _fmt(x):
 
 
 def _manifest(command, parameters, materials):
+    # one digest per distinct model: the sides of a spec given twice share it
+    digests = {id(m): material_digest(m) for m in {id(m): m for m in materials}.values()}
     return {
         "command": command,
         "parameters": parameters,
         "materials": [{"label": m.label, "kind": m.kind,
-                       "digest": material_digest(m)} for m in materials],
+                       "digest": digests[id(m)]} for m in materials],
         "constants_version": CONSTANTS_VERSION,
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),

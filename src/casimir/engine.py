@@ -15,7 +15,9 @@ y = 2 kappa0 a (so k dk -> y dy / (2a)^2 with lower limit y0 = 2 a xi / c),
 which makes the exponential kernel separation-independent.  Both axes use
 vectorized adaptive Gauss-Kronrod panels.  The outer axis refines the
 (gap, kind) integrals of any material pairs together, one owner each
-(``integrate_gaps``).  Each round hands their xi nodes to the inner axis:
+(``integrate_gaps``), from a seed that follows the tolerance: 20
+geometric panels in xi below rel_tol 1e-7, every other edge of them (10
+panels) from there up.  Each round hands their xi nodes to the inner axis:
 each model's eps and mu are evaluated once per distinct frequency of the
 owners that use it, as arrays, and the inner integrals of each owner's
 nodes refine in one ``integrate_panels`` call per owner per round, each
@@ -107,9 +109,13 @@ class QuadratureConfig:
     budgets the outer adaptive axis.  The inner integrals at the outer
     nodes refine together, but each keeps its own budget of
     min(max_subdivisions, 300) splits and its own tolerance, so one that
-    exhausts its budget stops alone.  The truncation is fixed: the inner
-    axis ends at y = 80, so the outer axis ends where y0 = 2 a xi / c
-    reaches 80, at xi = 40 c/a.
+    exhausts its budget stops alone.  The outer axis starts from 20
+    geometric panels in xi, [0, 1e-4 c/a, 2e-4 c/a, 4e-4 c/a, ...], or from
+    every other edge of them (10 panels) when rel_tol >= 1e-7: a loose
+    tolerance then takes half the inner integrals, and refinement splits
+    the panels it needs.  The truncation is fixed: the inner axis ends at
+    y = 80, so the outer axis ends where y0 = 2 a xi / c reaches 80, at
+    xi = 40 c/a.
     """
 
     rel_tol: float = 1e-8
@@ -150,7 +156,7 @@ class PressureResult:
 # Reflection coefficients
 # ---------------------------------------------------------------------------
 
-def _reflection_by_owner(material, xi, c_unit, v):
+def _reflection_by_owner(material, xi, c_unit, v, s=None):
     """Vacuum-medium (r_te, r_tm) of ``material`` as a function of (u, owner).
 
     Per owner, ``xi`` is the frequency (rad/s) and ``v`` is xi / c_unit, with
@@ -163,6 +169,11 @@ def _reflection_by_owner(material, xi, c_unit, v):
     every owner, with an infinite weight ``xi2_susceptibility`` as well,
     reflects as (-1, +1).  Other infinite values, and an eps mu v^2 beyond
     float range, go through ``_reflection_at_limits``.
+
+    ``s``, given by ``reflection`` only, where u = 1, is each owner's
+    in-plane part c k / (c kappa0) = sqrt(1 - v^2).  Then kappa lambda =
+    sqrt(s^2 + eps mu v^2), which keeps the 1 - v^2 that cancels as v -> 1
+    where eps mu << 1.
     """
     e = np.asarray(material.eps(xi), dtype=float)
     m = np.asarray(material.mu(xi), dtype=float)
@@ -175,11 +186,13 @@ def _reflection_by_owner(material, xi, c_unit, v):
     # without a warning
     v_max = max(float(v.max(initial=0.0)), 1.0)
     if float(e.max(initial=0.0)) * float(m.max(initial=0.0)) * v_max * v_max == math.inf:
-        return _reflection_at_limits(material, xi, c_unit, v, e, m)
+        return _reflection_at_limits(material, xi, c_unit, v, e, m, s)
     w = (e * m - 1.0) * (v * v)
+    # (kappa lambda)^2 at u = 1, without the cancelling 1 - v^2
+    k2 = None if s is None else s * s + e * m * (v * v)
 
     def rf(u, owner):
-        kappa = np.sqrt(np.maximum(u * u + w[owner], 0.0))
+        kappa = np.sqrt(np.maximum(u * u + w[owner], 0.0) if k2 is None else k2[owner])
         mu_u = m[owner] * u
         eps_u = e[owner] * u
         return (mu_u - kappa) / (mu_u + kappa), (eps_u - kappa) / (eps_u + kappa)
@@ -193,32 +206,33 @@ def _ratio_reflection(x, q):
     return np.where(x >= q, 1.0, -1.0) * (1.0 - rho) / (1.0 + rho)
 
 
-def _reflection_at_limits(material, xi, c_unit, v, e, m):
+def _reflection_at_limits(material, xi, c_unit, v, e, m, s=None):
     """``_reflection_by_owner`` for owners with an infinite eps, mu or eps mu.
 
     Works with q = kappa / kappa0 = hypot(sqrt(1 - t^2), sqrt(eps mu) t),
-    t = v / u, so that no product overflows.  An infinite mu reflects TE as
-    +1 and an infinite eps TM as +1.  Where eps is infinite, its finite
-    weight enters instead: eps t^2 is s / u^2 + t^2 with
-    s = xi^2 (eps - 1) / c_unit^2 from ``xi2_susceptibility``.  Where mu is
-    infinite, so is q.  An infinite q reflects as -1.
+    t = v / u, so that no product overflows; a given ``s`` is sqrt(1 - t^2).
+    An infinite mu reflects TE as +1 and an infinite eps TM as +1.  Where
+    eps is infinite, its finite weight enters instead: eps t^2 is
+    w / u^2 + t^2 with w = xi^2 (eps - 1) / c_unit^2 from
+    ``xi2_susceptibility``.  Where mu is infinite, so is q.  An infinite q
+    reflects as -1.
     """
     e_inf = np.isinf(e)
     m_inf = np.isinf(m)
     e_fin = np.where(e_inf, 1.0, e)
     m_fin = np.where(m_inf, 1.0, m)
-    s = np.zeros(e.shape)
+    w = np.zeros(e.shape)
     if e_inf.any():
         with np.errstate(over="ignore"):  # beyond float range: q = inf
-            s = s + material.xi2_susceptibility(xi) / c_unit / c_unit
+            w = w + material.xi2_susceptibility(xi) / c_unit / c_unit
 
     def rf(u, owner):
         t = v[owner] / u
+        root = np.sqrt(np.maximum(1.0 - t * t, 0.0)) if s is None else s[owner]
         with np.errstate(over="ignore"):  # beyond float range: q = inf
-            eps_t2 = np.where(e_inf[owner], s[owner] / u / u + t * t,
+            eps_t2 = np.where(e_inf[owner], w[owner] / u / u + t * t,
                               e_fin[owner] * t * t)
-            q = np.hypot(np.sqrt(np.maximum(1.0 - t * t, 0.0)),
-                         np.sqrt(m_fin[owner]) * np.sqrt(eps_t2))
+            q = np.hypot(root, np.sqrt(m_fin[owner]) * np.sqrt(eps_t2))
         q = np.where(m_inf[owner], np.inf, q)
         r_te = np.where(m_inf[owner], 1.0, _ratio_reflection(m_fin[owner], q))
         r_tm = np.where(e_inf[owner], 1.0, _ratio_reflection(e_fin[owner], q))
@@ -234,9 +248,11 @@ def reflection(material, point):
     with xi, k >= 0 not both zero: the Lifshitz integrand's coefficients
     (``_reflection_by_owner``) on one owner, in the unit of length 1/kappa0.
     There u = 1 and v = t = xi / (c kappa0), so nothing overflows or
-    underflows.  At k = 0 (t = 1) they are the normal-incidence Fresnel
-    pair; at xi = 0 a Drude metal reflects as (0, +1) and a plasma keeps a
-    finite TE coefficient through kappa = sqrt(kappa0^2 + wp^2/c^2).
+    underflows, and 1 - t^2 enters as s^2, s = c k / (c kappa0), so it
+    does not cancel near t = 1.  At k = 0 (t = 1) they are the
+    normal-incidence Fresnel pair; at xi = 0 a Drude metal reflects as
+    (0, +1) and a plasma keeps a finite TE coefficient through
+    kappa = sqrt(kappa0^2 + wp^2/c^2).
     """
     if not isinstance(point, QuadraturePoint):
         raise DomainError("point must be a QuadraturePoint")
@@ -244,10 +260,11 @@ def reflection(material, point):
     if c_kappa0 == 0.0:
         raise DomainError("reflection is undefined at xi = k = 0")
     if c_kappa0 < math.inf:
-        t = point.xi / c_kappa0
+        t, s = point.xi / c_kappa0, C * point.k / c_kappa0
     else:  # c k beyond float range; kappa0 itself is finite
-        t = point.xi / point.kappa0 / C
-    rf = _reflection_by_owner(material, np.asarray(point.xi), c_kappa0, np.asarray(t))
+        t, s = point.xi / point.kappa0 / C, point.k / point.kappa0
+    rf = _reflection_by_owner(material, np.asarray(point.xi), c_kappa0, np.asarray(t),
+                              np.asarray(s))
     r_te, r_tm = rf(1.0, ())
     return ReflectionPair(float(r_te), float(r_tm))
 
@@ -279,12 +296,17 @@ def _xi_cutoff(cfg):
 
 
 _INNER_BUDGET = 300
-# Outer seed panels per owner: [0, 1e-4 c/a] and the geometric panels from
-# there to the cutoff, the same 20 at every gap (in the unit c/a).
+# Outer seed panels per owner below rel_tol 1e-7: [0, 1e-4 c/a] and the
+# geometric panels from there to the cutoff, the same 20 at every gap (in
+# the unit c/a).  From rel_tol 1e-7 up the seed keeps every other edge,
+# [0, 2e-4, 8e-4, 3.2e-3, ..., 40] c/a: 10 panels, which refinement splits
+# where the tolerance asks for it (``_outer_edges``).
 _OUTER_SEED_PANELS = geometric_edges(1e-4, 0.5 * _Y_CUTOFF, 1e-4).size
+_COARSE_SEED_TOL = 1e-7
 # Configurations per batched outer call (28): as many as one integrand call
-# of ``_EVAL_ROWS`` panels seeds, so that each owner's seed round takes one
-# inner quadrature.  It also bounds the working set of a round.
+# of ``_EVAL_ROWS`` panels seeds at the finer seed, so that each owner's
+# seed round takes one inner quadrature at any tolerance.  It also bounds
+# the working set of a round.
 _CONFIGS = _EVAL_ROWS // _OUTER_SEED_PANELS
 
 
@@ -364,12 +386,17 @@ def _inner_block(two_a, kind, rf1, rf2, node1, node2, y0, rel_tol, budget):
     return res.value, res.error
 
 
+def _outer_edges(cfg, rel_tol):
+    """Seed edges of one owner's outer axis, as ``_OUTER_SEED_PANELS`` says."""
+    s = 1e-4 * C / cfg.a
+    edges = np.concatenate([[0.0], geometric_edges(s, _xi_cutoff(cfg), s)])
+    return np.append(edges[:-1:2], edges[-1]) if rel_tol >= _COARSE_SEED_TOL else edges
+
+
 def _integrate_batch(items, quad):
     """One batch of ``_outcomes``: up to ``_CONFIGS`` items, one outer owner each."""
     cfgs, kinds = zip(*items)
-    edges = [np.concatenate([[0.0], geometric_edges(1e-4 * C / cfg.a, _xi_cutoff(cfg),
-                                                    1e-4 * C / cfg.a)])
-             for cfg in cfgs]
+    edges = [_outer_edges(cfg, quad.rel_tol) for cfg in cfgs]
     prefs = np.array([HBAR / (16.0 * np.pi ** 2 * c.a ** (2 if k == "energy" else 3))
                       for c, k in items])
     inner = _inner_integrals(cfgs, kinds, 0.1 * quad.rel_tol,

@@ -343,6 +343,35 @@ def test_one_table_file_given_twice_is_transformed_once_per_node(capsys, tmp_pat
     assert out_two == out
 
 
+def test_one_table_file_given_twice_is_digested_once(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "table.json"
+    save_table(path)
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(path.read_bytes())
+    digested = []
+    real = cli.material_digest
+
+    def counted(model):
+        digested.append(model)
+        return real(model)
+
+    monkeypatch.setattr(cli, "material_digest", counted)
+    argv = ["pressure", "--gap", "4e-7", "--rel-tol", "1e-3", "--csv"]
+    manifests = []
+    for second in (path, copy):
+        code, _, err = run(capsys, *argv, "--material1", str(path), "--material2", str(second))
+        assert code == 0
+        manifests.append(json.loads(err.splitlines()[0]))
+    # the shared model once, then each of two equal models
+    assert len(digested) == 3
+    assert digested[1] is not digested[2]
+    want = real(load_material(str(path)))
+    for manifest in manifests:
+        manifest.pop("timestamp")
+        assert [m["digest"] for m in manifest["materials"]] == [want, want]
+    assert manifests[0] == manifests[1]
+
+
 def test_table_sweep_transforms_each_distinct_node_once(capsys, tmp_path, kk_nodes):
     path = tmp_path / "table.json"
     save_table(path)

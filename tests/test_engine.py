@@ -254,6 +254,26 @@ def test_reflection_where_eps_overflows_meets_the_static_limit(xi):
         assert r == pytest.approx(static, rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.parametrize("eps, mu", [(1e-300, 1.0), (1.0, 1e-300), (1e-200, 3.0), (5e-324, 1.0),
+                                     (1e-16, 1.0), (1e-6, 1.0), (1e-8, 1e-8), (0.25, 1.5),
+                                     (2.0, 50.0), (40.0, 1.0)])
+def test_reflection_of_constant_media_matches_a_50_digit_reference(eps, mu):
+    # where eps mu << 1 and c k << xi, 1 - t^2 cancelled: at eps mu = 1e-300
+    # TM came out +1 instead of -1, at 1e-16 TE was off by 7e-9
+    mp = pytest.importorskip("mpmath")
+    model = ConstantEpsMu(eps, mu)
+    with mp.workdps(50):
+        for xi in (1.0, 1e15):
+            for ratio in np.append(0.0, np.geomspace(1e-20, 1e3, 24)):
+                k = ratio * xi / C_LIGHT
+                r = reflection(model, QuadraturePoint(xi, k))
+                x = mp.mpf(xi) / mp.mpf(C_LIGHT)
+                kk, e, m = (mp.mpf(float(v)) for v in (k, eps, mu))
+                q = mp.sqrt(kk ** 2 + e * m * x ** 2) / mp.sqrt(kk ** 2 + x ** 2)
+                assert abs(r.r_te - (m - q) / (m + q)) <= 4e-16
+                assert abs(r.r_tm - (e - q) / (e + q)) <= 4e-16
+
+
 # ---------------------------------------------------------------------------
 # energy and pressure oracles
 # ---------------------------------------------------------------------------
@@ -502,6 +522,46 @@ def test_attraction_check_transforms_each_node_once(kk_nodes):
         for m1 in (LORENTZ, TABLE):
             pressure(GapConfig(a, m1, TABLE))
     assert sum(x.size for x in kk_nodes) == 2 * nodes.size
+
+
+@pytest.mark.parametrize("rel_tol, nodes", [(1e-8, 300), (1e-6, 150)])
+def test_outer_seed_keeps_every_other_edge_from_rel_tol_1e_7(monkeypatch, rel_tol, nodes):
+    # PC-PC converges on its seed panels, 15 Kronrod nodes each: 20 panels
+    # below rel_tol 1e-7 and every other edge of them, 10 panels, from there
+    cfg = GapConfig(1e-6, PC, PC)
+    fine = engine._outer_edges(cfg, 1e-8)
+    assert fine.size == engine._OUTER_SEED_PANELS + 1
+    assert engine._outer_edges(cfg, 1e-7).tolist() == fine[::2].tolist()
+    sampled = []
+
+    def recorded(*args):
+        integrals = _inner_integrals(*args)
+
+        def f(x, owners):
+            sampled.append(x.size)
+            return integrals(x, owners)
+        return f
+
+    monkeypatch.setattr(engine, "_inner_integrals", recorded)
+    pressure(cfg, QuadratureConfig(rel_tol=rel_tol))
+    assert sum(sampled) == nodes
+
+
+ACCURACY_PAIRS = [(PC, PC), (PC, IPP), (GOLD, FERRITE), (LORENTZ, TABLE),
+                  (LINEAR_TABLE, LORENTZ), (ConstantEpsMu(2.0, 50.0), ConstantEpsMu(40.0, 1.0))]
+
+
+def test_loose_tolerances_on_the_coarse_seed_keep_their_error_bounds(rng):
+    # against references at rel_tol 1e-11, on the 20-panel seed
+    gaps = np.sort(np.exp(rng.uniform(np.log(5e-8), np.log(5e-6), 2)))
+    items = [(GapConfig(float(a), m1, m2), kind) for m1, m2 in ACCURACY_PAIRS
+             for a in gaps for kind in ("energy", "pressure")]
+    refs = integrate_gaps(items, QuadratureConfig(rel_tol=1e-11))
+    for rel_tol in (1e-7, 1e-3):
+        for ref, r in zip(refs, integrate_gaps(items, QuadratureConfig(rel_tol=rel_tol))):
+            err = abs(r.value - ref.value)
+            assert err <= r.error_estimate
+            assert err <= rel_tol * abs(ref.value)
 
 
 def test_a_full_batch_takes_one_inner_quadrature_per_owner_in_its_seed_round(monkeypatch):
