@@ -23,11 +23,25 @@ owners that use it, as arrays, and the inner integrals of each owner's
 nodes refine in one ``integrate_panels`` call per owner per round, each
 node to its own tolerance and budget.  Inner-integral error
 estimates are propagated into the outer total in quadrature sum.
+
+Frequency-independent media (``PerfectConductor``, ``InfinitelyPermeable``
+and ``ConstantEpsMu``, the vacuum included) skip that double quadrature.
+Their coefficients depend on t = xi / (c kappa0) = y0 / y alone, so the
+y-integral at fixed t is a polylogarithm and
+
+    E(a) = -hbar c / (16 pi^2 a^3) \int_0^1 dt sum_p Li4(r1_p r2_p(t)),
+    P(a) = 3 E(a) / a,
+
+one ``integrate_panels`` owner per (gap, kind) item, to the same
+tolerance, floor and budget.  Their ``dominant_xi`` is a node of the same
+outer seed, found without the inner integrals at most of its nodes
+(``_seed_peak``).
 """
 
 import math
 import warnings
 from dataclasses import dataclass
+from math import factorial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -35,10 +49,12 @@ import numpy as np
 from .constants import C, HBAR
 from .errors import (ContinuumModelWarning, ConvergenceError,
                      DegenerateIntegrandError, DomainError)
-from .materials import MaterialResponse
+from .materials import (ConstantEpsMu, InfinitelyPermeable, MaterialResponse,
+                        PerfectConductor)
 # integrate_adaptive stays bound here for the benchmark's tracer to patch
-from .quadrature import (_EVAL_ROWS, geometric_edges, geometric_panels,
-                         integrate_adaptive, integrate_panels)
+from .quadrature import (_EVAL_ROWS, _G_WEIGHTS, _GK_WEIGHTS, geometric_edges,
+                         geometric_panels, integrate_adaptive, integrate_panels,
+                         kronrod_nodes)
 
 
 @dataclass(frozen=True)
@@ -115,7 +131,9 @@ class QuadratureConfig:
     tolerance then takes half the inner integrals, and refinement splits
     the panels it needs.  The truncation is fixed: the inner axis ends at
     y = 80, so the outer axis ends where y0 = 2 a xi / c reaches 80, at
-    xi = 40 c/a.
+    xi = 40 c/a.  A pair of frequency-independent media takes one adaptive
+    axis instead, t = xi / (c kappa0) in [0, 1], from 4 panels, to the same
+    tolerance within the same max_subdivisions.
     """
 
     rel_tol: float = 1e-8
@@ -135,7 +153,11 @@ class EnergyResult:
     dominant_xi is the outer node, of those the quadrature sampled, where
     the per-log-frequency contribution xi*|F(xi)| peaks (None when the
     integrand vanishes identically); 2 pi c / dominant_xi is the
-    wavelength doing most of the work, of order the separation.
+    wavelength doing most of the work, of order the separation.  For a
+    pair of frequency-independent media, which is integrated over t, it is
+    the node of the outer seed the 2-D quadrature would start from where
+    xi*|F(xi)| peaks: the 2-D engine's own answer whenever that engine
+    converges on its seed.
     """
 
     value: float          # J/m^2, negative = attraction
@@ -145,7 +167,11 @@ class EnergyResult:
 
 @dataclass(frozen=True)
 class PressureResult:
-    """Signed Casimir pressure; negative pulls the plates together."""
+    """Signed Casimir pressure; negative pulls the plates together.
+
+    dominant_xi is defined as for ``EnergyResult``, with F the pressure's
+    outer integrand.
+    """
 
     value: float          # Pa
     error_estimate: float  # Pa
@@ -170,10 +196,13 @@ def _reflection_by_owner(material, xi, c_unit, v, s=None):
     reflects as (-1, +1).  Other infinite values, and an eps mu v^2 beyond
     float range, go through ``_reflection_at_limits``.
 
-    ``s``, given by ``reflection`` only, where u = 1, is each owner's
-    in-plane part c k / (c kappa0) = sqrt(1 - v^2).  Then kappa lambda =
-    sqrt(s^2 + eps mu v^2), which keeps the 1 - v^2 that cancels as v -> 1
-    where eps mu << 1.
+    ``s``, given where u = 1 (``reflection`` and the constant-media
+    t-integral), is each owner's in-plane part c k / (c kappa0) =
+    sqrt(1 - v^2).  Then q = kappa / kappa0 = sqrt(s^2 + eps mu v^2), which
+    keeps the 1 - v^2 that cancels as v -> 1 where eps mu << 1.  Where x
+    and q both lie near 1, x - q is formed as (x - 1) - (q - 1) with
+    q - 1 = (eps mu - 1) v^2 / (q + 1), which does not cancel as q -> 1
+    (k >> xi / c) and is exactly 0 for the vacuum.
     """
     e = np.asarray(material.eps(xi), dtype=float)
     m = np.asarray(material.mu(xi), dtype=float)
@@ -188,11 +217,21 @@ def _reflection_by_owner(material, xi, c_unit, v, s=None):
     if float(e.max(initial=0.0)) * float(m.max(initial=0.0)) * v_max * v_max == math.inf:
         return _reflection_at_limits(material, xi, c_unit, v, e, m, s)
     w = (e * m - 1.0) * (v * v)
-    # (kappa lambda)^2 at u = 1, without the cancelling 1 - v^2
-    k2 = None if s is None else s * s + e * m * (v * v)
+    if s is not None:
+        q = np.sqrt(s * s + e * m * (v * v))
+        q_minus_1 = w / (q + 1.0)
+        q_near = np.abs(q_minus_1) <= 0.5
+
+        def ratio(x):
+            x_minus_1 = x - 1.0
+            return np.where(q_near & (np.abs(x_minus_1) <= 0.5), x_minus_1 - q_minus_1,
+                            x - q) / (x + q)
+
+        r = ratio(m), ratio(e)
+        return lambda u, owner: (r[0][owner], r[1][owner])
 
     def rf(u, owner):
-        kappa = np.sqrt(np.maximum(u * u + w[owner], 0.0) if k2 is None else k2[owner])
+        kappa = np.sqrt(np.maximum(u * u + w[owner], 0.0))
         mu_u = m[owner] * u
         eps_u = e[owner] * u
         return (mu_u - kappa) / (mu_u + kappa), (eps_u - kappa) / (eps_u + kappa)
@@ -302,6 +341,7 @@ _INNER_BUDGET = 300
 # [0, 2e-4, 8e-4, 3.2e-3, ..., 40] c/a: 10 panels, which refinement splits
 # where the tolerance asks for it (``_outer_edges``).
 _OUTER_SEED_PANELS = geometric_edges(1e-4, 0.5 * _Y_CUTOFF, 1e-4).size
+_SEED_POWERS = 2.0 ** np.arange(_OUTER_SEED_PANELS - 1)
 _COARSE_SEED_TOL = 1e-7
 # Configurations per batched outer call (28): as many as one integrand call
 # of ``_EVAL_ROWS`` panels seeds at the finer seed, so that each owner's
@@ -387,9 +427,11 @@ def _inner_block(two_a, kind, rf1, rf2, node1, node2, y0, rel_tol, budget):
 
 
 def _outer_edges(cfg, rel_tol):
-    """Seed edges of one owner's outer axis, as ``_OUTER_SEED_PANELS`` says."""
+    """Seed edges of one owner's outer axis, as ``_OUTER_SEED_PANELS`` says:
+    ``geometric_edges(s, xi_cut, s)`` after 0, whose edges s 2^k are exact
+    in floating point, so they are formed as such."""
     s = 1e-4 * C / cfg.a
-    edges = np.concatenate([[0.0], geometric_edges(s, _xi_cutoff(cfg), s)])
+    edges = np.concatenate([[0.0], s * _SEED_POWERS, [_xi_cutoff(cfg)]])
     return np.append(edges[:-1:2], edges[-1]) if rel_tol >= _COARSE_SEED_TOL else edges
 
 
@@ -427,17 +469,279 @@ def _integrate_batch(items, quad):
     for k, kind in enumerate(kinds):
         dominant = float(peak_xi[k]) if peak[k] > 0.0 else None
         pref = prefs[k] if kind == "energy" else -prefs[k]
-        result = (EnergyResult if kind == "energy" else PressureResult)(
-            float(pref * res.value[k]), float(prefs[k] * res.error[k]), dominant)
-        yield result if res.converged[k] else ConvergenceError(
-            f"{kind} quadrature did not converge within "
-            f"{quad.max_subdivisions} subdivisions", best=result)
+        yield _outcome(kind, pref * res.value[k], prefs[k] * res.error[k], dominant,
+                       res.converged[k], quad)
 
 
-def _outcomes(items, quad):
-    """Each item's result, or its ConvergenceError unraised, batch by batch."""
-    for start in range(0, len(items), _CONFIGS):
-        yield from _integrate_batch(items[start:start + _CONFIGS], quad)
+def _outcome(kind, value, error, dominant, converged, quad):
+    """The result of one item, or its ConvergenceError carrying it."""
+    result = (EnergyResult if kind == "energy" else PressureResult)(
+        float(value), float(error), dominant)
+    return result if converged else ConvergenceError(
+        f"{kind} quadrature did not converge within "
+        f"{quad.max_subdivisions} subdivisions", best=result)
+
+
+# ---------------------------------------------------------------------------
+# Frequency-independent media: the closed-form angular integral
+# ---------------------------------------------------------------------------
+
+# Media whose reflection coefficients depend on t = xi / (c kappa0) alone.
+_CONSTANT_MEDIA = (PerfectConductor, InfinitelyPermeable, ConstantEpsMu)
+_ZETA2 = 1.6449340668482264365
+_ZETA3 = 1.2020569031595942854
+_ZETA4 = 1.0823232337111381915
+# 1 / k^4 for k = 40, 39, ..., 1: the power series of Li4 where |x| <= 1/2
+_LI4_SERIES = 1.0 / np.arange(40.0, 0.0, -1.0) ** 4
+# zeta(1 - 2m) = -B_2m / 2m for m = 1 .. 12, from the Bernoulli numbers B_2 .. B_24,
+# and the coefficients of mu^(3 + 2m), highest m first, in the expansions of
+# Li4(e^mu), zeta(1 - 2m) / (3 + 2m)!, and of -Li4(-e^mu), eta(1 - 2m) / (3 + 2m)!
+# with eta(s) = (1 - 2^(1 - s)) zeta(s)
+_M = np.arange(1, 13)
+_ZETA_NEGATIVE = -np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+                            -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
+                            -236364091 / 2730]) / (2 * _M)
+_ODD_TERMS = _ZETA_NEGATIVE / np.array([float(factorial(k)) for k in 3 + 2 * _M])
+_LI4_ABOVE_ODD = _ODD_TERMS[6::-1]
+_LI4_BELOW_ODD = ((1.0 - 4.0 ** _M) * _ODD_TERMS)[::-1]
+# Seed panels of the t-integral, and each node's rounding error relative to
+# |Li4(r1 r2)| of each polarization: the 4 ulp ``_li4`` keeps to.  Summed in
+# quadrature over the nodes it stays below the error the 2-D engine reaches
+# on the ideal mirrors (3.7e-15 relative), so it puts no tolerance that
+# engine meets out of reach.
+_T_EDGES = np.linspace(0.0, 1.0, 5)
+_LI4_ROUNDING = 4.0 * np.finfo(float).eps
+# Nodes whose weight bound reaches this share of the largest bound are the
+# first candidates for the seed peak (``_seed_peak``)
+_PEAK_SHARE = 0.8
+
+
+def _li4_series(x):
+    """Li4(x) = sum_k x^k / k^4 for |x| <= 1/2, the smallest terms first."""
+    powers = np.cumprod(np.broadcast_to(x[:, None], (x.size, _LI4_SERIES.size)), axis=1)
+    return np.einsum("ij,j->i", powers[:, ::-1], _LI4_SERIES)
+
+
+def _odd_powers(mu, coefficients):
+    """sum_m c_m mu^(3 + 2m) for the coefficients c ordered m = n, ..., 1."""
+    mu2 = mu * mu
+    powers = np.cumprod(np.broadcast_to(mu2[:, None], (mu.size, coefficients.size)), axis=1)
+    return mu * mu2 * np.einsum("ij,j->i", powers[:, ::-1], coefficients)
+
+
+def _li4_above(x):
+    """Li4(x) for 1/2 < x <= 1, expanded in mu = ln x: zeta(4) + zeta(3) mu
+    + zeta(2) mu^2 / 2 + (11/6 - ln(-mu)) mu^3 / 6 - mu^4 / 48
+    + sum_{odd k >= 5} zeta(4 - k) mu^k / k!."""
+    mu = np.log(x)
+    with np.errstate(divide="ignore", invalid="ignore"):  # mu = 0 at x = 1
+        cubic = np.where(mu < 0.0, mu ** 3 * (11.0 / 6.0 - np.log(-mu)) / 6.0, 0.0)
+    tail = mu ** 4 * (-1.0 / 48.0) + _odd_powers(mu, _LI4_ABOVE_ODD)
+    return _ZETA4 + (mu * (_ZETA3 + mu * (0.5 * _ZETA2)) + (tail + cubic))
+
+
+def _li4_below(x):
+    """Li4(x) for -1 <= x < -1/2: the duplication formula Li4(x) =
+    Li4(x^2) / 8 - Li4(-x) applied term by term to the expansion in
+    mu = ln(-x), where the logarithms of -mu cancel: -[eta(4) + eta(3) mu
+    + eta(2) mu^2 / 2 + ln 2 mu^3 / 6 + mu^4 / 48
+    + sum_{odd k >= 5} eta(4 - k) mu^k / k!]."""
+    mu = np.log(-x)
+    tail = mu ** 3 * (math.log(2.0) / 6.0) + mu ** 4 / 48.0 + _odd_powers(mu, _LI4_BELOW_ODD)
+    return -(0.875 * _ZETA4 + (mu * (0.75 * _ZETA3 + mu * (0.25 * _ZETA2)) + tail))
+
+
+def _li4(x):
+    """The polylogarithm Li4 on [-1, 1], elementwise, to a few ulp."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    for part, li4 in ((np.abs(x) <= 0.5, _li4_series), (x > 0.5, _li4_above),
+                      (x < -0.5, _li4_below)):
+        if part.any():
+            out[part] = li4(x[part])
+    return out
+
+
+def _groups(index):
+    """(value, rows) for each distinct value of the integer array ``index``."""
+    present = np.flatnonzero(np.bincount(index))
+    if present.size == 1:
+        return [(present[0], slice(None))]
+    return [(k, index == k) for k in present]
+
+
+def _angular_reflection(material, t):
+    """``_reflection_by_owner`` of ``material`` at u = 1, v = t and
+    s = sqrt(1 - t^2) with 1 - t kept exact: (r_te, r_tm) at the points t,
+    floats for the ideal mirrors.  These media do not depend on xi, which
+    is passed as t in the unit c = 1."""
+    return _reflection_by_owner(material, t, 1.0, t, np.sqrt((1.0 - t) * (1.0 + t)))(1.0, ())
+
+
+def _angular_products(pairs, pair_of, t):
+    """r1 r2 of each polarization at the rows of points ``t``, each row of
+    the pair ``pairs[pair_of]``; floats where that is one pair of ideal
+    mirrors."""
+    parts = []
+    for k, at in _groups(pair_of):
+        m1, m2 = pairs[k]
+        r1 = _angular_reflection(m1, t[at])
+        r2 = r1 if m2 is m1 else _angular_reflection(m2, t[at])
+        parts.append((at, r1[0] * r2[0], r1[1] * r2[1]))
+    if len(parts) == 1:
+        return parts[0][1:]
+    r_te = np.empty(t.shape)
+    r_tm = np.empty(t.shape)
+    for at, p_te, p_tm in parts:
+        r_te[at] = p_te
+        r_tm[at] = p_tm
+    return r_te, r_tm
+
+
+def _angular_batch(items, quad, peaks):
+    """``_outcomes`` of frequency-independent items, one owner each of one
+    ``integrate_panels`` call over t = xi / (c kappa0) in [0, 1].
+
+    With r depending on t alone, the y-integral of each polarization is
+    -2 Li4(r1 r2) for the energy and 6 Li4(r1 r2) for the pressure, so
+    E = -hbar c / (16 pi^2 a^3) int_0^1 sum_p Li4(r1p r2p(t)) dt and
+    P = 3 E / a.  Each node's Li4 values carry a rounding error, which the
+    quadrature adds in quadrature sum.  ``dominant_xi`` comes from
+    ``_seed_peak`` where ``peaks`` is true.
+    """
+    pairs = [(cfg.material1, cfg.material2) for cfg, _ in items]
+    prefs = np.array([HBAR * C / (16.0 * np.pi ** 2 * cfg.a ** 3)
+                      * (1.0 if kind == "energy" else 3.0 / cfg.a) for cfg, kind in items])
+
+    def f(t, owners):
+        # (2,) for the ideal mirrors' float coefficients, else (2,) + t.shape
+        li_te, li_tm = _li4(np.array(_angular_products(pairs, owners[:, 0], t)))
+        value = li_te + li_tm
+        error = _LI4_ROUNDING * (np.abs(li_te) + np.abs(li_tm))
+        return (value, error) if value.shape else (np.full(t.shape, value),
+                                                   np.full(t.shape, error))
+
+    n = len(items)
+    res = integrate_panels(f, np.tile(_T_EDGES[:-1], n), np.tile(_T_EDGES[1:], n),
+                           np.repeat(np.arange(n), _T_EDGES.size - 1), n, quad.rel_tol,
+                           _ABS_FLOOR / prefs, quad.max_subdivisions, with_errors=True)
+    for k, ((cfg, kind), pair) in enumerate(zip(items, pairs)):
+        peak = _seed_peak(cfg, kind, pair, quad.rel_tol) if peaks else None
+        # + 0.0 turns the vacuum's -0.0 into 0.0
+        yield _outcome(kind, -prefs[k] * res.value[k] + 0.0, prefs[k] * res.error[k],
+                       peak, res.converged[k], quad)
+
+
+def _weight_bound(kind, y0, x):
+    """An upper bound of |F| at the nodes y0 = 2 a xi / c, where |r1p r2p|
+    e^{-y0} <= x_p for each polarization p (the rows of ``x``).
+
+    Expanding the log (the pressure's fraction) in powers of r1p r2p e^{-y}
+    bounds |F| by sum_p [y0 Li2(x_p) + Li3(x_p)] for an energy and by
+    sum_p [-y0^2 ln(1 - x_p) + 2 y0 Li2(x_p) + 2 Li3(x_p)] for a pressure,
+    with Li_s(x) <= min(x + x^2 / (2^s (1 - x)), zeta(s) x) on [0, 1].
+    """
+    with np.errstate(divide="ignore"):  # x = 1 only at y0 = 0
+        rest = x * x / (1.0 - x)
+        li2 = np.minimum(x + 0.25 * rest, _ZETA2 * x)
+        li3 = np.minimum(x + 0.125 * rest, _ZETA3 * x)
+        bound = y0 * li2 + li3 if kind == "energy" else \
+            2.0 * (y0 * li2 + li3) - y0 * y0 * np.log1p(-x)
+    return bound.sum(axis=0)
+
+
+def _seed_peak(cfg, kind, pair, rel_tol):
+    """``dominant_xi`` of a frequency-independent item: the node of its outer
+    seed (``_outer_edges``) where xi |F(xi)| peaks, F being the inner
+    integral, or None where F vanishes.
+
+    ``_weight_bound`` bounds every node's weight, with |r1p r2p| <= the
+    product of each side's largest |r| at t = 0 and t = 1 (r is monotonic
+    in t).  ``_peak_weights`` on one t-panel per octave gives the weights
+    where the bound reaches ``_PEAK_SHARE`` of its largest, then wherever
+    else it reaches the least weight (weight less error) found.  Where more
+    than one node's weight, give or take its error, reaches that least
+    weight, four panels per octave decide between them.
+    """
+    edges = _outer_edges(cfg, rel_tol)
+    xi = kronrod_nodes(edges[:-1], edges[1:])[0].reshape(-1)
+    y0 = 2.0 * cfg.a * xi / C
+    # t = 0, t = 1 and the panels of one octave each from 1 to past y0 / 80
+    panels = _octave_panels(y0[0], 1)
+    t = np.concatenate([[0.0, 1.0], panels[0].reshape(-1)])
+    r1 = _angular_reflection(pair[0], t)
+    r2 = r1 if pair[1] is pair[0] else _angular_reflection(pair[1], t)
+    largest = [float(np.max(np.abs(r[:2]))) if np.ndim(r) else abs(r) for r in r1 + r2]
+    rho = np.array([[largest[0] * largest[2]], [largest[1] * largest[3]]])
+    bound = xi * _weight_bound(kind, y0, rho * np.exp(-y0))
+    share = _PEAK_SHARE * bound.max()
+    if not share > 0.0:
+        return None
+    products = tuple(p[2:].reshape(panels[0].shape) if np.ndim(p) else p
+                     for p in (r1[0] * r2[0], r1[1] * r2[1]))
+    nodes = np.flatnonzero(bound >= share)
+    w, e = _peak_weights(kind, products, panels, xi[nodes], y0[nodes], 1)
+    more = np.flatnonzero((bound >= np.max(w - e)) & (bound < share))
+    if more.size:
+        nodes = np.concatenate([nodes, more])
+        w, e = (np.concatenate(z) for z in
+                zip((w, e), _peak_weights(kind, products, panels, xi[more], y0[more], 1)))
+    top = np.sort(nodes[w + e >= np.max(w - e)])
+    if top.size > 1:
+        fine = _octave_panels(y0[top].min(), 4)
+        products = _angular_products([pair], np.zeros(fine[0].shape[0], np.intp), fine[0])
+        w, _ = _peak_weights(kind, products, fine, xi[top], y0[top], 4)
+        top = top[np.argmax(w):]
+    return float(xi[top[0]]) if w.max() > 0.0 else None
+
+
+def _octave_panels(y0, per_octave):
+    """Kronrod nodes and half-widths of ``per_octave`` panels per octave of
+    t from 1 down past y0 / 80, where the inner integral ends."""
+    octaves = math.ceil(math.log2(_Y_CUTOFF / y0))
+    edges = 0.5 ** (np.arange(octaves * per_octave + 1) / per_octave)
+    return kronrod_nodes(edges[1:], edges[:-1])
+
+
+def _peak_weights(kind, products, panels, xi, y0, per_octave):
+    """xi |F(xi)| at the nodes y0 = 2 a xi / c, and its error, F written in
+    t = y0 / y: F = int_{y0/80}^1 g(y0 / t) y0 / t^2 dt, with g the inner
+    integrand of ``_inner_block`` in the form of ``_stable_q`` throughout.
+    One GK15 rule on each of the ``panels`` of ``_octave_panels``, as far
+    down as the lowest y0 needs, where the r1 r2 are ``products``; the
+    error is the sum of each panel's |Kronrod - Gauss|."""
+    rows = per_octave * math.ceil(math.log2(_Y_CUTOFF / y0.min()))
+    t, half = panels[0][:rows], panels[1][:rows]
+    y = y0[:, None, None] / t
+    emy, omy = np.exp(-y), -np.expm1(-y)
+    terms = 0.0
+    for p in products:
+        p = p[:rows] if np.ndim(p) else p
+        q = omy + (1.0 - p) * emy
+        terms = terms + (np.log(q) if kind == "energy" else p * emy / q)
+    g = (y if kind == "energy" else y * y) * terms * y / t
+    kronrod = np.einsum("mpi,i->mp", g, _GK_WEIGHTS) * half
+    gauss = np.einsum("mpi,i->mp", g[..., 1::2], _G_WEIGHTS) * half
+    return xi * np.abs(kronrod.sum(axis=1)), xi * np.abs(kronrod - gauss).sum(axis=1)
+
+
+def _frequency_independent(cfg):
+    return type(cfg.material1) in _CONSTANT_MEDIA and type(cfg.material2) in _CONSTANT_MEDIA
+
+
+def _outcomes(items, quad, peaks=True):
+    """Each item's result, or its ConvergenceError unraised, in order.  The
+    frequency-independent items take the angular integral, all in one
+    call; the others go to ``_integrate_batch``, ``_CONFIGS`` at a time.
+    With ``peaks`` false the frequency-independent items leave
+    ``dominant_xi`` None, for callers that read the value alone."""
+    constant = [_frequency_independent(cfg) for cfg, _ in items]
+    closed = _angular_batch([it for it, c in zip(items, constant) if c], quad, peaks)
+    dispersive = [it for it, c in zip(items, constant) if not c]
+    batches = (r for start in range(0, len(dispersive), _CONFIGS)
+               for r in _integrate_batch(dispersive[start:start + _CONFIGS], quad))
+    for c in constant:
+        yield next(closed if c else batches)
 
 
 def integrate_gaps(items, quad=None):

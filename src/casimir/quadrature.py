@@ -74,15 +74,20 @@ class QuadResult:
     n_evals: int
 
 
+def kronrod_nodes(lo, hi):
+    """The 15 Kronrod nodes of each panel [lo_i, hi_i], one row per panel,
+    and the panels' half-widths: the points ``integrate_panels`` samples."""
+    half = 0.5 * (hi - lo)
+    return 0.5 * (lo + hi)[:, None] + np.outer(half, _GK_NODES), half
+
+
 def _eval_panels(f, lo, hi, owner, with_errors):
     """Kronrod sums, errors and foreign squared errors of every [lo_i, hi_i]
     panel by the GK15 rule, ``_EVAL_ROWS`` panels per integrand call."""
     out = np.zeros((3, lo.size))
     for start in range(0, lo.size, _EVAL_ROWS):
         rows = slice(start, start + _EVAL_ROWS)
-        mid = 0.5 * (lo[rows] + hi[rows])
-        half = 0.5 * (hi[rows] - lo[rows])
-        x = mid[:, None] + np.outer(half, _GK_NODES)
+        x, half = kronrod_nodes(lo[rows], hi[rows])
         fx = f(x, owner[rows, None])
         if with_errors:
             fx, fe = fx

@@ -2,9 +2,11 @@
 
 The non-dispersive constant-(eps, mu) sweeps reproduce the disputed
 repulsion claims; they inherit the models' "unphysical: non-dispersive"
-flag into every emitted row.  The dispersive sweeps demonstrate that
-realistic frequency-dependent response with mu ~ 1 yields attraction at
-every tested separation.
+flag into every emitted row.  They take the engine's closed-form angular
+integral, one adaptive axis in t = xi / (c kappa0), not its 2-D
+quadrature.  The dispersive sweeps demonstrate that realistic
+frequency-dependent response with mu ~ 1 yields attraction at every
+tested separation.
 """
 
 import csv
@@ -153,7 +155,8 @@ def _classify_all(configs, quad=None, threshold=None):
     batches of ``engine.integrate_gaps``.  The first configuration that
     fails raises what its own ``classify`` call would."""
     quad = quad or QuadratureConfig()
-    for res in _outcomes([(cfg, "pressure") for cfg in configs], quad):
+    # a verdict reads no dominant frequency
+    for res in _outcomes([(cfg, "pressure") for cfg in configs], quad, peaks=False):
         if isinstance(res, ConvergenceError):
             raise res
         err = res.error_estimate

@@ -94,9 +94,13 @@ def test_vacuum_is_indeterminate(capsys):
     assert doc["dominant_xi_rad_s"] is None
 
 
-def test_nonconvergence_exits_3_with_best_estimate(capsys):
-    code, out, err = run(capsys, "energy", "--material1", "pc",
-                         "--material2", "pc", "--gap", "1e-6",
+def test_nonconvergence_exits_3_with_best_estimate(capsys, tmp_path):
+    # a Drude metal of plasma wavelength 1.9 nm, within 0.15 % of the ideal
+    # mirrors at 1 um, which the 2-D quadrature integrates
+    path = tmp_path / "stiff-metal.json"
+    save_material(Drude(1e18, 5.3e13, label="stiff metal"), path)
+    code, out, err = run(capsys, "energy", "--material1", str(path),
+                         "--material2", str(path), "--gap", "1e-6",
                          "--rel-tol", "1e-12", "--max-subdivisions", "1")
     assert code == 3
     doc = json.loads(out)

@@ -11,6 +11,7 @@ import math
 import time
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,8 +26,8 @@ from casimir import (ConstantEpsMu, ContinuumModelWarning,
                      dominant_frequency, energy_per_area, pressure, reflection,
                      vacuum)
 from casimir import engine
-from casimir.engine import (_inner_integrals, _ln_one_minus, _reflection_at_limits,
-                            _reflection_by_owner, integrate_gaps)
+from casimir.engine import (_inner_integrals, _integrate_batch, _li4, _ln_one_minus,
+                            _reflection_at_limits, _reflection_by_owner, integrate_gaps)
 from casimir.quadrature import _EVAL_ROWS
 
 HBAR = 1.054571817e-34
@@ -44,6 +45,9 @@ def ideal_pressure(a):
 PC = PerfectConductor()
 IPP = InfinitelyPermeable()
 GOLD = Drude(1.37e16, 5.3e13)
+# a plasma wavelength of 1.9 nm: at 1 um its energy is within 0.15 % of the
+# ideal mirrors', and it takes the 2-D quadrature
+STIFF_METAL = Drude(1e18, 5.3e13)
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +263,13 @@ def test_reflection_where_eps_overflows_meets_the_static_limit(xi):
                                      (2.0, 50.0), (40.0, 1.0)])
 def test_reflection_of_constant_media_matches_a_50_digit_reference(eps, mu):
     # where eps mu << 1 and c k << xi, 1 - t^2 cancelled: at eps mu = 1e-300
-    # TM came out +1 instead of -1, at 1e-16 TE was off by 7e-9
-    mp = pytest.importorskip("mpmath")
+    # TM came out +1 instead of -1, at 1e-16 TE was off by 7e-9.  Up to
+    # c k = 1e20 xi, q = kappa / kappa0 differs from 1 in the 40th digit,
+    # so the reference carries 90.
     model = ConstantEpsMu(eps, mu)
-    with mp.workdps(50):
+    with mp.workdps(90):
         for xi in (1.0, 1e15):
-            for ratio in np.append(0.0, np.geomspace(1e-20, 1e3, 24)):
+            for ratio in np.append(0.0, np.geomspace(1e-20, 1e20, 41)):
                 k = ratio * xi / C_LIGHT
                 r = reflection(model, QuadraturePoint(xi, k))
                 x = mp.mpf(xi) / mp.mpf(C_LIGHT)
@@ -272,6 +277,21 @@ def test_reflection_of_constant_media_matches_a_50_digit_reference(eps, mu):
                 q = mp.sqrt(kk ** 2 + e * m * x ** 2) / mp.sqrt(kk ** 2 + x ** 2)
                 assert abs(r.r_te - (m - q) / (m + q)) <= 4e-16
                 assert abs(r.r_tm - (e - q) / (e + q)) <= 4e-16
+
+
+@pytest.mark.parametrize("xi", [1.0, 1e15])
+@pytest.mark.parametrize("ratio", [1e3, 1e20])
+def test_te_reflection_keeps_its_digits_where_k_dwarfs_xi_over_c(xi, ratio):
+    # (mu - q) / (mu + q) cancelled as q -> 1: at xi = 1e15 it gave
+    # -9.749800130118583e-06 (9.7e-12 relative) at c k = 1e3 xi, and 0 at
+    # 1e20 xi, where r_te is -9.75e-40
+    k = ratio * xi / C_LIGHT
+    r = reflection(ConstantEpsMu(40.0, 1.0), QuadraturePoint(xi, k))
+    with mp.workdps(90):
+        x, kk = mp.mpf(xi) / mp.mpf(C_LIGHT), mp.mpf(k)
+        q = mp.sqrt(kk ** 2 + 40 * x ** 2) / mp.sqrt(kk ** 2 + x ** 2)
+        want = float((1 - q) / (1 + q))
+    assert abs(r.r_te - want) <= 4 * np.spacing(abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +405,7 @@ def test_dominant_frequency_undefined_for_vacuum():
 def test_convergence_error_carries_best_estimate():
     quad = QuadratureConfig(rel_tol=1e-10, max_subdivisions=1)
     with pytest.raises(ConvergenceError) as exc_info:
-        energy_per_area(GapConfig(1e-6, PC, PC), quad)
+        energy_per_area(GapConfig(1e-6, STIFF_METAL, STIFF_METAL), quad)
     best = exc_info.value.best
     assert best is not None
     assert best.value == pytest.approx(ideal_energy(1e-6), rel=1e-2)
@@ -526,9 +546,9 @@ def test_attraction_check_transforms_each_node_once(kk_nodes):
 
 @pytest.mark.parametrize("rel_tol, nodes", [(1e-8, 300), (1e-6, 150)])
 def test_outer_seed_keeps_every_other_edge_from_rel_tol_1e_7(monkeypatch, rel_tol, nodes):
-    # PC-PC converges on its seed panels, 15 Kronrod nodes each: 20 panels
-    # below rel_tol 1e-7 and every other edge of them, 10 panels, from there
-    cfg = GapConfig(1e-6, PC, PC)
+    # Drude-Drude converges on its seed panels, 15 Kronrod nodes each: 20
+    # panels below rel_tol 1e-7 and every other edge of them, 10 panels, from there
+    cfg = GapConfig(1e-6, GOLD, GOLD)
     fine = engine._outer_edges(cfg, 1e-8)
     assert fine.size == engine._OUTER_SEED_PANELS + 1
     assert engine._outer_edges(cfg, 1e-7).tolist() == fine[::2].tolist()
@@ -545,6 +565,14 @@ def test_outer_seed_keeps_every_other_edge_from_rel_tol_1e_7(monkeypatch, rel_to
     monkeypatch.setattr(engine, "_inner_integrals", recorded)
     pressure(cfg, QuadratureConfig(rel_tol=rel_tol))
     assert sum(sampled) == nodes
+
+
+def test_outer_seed_edges_are_the_geometric_edges():
+    for a in np.geomspace(1e-9, 1e-3, 61):
+        cfg = GapConfig(float(a), GOLD, GOLD)
+        s = 1e-4 * C_LIGHT / cfg.a
+        want = np.append(0.0, engine.geometric_edges(s, engine._xi_cutoff(cfg), s))
+        assert engine._outer_edges(cfg, 1e-8).tolist() == want.tolist()
 
 
 ACCURACY_PAIRS = [(PC, PC), (PC, IPP), (GOLD, FERRITE), (LORENTZ, TABLE),
@@ -590,7 +618,7 @@ def test_a_full_batch_takes_one_inner_quadrature_per_owner_in_its_seed_round(mon
 
     monkeypatch.setattr(engine, "_inner_block", counted)
     monkeypatch.setattr(engine, "_inner_integrals", recorded)
-    integrate_gaps([(GapConfig(a, PC, PC), "pressure") for a in gaps])
+    integrate_gaps([(GapConfig(a, GOLD, GOLD), "pressure") for a in gaps])
     # a full batch and the rest, each converging on its seed panels
     assert sorted(rounds[0]) == sorted(gaps[:engine._CONFIGS])
     assert sorted(rounds[1]) == sorted(gaps[engine._CONFIGS:])
@@ -603,7 +631,7 @@ def test_batched_dominant_xi_is_each_owners_first_largest_sampled_weight(monkeyp
     quad = QuadratureConfig(rel_tol=rel_tol)
     vacuum_side = vacuum()
     items = [(GapConfig(a, m1, m2), kind)
-             for m1, m2 in [(PC, IPP), (LORENTZ, TABLE), (PC, vacuum_side)]
+             for m1, m2 in [(GOLD, IPP), (LORENTZ, TABLE), (PC, vacuum_side)]
              for a in BATCH_GAPS for kind in ("energy", "pressure")]
     # every (node, owner, outer integrand value) the batched call samples,
     # in evaluation order
@@ -662,13 +690,13 @@ def test_one_inner_call_per_owner_per_outer_round(monkeypatch, rel_tol):
 
     monkeypatch.setattr(engine, "integrate_panels", counted)
     quad = QuadratureConfig(rel_tol=rel_tol)
-    pressure(GapConfig(1e-6, PC, PC), quad)
+    pressure(GapConfig(1e-6, GOLD, GOLD), quad)
     if rel_tol == 1e-8:
         assert [len(calls) for _, calls in rounds] == [1]
     rounds.clear()
-    integrate_gaps([(GapConfig(1e-6, PC, PC), "pressure"),
+    integrate_gaps([(GapConfig(1e-6, GOLD, GOLD), "pressure"),
                     (GapConfig(4e-7, GOLD, GOLD), "energy"),
-                    (GapConfig(2e-6, PC, IPP), "energy")], quad)
+                    (GapConfig(2e-6, GOLD, IPP), "energy")], quad)
     assert [len(calls) for _, calls in rounds] == [owners.size for owners, _ in rounds]
     assert rounds[0][0].tolist() == [0, 1, 2]
     assert (len(rounds) > 1) == (rel_tol == 1e-12)
@@ -712,3 +740,103 @@ def test_equal_polarizations_share_one_term_bit_for_bit(monkeypatch, m2):
 
     monkeypatch.setattr(engine, "_reflection_by_owner", as_arrays)
     assert inner() == shared
+
+
+# ---------------------------------------------------------------------------
+# frequency-independent media: the closed-form angular integral
+# ---------------------------------------------------------------------------
+
+def test_li4_matches_a_40_digit_reference():
+    x = np.linspace(-1.0, 1.0, 2001)
+    # the ends of each branch and their neighbouring floats
+    for edge in (-1.0, -0.5, 0.0, 0.5, 1.0):
+        x = np.append(x, [edge, np.nextafter(edge, -2.0), np.nextafter(edge, 2.0)])
+    x = x[np.abs(x) <= 1.0]
+    with mp.workdps(40):
+        want = np.array([float(mp.polylog(4, mp.mpf(float(v)))) for v in x])
+    assert np.all(np.abs(_li4(x) - want) <= 4 * np.spacing(np.abs(want)))
+    assert _li4(np.array([1.0, -1.0])).tolist() == pytest.approx(
+        [np.pi ** 4 / 90.0, -7.0 * np.pi ** 4 / 720.0], rel=4e-16)
+
+
+def constant_pairs():
+    """30 seeded pairs of frequency-independent media, eps mu < 1 among them."""
+    rng = np.random.default_rng(15)
+    pairs = [tuple(ConstantEpsMu(*10.0 ** rng.uniform(-2.0, 3.0, 2)) for _ in range(2))
+             for _ in range(24)]
+    return pairs + [(ConstantEpsMu(1e-300, 1.0), ConstantEpsMu(5.0, 2.0)),
+                    (ConstantEpsMu(1.0, 1e-300), PC),
+                    (ConstantEpsMu(1e300, 1.0), ConstantEpsMu(3.0, 3.0)),
+                    (ConstantEpsMu(1.0, 1e300), ConstantEpsMu(0.5, 0.5)),
+                    (ConstantEpsMu(1e300, 1e300), IPP), (PC, IPP)]
+
+
+def two_dimensional(items, quad):
+    """The items by the 2-D quadrature, ``_CONFIGS`` to a batch."""
+    return [r for start in range(0, len(items), engine._CONFIGS)
+            for r in _integrate_batch(items[start:start + engine._CONFIGS], quad)]
+
+
+def test_constant_pairs_agree_with_the_2d_engine():
+    quad = QuadratureConfig(rel_tol=1e-10)
+    gaps = (5e-8, 3e-7, 1.2e-6, 5e-6)
+    items = [(GapConfig(a, m1, m2), kind) for m1, m2 in constant_pairs() for a in gaps
+             for kind in ("energy", "pressure")]
+    for (cfg, kind), closed, ref in zip(items, integrate_gaps(items, quad),
+                                        two_dimensional(items, quad)):
+        assert np.isfinite(closed.value) and np.isfinite(closed.error_estimate)
+        bound = abs(ideal_energy(cfg.a) if kind == "energy" else ideal_pressure(cfg.a))
+        assert abs(closed.value) <= bound
+        assert closed.value == pytest.approx(ref.value, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-6])
+def test_closed_form_dominant_xi_is_the_2d_engines(rel_tol):
+    quad = QuadratureConfig(rel_tol=rel_tol)
+    items = [(GapConfig(a, m1, m2), kind) for m1, m2 in constant_pairs()
+             for a in (5e-8, 5e-6) for kind in ("energy", "pressure")]
+    assert [r.dominant_xi for r in integrate_gaps(items, quad)] == \
+        [r.dominant_xi for r in two_dimensional(items, quad)]
+
+
+def test_angular_integral_that_cannot_converge_carries_best_estimate():
+    # the Kronrod and Gauss weights sum to 2 within 3.4e-15 of each other,
+    # which bounds the error estimate of a constant integrand from below
+    quad = QuadratureConfig(rel_tol=1e-15)
+    with pytest.raises(ConvergenceError, match="^energy quadrature") as exc_info:
+        energy_per_area(GapConfig(1e-6, PC, PC), quad)
+    best = exc_info.value.best
+    assert best.value == pytest.approx(ideal_energy(1e-6), rel=1e-14)
+    assert best.error_estimate > 1e-15 * abs(best.value)
+    assert best.dominant_xi == energy_per_area(GapConfig(1e-6, PC, PC)).dominant_xi
+
+
+def test_a_batch_of_constant_items_takes_no_inner_integral(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the 2-D inner quadrature was called")
+
+    monkeypatch.setattr(engine, "_inner_integrals", refuse)
+    items = [(GapConfig(a, m1, m2), kind) for m1, m2 in
+             [(PC, PC), (PC, IPP), (ConstantEpsMu(6.0, 1.5), ConstantEpsMu(2.0, 50.0)),
+              (vacuum(), PC)] for a in BATCH_GAPS for kind in ("energy", "pressure")]
+    results = integrate_gaps(items)
+    assert all(r.value != 0.0 for (cfg, _), r in zip(items, results)
+               if cfg.material1.label != "vacuum")
+
+
+def test_a_mixed_batch_hands_the_2d_engine_only_its_dispersive_items(monkeypatch):
+    handed = []
+
+    def recorded(items, quad):
+        handed.extend(items)
+        return _integrate_batch(items, quad)
+
+    items = [(GapConfig(a, m1, m2), kind) for m1, m2 in
+             [(PC, IPP), (GOLD, GOLD), (ConstantEpsMu(6.0, 1.5), PC), (GOLD, PC)]
+             for a in BATCH_GAPS for kind in ("energy", "pressure")]
+    alone = [(energy_per_area if kind == "energy" else pressure)(cfg)
+             for cfg, kind in items]
+    monkeypatch.setattr(engine, "_integrate_batch", recorded)
+    assert [bits(r) for r in integrate_gaps(items)] == [bits(r) for r in alone]
+    assert handed == [(cfg, kind) for cfg, kind in items if GOLD in
+                      (cfg.material1, cfg.material2)]

@@ -9,6 +9,7 @@ absorption model independently to check the closed-form interval sums.
 
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
@@ -238,7 +239,6 @@ def test_x_minus_atan_takes_each_element_by_its_own_branch(x):
 
 
 def test_x_minus_atan_series_against_40_digit_reference():
-    mp = pytest.importorskip("mpmath")
     # the series' side of the switch, up to just below it, where the first
     # dropped term is largest
     x = np.concatenate([np.geomspace(1e-4, 0.01, 50), np.linspace(0.01, 0.04999999, 400),
@@ -271,7 +271,6 @@ def reference_sampled(w, s, xi):
     """The sampled part of the piecewise-linear model at 40 digits: per
     interval, with eps'' = a + b w, (a/2) log(w^2+xi^2) + b (w - xi atan(w/xi))
     differenced across it."""
-    mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
         x = mp.mpf(float(xi))
         ws = [mp.mpf(float(v)) for v in w]
