@@ -29,13 +29,13 @@ and ``ConstantEpsMu``, the vacuum included) skip that double quadrature.
 Their coefficients depend on t = xi / (c kappa0) = y0 / y alone, so the
 y-integral at fixed t is a polylogarithm and
 
-    E(a) = -hbar c / (16 pi^2 a^3) \int_0^1 dt sum_p Li4(r1_p r2_p(t)),
-    P(a) = 3 E(a) / a,
+    E(a) = -hbar c J / (16 pi^2 a^3),  P(a) = 3 E(a) / a,
+    J = \int_0^1 dt sum_p Li4(r1_p r2_p(t)),
 
-one ``integrate_panels`` owner per (gap, kind) item, to the same
-tolerance, floor and budget.  Their ``dominant_xi`` is a node of the same
-outer seed, found without the inner integrals at most of its nodes
-(``_seed_peak``).
+with J a function of the pair alone.  It is solved once per unordered pair
+(by type and parameters) and QuadratureConfig, and so are the index of the
+seed node that is ``dominant_xi`` (``_seed_peak``) and ``dominant_frequency``
+in the unit c/a; each gap rescales them and checks its own tolerance.
 """
 
 import math
@@ -155,9 +155,9 @@ class EnergyResult:
     integrand vanishes identically); 2 pi c / dominant_xi is the
     wavelength doing most of the work, of order the separation.  For a
     pair of frequency-independent media, which is integrated over t, it is
-    the node of the outer seed the 2-D quadrature would start from where
-    xi*|F(xi)| peaks: the 2-D engine's own answer whenever that engine
-    converges on its seed.
+    the node of the outer seed where xi*|F(xi)| peaks, the 2-D engine's own
+    answer whenever that engine converges on its seed; its index in the
+    seed is found once per pair, kind and seed, and holds at every gap.
     """
 
     value: float          # J/m^2, negative = attraction
@@ -429,9 +429,9 @@ def _inner_block(two_a, kind, rf1, rf2, node1, node2, y0, rel_tol, budget):
 def _outer_edges(cfg, rel_tol):
     """Seed edges of one owner's outer axis, as ``_OUTER_SEED_PANELS`` says:
     ``geometric_edges(s, xi_cut, s)`` after 0, whose edges s 2^k are exact
-    in floating point, so they are formed as such."""
-    s = 1e-4 * C / cfg.a
-    edges = np.concatenate([[0.0], s * _SEED_POWERS, [_xi_cutoff(cfg)]])
+    in floating point, so they are formed as such; with ``cfg`` None, in y0."""
+    s, cut = (2e-4, _Y_CUTOFF) if cfg is None else (1e-4 * C / cfg.a, _xi_cutoff(cfg))
+    edges = np.concatenate([[0.0], s * _SEED_POWERS, [cut]])
     return np.append(edges[:-1:2], edges[-1]) if rel_tol >= _COARSE_SEED_TOL else edges
 
 
@@ -590,46 +590,88 @@ def _angular_products(pairs, pair_of, t):
         parts.append((at, r1[0] * r2[0], r1[1] * r2[1]))
     if len(parts) == 1:
         return parts[0][1:]
-    r_te = np.empty(t.shape)
-    r_tm = np.empty(t.shape)
+    r = np.empty((2,) + t.shape)
     for at, p_te, p_tm in parts:
-        r_te[at] = p_te
-        r_tm[at] = p_tm
-    return r_te, r_tm
+        r[0][at], r[1][at] = p_te, p_tm
+    return r
 
 
 def _angular_batch(items, quad, peaks):
-    """``_outcomes`` of frequency-independent items, one owner each of one
-    ``integrate_panels`` call over t = xi / (c kappa0) in [0, 1].
+    """``_outcomes`` of frequency-independent items, each a rescaled J.
 
-    With r depending on t alone, the y-integral of each polarization is
-    -2 Li4(r1 r2) for the energy and 6 Li4(r1 r2) for the pressure, so
-    E = -hbar c / (16 pi^2 a^3) int_0^1 sum_p Li4(r1p r2p(t)) dt and
-    P = 3 E / a.  Each node's Li4 values carry a rounding error, which the
-    quadrature adds in quadrature sum.  ``dominant_xi`` comes from
-    ``_seed_peak`` where ``peaks`` is true.
+    With r depending on t = xi / (c kappa0) alone, the y-integral of each
+    polarization is -2 Li4(r1 r2) for the energy and 6 Li4(r1 r2) for the
+    pressure, so E = -hbar c J / (16 pi^2 a^3) and P = 3 E / a, with
+    J = int_0^1 sum_p Li4(r1p r2p(t)) dt a function of the pair alone.  J
+    is solved once per pair and QuadratureConfig (``_cached``) to the
+    relative test alone, the pairs a batch misses as owners of one
+    ``integrate_panels`` call over t.  Each node's Li4 values carry a
+    rounding error, which the quadrature adds in quadrature sum.  Each item
+    applies the contract of ``QuadratureConfig`` to its rescaled numbers.
+    ``dominant_xi`` comes from ``_dominant_xi`` where ``peaks`` is true.
     """
-    pairs = [(cfg.material1, cfg.material2) for cfg, _ in items]
-    prefs = np.array([HBAR * C / (16.0 * np.pi ** 2 * cfg.a ** 3)
-                      * (1.0 if kind == "energy" else 3.0 / cfg.a) for cfg, kind in items])
+    keys = [_pair_key(cfg) for cfg, _ in items]
+    solved = {key: _SOLVED.get((key, quad)) for key in keys}
+    misses = {key: (cfg.material1, cfg.material2)
+              for key, (cfg, _) in zip(keys, items) if solved[key] is None}
+    pairs = list(misses.values())
 
     def f(t, owners):
-        # (2,) for the ideal mirrors' float coefficients, else (2,) + t.shape
-        li_te, li_tm = _li4(np.array(_angular_products(pairs, owners[:, 0], t)))
-        value = li_te + li_tm
-        error = _LI4_ROUNDING * (np.abs(li_te) + np.abs(li_tm))
-        return (value, error) if value.shape else (np.full(t.shape, value),
-                                                   np.full(t.shape, error))
+        # (TE, TM), one value each for the ideal mirrors' float coefficients
+        li = np.broadcast_to(_li4(np.array(_angular_products(pairs, owners[:, 0], t)))
+                             .reshape(2, -1), (2, t.size))
+        return li[0] + li[1], _LI4_ROUNDING * (np.abs(li[0]) + np.abs(li[1]))
 
-    n = len(items)
-    res = integrate_panels(f, np.tile(_T_EDGES[:-1], n), np.tile(_T_EDGES[1:], n),
-                           np.repeat(np.arange(n), _T_EDGES.size - 1), n, quad.rel_tol,
-                           _ABS_FLOOR / prefs, quad.max_subdivisions, with_errors=True)
-    for k, ((cfg, kind), pair) in enumerate(zip(items, pairs)):
-        peak = _seed_peak(cfg, kind, pair, quad.rel_tol) if peaks else None
+    n = len(pairs)
+    if n:
+        res = integrate_panels(f, np.tile(_T_EDGES[:-1], n), np.tile(_T_EDGES[1:], n),
+                               np.repeat(np.arange(n), _T_EDGES.size - 1), n, quad.rel_tol,
+                               0.0, quad.max_subdivisions, with_errors=True)
+        for key, answer in zip(misses, zip(res.value, res.error, res.converged)):
+            solved[key] = _cached((key, quad), lambda: answer)
+    for (cfg, kind), key in zip(items, keys):
+        j, err, converged = solved[key]
+        pref = HBAR * C / (16.0 * np.pi ** 2 * cfg.a ** 3) * (
+            1.0 if kind == "energy" else 3.0 / cfg.a)
         # + 0.0 turns the vacuum's -0.0 into 0.0
-        yield _outcome(kind, -prefs[k] * res.value[k] + 0.0, prefs[k] * res.error[k],
-                       peak, res.converged[k], quad)
+        value, error = -pref * j + 0.0, pref * err
+        peak = _dominant_xi(cfg, kind, key, quad.rel_tol) if peaks else None
+        yield _outcome(kind, value, error, peak, converged or
+                       error <= quad.rel_tol * abs(value) + _ABS_FLOOR, quad)
+
+
+# Scale-free solves by key: J (pair, quad), seed peak (pair, kind, coarse
+# seed), scan (pair,).  A full cache starts afresh; racing threads solve twice.
+_SOLVED = {}
+_SOLVED_ENTRIES = 4096
+
+
+def _cached(key, solve):
+    try:
+        return _SOLVED[key]
+    except KeyError:
+        if len(_SOLVED) >= _SOLVED_ENTRIES:
+            _SOLVED.clear()
+        value = _SOLVED[key] = solve()
+        return value
+
+
+def _pair_key(cfg):
+    """The unordered pair of media by exact type and parameters, not label."""
+    return tuple(sorted((type(m).__name__, tuple(m.parameters.values()))
+                        for m in (cfg.material1, cfg.material2)))
+
+
+def _dominant_xi(cfg, kind, key, rel_tol):
+    """The node of this gap's outer seed at the index ``_seed_peak`` finds
+    once on the seed in the unit of y0, the same at every gap."""
+    def seed(at):
+        edges = _outer_edges(at, rel_tol)
+        return kronrod_nodes(edges[:-1], edges[1:])[0].reshape(-1)
+
+    index = _cached((key, kind, rel_tol >= _COARSE_SEED_TOL),
+                    lambda: _seed_peak(kind, (cfg.material1, cfg.material2), seed(None)))
+    return None if index is None else float(seed(cfg)[index])
 
 
 def _weight_bound(kind, y0, x):
@@ -650,10 +692,10 @@ def _weight_bound(kind, y0, x):
     return bound.sum(axis=0)
 
 
-def _seed_peak(cfg, kind, pair, rel_tol):
-    """``dominant_xi`` of a frequency-independent item: the node of its outer
-    seed (``_outer_edges``) where xi |F(xi)| peaks, F being the inner
-    integral, or None where F vanishes.
+def _seed_peak(kind, pair, y0):
+    """Index of the node of ``y0`` (ascending values of 2 a xi / c) where
+    y0 |F(y0)| peaks, F being the inner integral of a frequency-independent
+    pair, or None where F vanishes; it is where xi |F| peaks at any gap.
 
     ``_weight_bound`` bounds every node's weight, with |r1p r2p| <= the
     product of each side's largest |r| at t = 0 and t = 1 (r is monotonic
@@ -663,9 +705,6 @@ def _seed_peak(cfg, kind, pair, rel_tol):
     than one node's weight, give or take its error, reaches that least
     weight, four panels per octave decide between them.
     """
-    edges = _outer_edges(cfg, rel_tol)
-    xi = kronrod_nodes(edges[:-1], edges[1:])[0].reshape(-1)
-    y0 = 2.0 * cfg.a * xi / C
     # t = 0, t = 1 and the panels of one octave each from 1 to past y0 / 80
     panels = _octave_panels(y0[0], 1)
     t = np.concatenate([[0.0, 1.0], panels[0].reshape(-1)])
@@ -673,26 +712,26 @@ def _seed_peak(cfg, kind, pair, rel_tol):
     r2 = r1 if pair[1] is pair[0] else _angular_reflection(pair[1], t)
     largest = [float(np.max(np.abs(r[:2]))) if np.ndim(r) else abs(r) for r in r1 + r2]
     rho = np.array([[largest[0] * largest[2]], [largest[1] * largest[3]]])
-    bound = xi * _weight_bound(kind, y0, rho * np.exp(-y0))
+    bound = y0 * _weight_bound(kind, y0, rho * np.exp(-y0))
     share = _PEAK_SHARE * bound.max()
     if not share > 0.0:
         return None
     products = tuple(p[2:].reshape(panels[0].shape) if np.ndim(p) else p
                      for p in (r1[0] * r2[0], r1[1] * r2[1]))
     nodes = np.flatnonzero(bound >= share)
-    w, e = _peak_weights(kind, products, panels, xi[nodes], y0[nodes], 1)
+    w, e = _peak_weights(kind, products, panels, y0[nodes], 1)
     more = np.flatnonzero((bound >= np.max(w - e)) & (bound < share))
     if more.size:
         nodes = np.concatenate([nodes, more])
         w, e = (np.concatenate(z) for z in
-                zip((w, e), _peak_weights(kind, products, panels, xi[more], y0[more], 1)))
+                zip((w, e), _peak_weights(kind, products, panels, y0[more], 1)))
     top = np.sort(nodes[w + e >= np.max(w - e)])
     if top.size > 1:
         fine = _octave_panels(y0[top].min(), 4)
         products = _angular_products([pair], np.zeros(fine[0].shape[0], np.intp), fine[0])
-        w, _ = _peak_weights(kind, products, fine, xi[top], y0[top], 4)
+        w, _ = _peak_weights(kind, products, fine, y0[top], 4)
         top = top[np.argmax(w):]
-    return float(xi[top[0]]) if w.max() > 0.0 else None
+    return int(top[0]) if w.max() > 0.0 else None
 
 
 def _octave_panels(y0, per_octave):
@@ -703,8 +742,8 @@ def _octave_panels(y0, per_octave):
     return kronrod_nodes(edges[1:], edges[:-1])
 
 
-def _peak_weights(kind, products, panels, xi, y0, per_octave):
-    """xi |F(xi)| at the nodes y0 = 2 a xi / c, and its error, F written in
+def _peak_weights(kind, products, panels, y0, per_octave):
+    """y0 |F(y0)| at the nodes y0 = 2 a xi / c, and its error, F written in
     t = y0 / y: F = int_{y0/80}^1 g(y0 / t) y0 / t^2 dt, with g the inner
     integrand of ``_inner_block`` in the form of ``_stable_q`` throughout.
     One GK15 rule on each of the ``panels`` of ``_octave_panels``, as far
@@ -722,7 +761,7 @@ def _peak_weights(kind, products, panels, xi, y0, per_octave):
     g = (y if kind == "energy" else y * y) * terms * y / t
     kronrod = np.einsum("mpi,i->mp", g, _GK_WEIGHTS) * half
     gauss = np.einsum("mpi,i->mp", g[..., 1::2], _G_WEIGHTS) * half
-    return xi * np.abs(kronrod.sum(axis=1)), xi * np.abs(kronrod - gauss).sum(axis=1)
+    return y0 * np.abs(kronrod.sum(axis=1)), y0 * np.abs(kronrod - gauss).sum(axis=1)
 
 
 def _frequency_independent(cfg):
@@ -775,32 +814,51 @@ def pressure(cfg, quad=None):
     return integrate_gaps([(cfg, "pressure")], quad)[0]
 
 
+# The scan of ``dominant_frequency``: xi in the unit c/a, 25 nodes per
+# decade from 1e-4 to the cutoff
+_SCAN = np.geomspace(1e-4, 0.5 * _Y_CUTOFF, 140)
+
+
 def dominant_frequency(cfg):
     """Imaginary frequency dominating the energy integral, rad/s.
 
     Defined as the peak of the per-log-frequency contribution
     xi * |F(xi)| of the outer integrand F; located on a logarithmic scan
     and refined by a parabolic fit.  Raises DegenerateIntegrandError when
-    the integrand vanishes everywhere (e.g. one side is vacuum).
+    the integrand vanishes everywhere (e.g. one side is vacuum).  Constant
+    media are scanned once per pair, in the unit c/a (``_angular_scan``).
     """
-    a = cfg.a
-    xi_max = _xi_cutoff(cfg)
-    xi_lo = 1e-4 * C / a
-    n = max(int(25 * np.log10(xi_max / xi_lo)), 50)
-    grid = np.geomspace(xi_lo, xi_max, n)
-    vals, _ = _inner_integrals([cfg], ["energy"], 1e-6, _INNER_BUDGET)(grid, 0)
-    weight = grid * np.abs(vals)
+    unit = C / cfg.a
+    if _frequency_independent(cfg):
+        weight = _cached((_pair_key(cfg),),
+                         lambda: _angular_scan((cfg.material1, cfg.material2)))
+    else:
+        vals, _ = _inner_integrals([cfg], ["energy"], 1e-6, _INNER_BUDGET)(unit * _SCAN, 0)
+        weight = _SCAN * np.abs(vals)
     if not np.any(weight > 0.0):
         raise DegenerateIntegrandError("outer integrand vanishes everywhere; "
                                        "no dominant frequency exists")
     m = int(np.argmax(weight))
-    if m == 0 or m == n - 1:
-        return float(grid[m])
-    # parabolic vertex through the three points around the maximum, in log xi
-    t = np.log(grid[m - 1:m + 2])
-    s = weight[m - 1:m + 2]
-    denom = s[0] - 2.0 * s[1] + s[2]
-    if denom >= 0.0:
-        return float(grid[m])
-    shift = 0.5 * (s[0] - s[2]) / denom
-    return float(np.exp(t[1] + shift * (t[2] - t[1])))
+    shift = 0.0  # node steps from m to the parabolic vertex, in log xi
+    if 0 < m < _SCAN.size - 1:
+        s = weight[m - 1:m + 2]
+        denom = s[0] - 2.0 * s[1] + s[2]
+        shift = 0.5 * (s[0] - s[2]) / denom if denom < 0.0 else 0.0
+    return float(unit * np.exp(math.log(_SCAN[m]) + shift * math.log(_SCAN[1] / _SCAN[0])))
+
+
+def _angular_scan(pair):
+    """The scan's weights for a frequency-independent pair: 0 but at the
+    node ``_seed_peak`` finds from t-form weights and two either side, the
+    inner integrals of which (unit c = 2 a = 1, xi = y0, rel_tol 1e-10)
+    refine where r varies as sqrt(1 - t) at t = 1 (eps mu << 1)."""
+    weight = np.zeros(_SCAN.size)
+    m = _seed_peak("energy", pair, 2.0 * _SCAN)
+    if m is not None:
+        near = np.arange(max(m - 2, 0), min(m + 3, _SCAN.size))
+        y0 = 2.0 * _SCAN[near]
+        rf1, rf2 = (_reflection_by_owner(model, y0, 1.0, y0) for model in pair)
+        each = np.arange(near.size)
+        vals, _ = _inner_block(1.0, "energy", rf1, rf2, each, each, y0, 1e-10, _INNER_BUDGET)
+        weight[near] = _SCAN[near] * np.abs(vals)
+    return weight

@@ -398,8 +398,8 @@ class AttractionReport:
         }
 
 
-#: Highest ferrite relaxation frequency a known material reaches, rad/s.
-_OMEGA_M_ASSERT_MAX = 1e11
+#: Largest delta_mu * omega_m of a ferrite asserted to attract, rad/s.
+_SNOEK_PRODUCT_MAX = 1e14
 
 
 def dispersion_restores_attraction(models, separations=None, quad=None,
@@ -409,9 +409,11 @@ def dispersion_restores_attraction(models, separations=None, quad=None,
     Models must all be dispersive; constant models are rejected (use
     sign_map for the non-dispersive regime).  Every (pair, separation)
     configuration is refined in one batch.  Ferrite-class models whose
-    relaxation frequency exceeds 1e11 rad/s describe no known material:
-    their rows are recorded but excluded from the assertion and from the
-    counterexample list.
+    delta_mu * omega_m exceeds 1e14 rad/s describe no known material: by
+    Snoek's law (J. L. Snoek, Physica 14, 207 (1948)) real ferrites trade
+    permeability for relaxation frequency at a product near 1e10-1e11
+    rad/s, and 1e14 is delta_mu = 1e3 at omega_m = 1e11.  Their rows are
+    recorded but excluded from the assertion and the counterexample list.
     """
     for m in models:
         if isinstance(m, (ConstantEpsMu, PerfectConductor, InfinitelyPermeable)):
@@ -425,8 +427,8 @@ def dispersion_restores_attraction(models, separations=None, quad=None,
     configs = [GapConfig(float(a), m1, m2)
                for m1, m2 in itertools.combinations_with_replacement(models, 2)
                for a in separations]
-    asserted = {id(m): not isinstance(m, DebyeMagnetic) or m.omega_m <= _OMEGA_M_ASSERT_MAX
-                for m in models}
+    asserted = {id(m): not isinstance(m, DebyeMagnetic)
+                or m.delta_mu * m.omega_m <= _SNOEK_PRODUCT_MAX for m in models}
     rows = [AttractionRow(c.material1.label, c.material2.label, c.a, v.pressure, v.error,
                           v.verdict, asserted[id(c.material1)] and asserted[id(c.material2)])
             for c, v in zip(configs, _classify_all(configs, quad, threshold))]

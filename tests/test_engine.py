@@ -840,3 +840,113 @@ def test_a_mixed_batch_hands_the_2d_engine_only_its_dispersive_items(monkeypatch
     assert [bits(r) for r in integrate_gaps(items)] == [bits(r) for r in alone]
     assert handed == [(cfg, kind) for cfg, kind in items if GOLD in
                       (cfg.material1, cfg.material2)]
+
+
+# ---------------------------------------------------------------------------
+# frequency-independent media: one scale-free solve per pair
+# ---------------------------------------------------------------------------
+
+SCALE_GAPS = 10.0 ** np.random.default_rng(16).uniform(-8.0, -4.0, 10)
+
+
+def cold(call):
+    """``call()`` with every scale-free solve forgotten first."""
+    engine._SOLVED.clear()
+    return call()
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-6])
+def test_constant_pairs_are_solved_once_for_every_gap_and_either_order(rel_tol):
+    quad = QuadratureConfig(rel_tol=rel_tol)
+    for m1, m2 in constant_pairs():
+        for a in SCALE_GAPS:
+            for kind in ("energy", "pressure"):
+                def result(*pair):
+                    return bits(integrate_gaps([(GapConfig(a, *pair), kind)], quad)[0])
+
+                fresh = cold(lambda: result(m1, m2))
+                assert result(m1, m2) == fresh
+                assert result(m2, m1) == fresh
+                assert cold(lambda: result(m2, m1)) == fresh
+
+
+def test_dominant_frequency_of_constant_pairs_is_solved_once_for_either_order():
+    for m1, m2 in constant_pairs():
+        for a in SCALE_GAPS[:4]:
+            fresh = cold(lambda: dominant_frequency(GapConfig(a, m1, m2)))
+            assert dominant_frequency(GapConfig(a, m1, m2)) == fresh
+            assert dominant_frequency(GapConfig(a, m2, m1)) == fresh
+            assert cold(lambda: dominant_frequency(GapConfig(a, m2, m1))) == fresh
+
+
+def test_a_batch_of_repeated_and_swapped_pairs_gives_the_bits_of_its_solo_calls():
+    pairs = constant_pairs()[::3]
+    items = [(GapConfig(a, *(pair[::-1] if k % 2 else pair)), kind)
+             for k, pair in enumerate(pairs + pairs + pairs) for a in (3e-8, 2e-6)
+             for kind in ("energy", "pressure")]
+    batch = cold(lambda: integrate_gaps(items))
+    assert [bits(r) for r in batch] == [bits(cold(lambda: integrate_gaps([it])[0]))
+                                        for it in items]
+
+
+def test_an_unconverged_solve_raises_again_when_warm():
+    quad = QuadratureConfig(rel_tol=1e-15)
+    cfg = GapConfig(1e-6, PC, PC)
+    engine._SOLVED.clear()
+    best = []
+    for _ in range(2):
+        with pytest.raises(ConvergenceError) as exc_info:
+            energy_per_area(cfg, quad)
+        best.append(bits(exc_info.value.best))
+    assert best[0] == best[1]
+
+
+def test_vacuum_pairs_have_no_dominant_frequency_warm_or_cold():
+    engine._SOLVED.clear()
+    for cfg in (GapConfig(1e-6, vacuum(), PC),
+                GapConfig(3e-7, ConstantEpsMu(5.0, 2.0), vacuum())):
+        for _ in range(2):
+            with pytest.raises(DegenerateIntegrandError):
+                dominant_frequency(cfg)
+
+
+def test_a_changed_medium_is_solved_afresh():
+    medium = ConstantEpsMu(6.0, 1.5)
+    cfg = GapConfig(1e-6, medium, PC)
+    before = (bits(energy_per_area(cfg)), dominant_frequency(cfg))
+    medium.eps_const = 2.0
+    after = (bits(energy_per_area(cfg)), dominant_frequency(cfg))
+    fresh = GapConfig(1e-6, ConstantEpsMu(2.0, 1.5), PC)
+    assert after != before
+    assert after == cold(lambda: (bits(energy_per_area(fresh)), dominant_frequency(fresh)))
+
+
+def test_the_solves_stop_growing_at_their_bound(monkeypatch):
+    monkeypatch.setattr(engine, "_SOLVED_ENTRIES", 8)
+    media = [ConstantEpsMu(2.0 + k, 1.0) for k in range(12)]
+    items = [(GapConfig(1e-6, m, PC), "pressure") for m in media]
+    # a batch with more pairs than the bound still reads each of its solves
+    batch = cold(lambda: integrate_gaps(items))
+    sizes = [len(engine._SOLVED)]
+    for item, result in zip(items, batch):
+        assert bits(integrate_gaps([item])[0]) == bits(result)
+        sizes.append(len(engine._SOLVED))
+    assert max(sizes) == 8
+
+
+def scan_at_rel_tol_1e_12(cfg):
+    """``dominant_frequency`` by the 2-D scan, inner integrals at rel_tol 1e-12."""
+    grid = C_LIGHT / cfg.a * engine._SCAN
+    vals, _ = _inner_integrals([cfg], ["energy"], 1e-12, 4000)(grid, 0)
+    weight = grid * np.abs(vals)
+    m = int(np.argmax(weight))
+    s = weight[m - 1:m + 2]
+    shift = 0.5 * (s[0] - s[2]) / (s[0] - 2.0 * s[1] + s[2])
+    return float(np.exp(np.log(grid[m]) + shift * np.log(grid[m + 1] / grid[m])))
+
+
+@pytest.mark.parametrize("index", [0, 8, 24, 25, 29])
+def test_dominant_frequency_of_constant_pairs_matches_a_tight_2d_scan(index):
+    # pairs 24 and 25 hold eps mu = 1e-300, where r varies as sqrt(1 - t) at t = 1
+    cfg = GapConfig(1e-6, *constant_pairs()[index])
+    assert dominant_frequency(cfg) == pytest.approx(scan_at_rel_tol_1e_12(cfg), rel=1e-11)

@@ -197,6 +197,18 @@ def test_hypothetical_optical_ferrite_recorded_not_asserted(quad_fast):
     assert any(r.verdict == Verdict.REPULSIVE for r in unasserted)
 
 
+def test_ferrite_beyond_snoeks_bound_recorded_not_asserted(quad_fast):
+    # delta_mu * omega_m = 1e16 rad/s, 100x the bound; the corner of
+    # acceptance criterion 4, 1e3 * 1e11 = 1e14 rad/s, stays asserted
+    beyond, corner = DebyeMagnetic(1e5, 1e11), DebyeMagnetic(1e3, 1e11)
+    report = dispersion_restores_attraction([GOLD, beyond, corner], separations=[0.1e-6, 1e-6],
+                                            quad=quad_fast)
+    assert report.all_attractive
+    for r in report.rows:
+        assert r.asserted == (beyond.label not in (r.label1, r.label2))
+    assert any(r.verdict == Verdict.REPULSIVE for r in report.rows if not r.asserted)
+
+
 def test_constant_models_rejected_from_dispersive_report(quad_fast):
     with pytest.raises(DomainError, match="sign_map"):
         dispersion_restores_attraction([GOLD, ConstantEpsMu(4.0, 1.0)],
