@@ -190,11 +190,9 @@ def _reflection_by_owner(material, xi, c_unit, v, s=None):
     Then kappa lambda = sqrt(u^2 + (eps mu - 1) v^2), and each polarization
     reflects as (x u - kappa lambda) / (x u + kappa lambda), x = mu for TE and
     eps for TM.  eps and mu are evaluated once, here; a diverging response is
-    inf.  The ideal mirrors give float constants: mu infinite at every owner
-    reflects TE as +1, and TM as -1 (an infinite kappa); eps infinite at
-    every owner, with an infinite weight ``xi2_susceptibility`` as well,
-    reflects as (-1, +1).  Other infinite values, and an eps mu v^2 beyond
-    float range, go through ``_reflection_at_limits``.
+    inf.  Infinite values, the ideal mirrors' among them, and an eps mu v^2
+    beyond float range go through ``_reflection_at_limits``.  Either way the
+    coefficients are arrays shaped like the points.
 
     ``s``, given where u = 1 (``reflection`` and the constant-media
     t-integral), is each owner's in-plane part c k / (c kappa0) =
@@ -206,11 +204,6 @@ def _reflection_by_owner(material, xi, c_unit, v, s=None):
     """
     e = np.asarray(material.eps(xi), dtype=float)
     m = np.asarray(material.mu(xi), dtype=float)
-    if np.isinf(m).all():
-        r_tm = 1.0 if np.isinf(e).all() else -1.0
-        return lambda u, owner: (1.0, r_tm)
-    if np.isinf(e).all() and np.isinf(material.xi2_susceptibility(xi)).all():
-        return lambda u, owner: (-1.0, 1.0)
     # an upper bound of eps mu v^2 in Python floats, which overflow to inf
     # without a warning
     v_max = max(float(v.max(initial=0.0)), 1.0)
@@ -251,19 +244,24 @@ def _reflection_at_limits(material, xi, c_unit, v, e, m, s=None):
     Works with q = kappa / kappa0 = hypot(sqrt(1 - t^2), sqrt(eps mu) t),
     t = v / u, so that no product overflows; a given ``s`` is sqrt(1 - t^2).
     An infinite mu reflects TE as +1 and an infinite eps TM as +1.  Where
-    eps is infinite, its finite weight enters instead: eps t^2 is
+    eps is infinite, its weight enters instead: eps t^2 is
     w / u^2 + t^2 with w = xi^2 (eps - 1) / c_unit^2 from
-    ``xi2_susceptibility``.  Where mu is infinite, so is q.  An infinite q
-    reflects as -1.
+    ``xi2_susceptibility``.  Where mu or that weight is infinite, so is q,
+    even where c_unit is: the infinitely permeable plate reflects as
+    (+1, -1) and the perfect conductor as (-1, +1).  An infinite q reflects
+    as -1.
     """
     e_inf = np.isinf(e)
     m_inf = np.isinf(m)
     e_fin = np.where(e_inf, 1.0, e)
     m_fin = np.where(m_inf, 1.0, m)
+    q_inf = m_inf
     w = np.zeros(e.shape)
     if e_inf.any():
         with np.errstate(over="ignore"):  # beyond float range: q = inf
-            w = w + material.xi2_susceptibility(xi) / c_unit / c_unit
+            weight = material.xi2_susceptibility(xi)
+            q_inf = m_inf | (e_inf & np.isinf(weight))
+            w = np.where(q_inf, 0.0, weight) / c_unit / c_unit
 
     def rf(u, owner):
         t = v[owner] / u
@@ -272,7 +270,7 @@ def _reflection_at_limits(material, xi, c_unit, v, e, m, s=None):
             eps_t2 = np.where(e_inf[owner], w[owner] / u / u + t * t,
                               e_fin[owner] * t * t)
             q = np.hypot(root, np.sqrt(m_fin[owner]) * np.sqrt(eps_t2))
-        q = np.where(m_inf[owner], np.inf, q)
+        q = np.where(q_inf[owner], np.inf, q)
         r_te = np.where(m_inf[owner], 1.0, _ratio_reflection(m_fin[owner], q))
         r_tm = np.where(e_inf[owner], 1.0, _ratio_reflection(e_fin[owner], q))
         return r_te, r_tm
@@ -324,7 +322,7 @@ def _ln_one_minus(p, emy, omy):
     out = np.log1p(-x)
     far = np.abs(x) >= 0.5
     if far.any():
-        out[far] = np.log(_stable_q(p[far] if np.ndim(p) else p, emy[far], omy[far]))
+        out[far] = np.log(_stable_q(p[far], emy[far], omy[far]))
     return out
 
 
@@ -415,10 +413,8 @@ def _inner_block(two_a, kind, rf1, rf2, node1, node2, y0, rel_tol, budget):
         pte, ptm = products(y / two_a, owner)
         emy = np.exp(-y)
         omy = -np.expm1(-y)
-        t_te = term(pte, emy, omy)
-        # the ideal mirrors give both polarizations one float product
-        t_tm = t_te if isinstance(pte, float) and pte == ptm else term(ptm, emy, omy)
-        return y * (t_te + t_tm) if kind == "energy" else y * y * (t_te + t_tm)
+        terms = term(pte, emy, omy) + term(ptm, emy, omy)
+        return y * terms if kind == "energy" else y * y * terms
 
     lo, hi, owner = geometric_panels(y0, _Y_CUTOFF, 0.25)
     res = integrate_panels(g, lo, hi, owner, y0.size, rel_tol=rel_tol,
@@ -562,37 +558,23 @@ def _li4(x):
     return out
 
 
-def _groups(index):
-    """(value, rows) for each distinct value of the integer array ``index``."""
-    present = np.flatnonzero(np.bincount(index))
-    if present.size == 1:
-        return [(present[0], slice(None))]
-    return [(k, index == k) for k in present]
-
-
 def _angular_reflection(material, t):
     """``_reflection_by_owner`` of ``material`` at u = 1, v = t and
-    s = sqrt(1 - t^2) with 1 - t kept exact: (r_te, r_tm) at the points t,
-    floats for the ideal mirrors.  These media do not depend on xi, which
-    is passed as t in the unit c = 1."""
+    s = sqrt(1 - t^2) with 1 - t kept exact: (r_te, r_tm) at the points t.
+    These media do not depend on xi, which is passed as t in the unit c = 1."""
     return _reflection_by_owner(material, t, 1.0, t, np.sqrt((1.0 - t) * (1.0 + t)))(1.0, ())
 
 
 def _angular_products(pairs, pair_of, t):
     """r1 r2 of each polarization at the rows of points ``t``, each row of
-    the pair ``pairs[pair_of]``; floats where that is one pair of ideal
-    mirrors."""
-    parts = []
-    for k, at in _groups(pair_of):
+    the pair ``pairs[pair_of]``: an array of shape (2,) + t.shape."""
+    r = np.empty((2,) + t.shape)
+    for k in np.unique(pair_of):
+        at = pair_of == k
         m1, m2 = pairs[k]
         r1 = _angular_reflection(m1, t[at])
         r2 = r1 if m2 is m1 else _angular_reflection(m2, t[at])
-        parts.append((at, r1[0] * r2[0], r1[1] * r2[1]))
-    if len(parts) == 1:
-        return parts[0][1:]
-    r = np.empty((2,) + t.shape)
-    for at, p_te, p_tm in parts:
-        r[0][at], r[1][at] = p_te, p_tm
+        r[0][at], r[1][at] = r1[0] * r2[0], r1[1] * r2[1]
     return r
 
 
@@ -617,9 +599,7 @@ def _angular_batch(items, quad, peaks):
     pairs = list(misses.values())
 
     def f(t, owners):
-        # (TE, TM), one value each for the ideal mirrors' float coefficients
-        li = np.broadcast_to(_li4(np.array(_angular_products(pairs, owners[:, 0], t)))
-                             .reshape(2, -1), (2, t.size))
+        li = _li4(_angular_products(pairs, owners[:, 0], t))  # (TE, TM)
         return li[0] + li[1], _LI4_ROUNDING * (np.abs(li[0]) + np.abs(li[1]))
 
     n = len(pairs)
@@ -710,14 +690,13 @@ def _seed_peak(kind, pair, y0):
     t = np.concatenate([[0.0, 1.0], panels[0].reshape(-1)])
     r1 = _angular_reflection(pair[0], t)
     r2 = r1 if pair[1] is pair[0] else _angular_reflection(pair[1], t)
-    largest = [float(np.max(np.abs(r[:2]))) if np.ndim(r) else abs(r) for r in r1 + r2]
+    largest = [float(np.max(np.abs(r[:2]))) for r in r1 + r2]
     rho = np.array([[largest[0] * largest[2]], [largest[1] * largest[3]]])
     bound = y0 * _weight_bound(kind, y0, rho * np.exp(-y0))
     share = _PEAK_SHARE * bound.max()
     if not share > 0.0:
         return None
-    products = tuple(p[2:].reshape(panels[0].shape) if np.ndim(p) else p
-                     for p in (r1[0] * r2[0], r1[1] * r2[1]))
+    products = tuple(p[2:].reshape(panels[0].shape) for p in (r1[0] * r2[0], r1[1] * r2[1]))
     nodes = np.flatnonzero(bound >= share)
     w, e = _peak_weights(kind, products, panels, y0[nodes], 1)
     more = np.flatnonzero((bound >= np.max(w - e)) & (bound < share))
@@ -755,7 +734,7 @@ def _peak_weights(kind, products, panels, y0, per_octave):
     emy, omy = np.exp(-y), -np.expm1(-y)
     terms = 0.0
     for p in products:
-        p = p[:rows] if np.ndim(p) else p
+        p = p[:rows]
         q = omy + (1.0 - p) * emy
         terms = terms + (np.log(q) if kind == "energy" else p * emy / q)
     g = (y if kind == "energy" else y * y) * terms * y / t

@@ -8,8 +8,9 @@ a scalar frequency gives a float.
 A response that diverges is inf: the Drude and plasma permittivities (and
 tabulated data with a conductor-like low-frequency tail) at xi = 0 and
 wherever they leave float range at tiny xi, and the ideal mirrors at every
-xi.  Reflection code takes the finite weight xi^2 (eps - 1) of an infinite
-eps from ``xi2_susceptibility``.
+xi.  Reflection code takes the weight xi^2 (eps - 1) of an infinite eps
+from ``xi2_susceptibility``: finite for the metals, and inf, an infinite
+decay constant, for the perfect conductor.
 
 Tabulated absorption data reach the imaginary axis through the
 Kramers-Kronig integral of a piecewise-linear eps''.  Its sampled part is
@@ -112,8 +113,7 @@ class MaterialResponse:
 
         Where eps is infinite, reflection code takes this weight instead.  The
         default is 0 at xi = 0 (eps growing more slowly than 1/xi^2); closed
-        forms override it, as a scalar where it is the same at every xi (inf
-        for the ideal conductor).
+        forms override it (inf for the ideal conductor).
         """
         arr = _as_xi(xi)
         live = arr > 0.0
@@ -139,8 +139,7 @@ class PerfectConductor(MaterialResponse):
         return _constant(xi, np.inf)
 
     def xi2_susceptibility(self, xi):
-        _as_xi(xi)
-        return np.inf
+        return _constant(xi, np.inf)
 
 
 class InfinitelyPermeable(MaterialResponse):
@@ -256,8 +255,7 @@ class Plasma(MaterialResponse):
             return (1.0 + r * r)[()]
 
     def xi2_susceptibility(self, xi):
-        _as_xi(xi)
-        return self.omega_p ** 2  # at every xi
+        return _constant(xi, self.omega_p ** 2)
 
 
 class LorentzOscillators(MaterialResponse):

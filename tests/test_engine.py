@@ -55,12 +55,29 @@ STIFF_METAL = Drude(1e18, 5.3e13)
 # ---------------------------------------------------------------------------
 
 def test_perfect_conductor_reflects_ideally():
+    # xi or k <= 1e-300, and c k beyond float range, among the points
     for point in (QuadraturePoint(0.0, 1e5), QuadraturePoint(1e15, 0.0),
-                  QuadraturePoint(3e14, 2e6)):
+                  QuadraturePoint(3e14, 2e6), QuadraturePoint(0.0, 1e-300),
+                  QuadraturePoint(1e-300, 0.0), QuadraturePoint(1e15, 1e301)):
         r = reflection(PC, point)
         assert (r.r_te, r.r_tm) == (-1.0, 1.0)
         rp = reflection(IPP, point)
         assert (rp.r_te, rp.r_tm) == (1.0, -1.0)
+
+
+@pytest.mark.parametrize("model, want", [(PC, (-1.0, 1.0)), (IPP, (1.0, -1.0))],
+                         ids=["pc", "permeable"])
+def test_ideal_mirrors_reflect_as_arrays_of_the_points_shape(model, want):
+    # xi = 0, xi <= 1e-300 and c kappa0 beyond float range among the points
+    xi = np.array([0.0, 5e-324, 1e-300, 1.0, 1e15, 1e300])
+    kappa0 = np.hypot(np.array([1e-300, 1.0, 1e6, 1e301]), (xi / C_LIGHT)[:, None])
+    owner = np.arange(xi.size)[:, None]
+    two_d = _reflection_by_owner(model, xi, C_LIGHT, xi / C_LIGHT)(kappa0, owner)
+    t = np.array([[0.0, 5e-324, 1e-300], [0.5, np.nextafter(1.0, 0.0), 1.0]])
+    for r, shape in ((two_d, kappa0.shape), (engine._angular_reflection(model, t), t.shape)):
+        for r_p, want_p in zip(r, want):
+            assert isinstance(r_p, np.ndarray) and r_p.shape == shape
+            assert np.all(r_p == want_p)
 
 
 def test_constant_dielectric_normal_incidence():
@@ -177,9 +194,7 @@ def test_integrand_coefficients_equal_reflection(model):
     k = np.outer(xi / C_LIGHT, [0.0, 0.1, 1.0, 30.0, 1e3])
     kappa0 = np.hypot(k, (xi / C_LIGHT)[:, None])
     owner = np.arange(xi.size)[:, None]
-    rf = _reflection_by_owner(model, xi, C_LIGHT, xi / C_LIGHT)
-    # the ideal mirrors give float constants
-    r_te, r_tm = (np.broadcast_to(r, k.shape) for r in rf(kappa0, owner))
+    r_te, r_tm = _reflection_by_owner(model, xi, C_LIGHT, xi / C_LIGHT)(kappa0, owner)
     for i, j in np.ndindex(k.shape):
         point = QuadraturePoint(xi[i], k[i, j])
         assert point.kappa0 == kappa0[i, j]
@@ -710,36 +725,15 @@ def test_ln_one_minus_takes_each_elements_own_branch_bit_for_bit():
     p_array = np.random.default_rng(5).uniform(-1.0, 1.0, emy.size)
     p_array[-3:] = 1.0
     near = np.append(y > 1.0, [False] * 3)
-    for p in (1.0, -1.0, p_array):
+    for p in (np.ones(emy.size), -np.ones(emy.size), p_array):
         # every element, and the elements where |p e^{-y}| < 0.5 alone
         for part in (np.ones(emy.size, dtype=bool), near):
-            pp = p if np.ndim(p) == 0 else p[part]
+            pp = p[part]
             x = pp * emy[part]
             expected = np.where(np.abs(x) < 0.5, np.log1p(-x),
                                 np.log(omy[part] + (1.0 - pp) * emy[part]))
             got = _ln_one_minus(pp, emy[part], omy[part])
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected.tolist()]
-
-
-@pytest.mark.parametrize("m2", [PC, IPP], ids=["pc-pc", "pc-permeable"])
-def test_equal_polarizations_share_one_term_bit_for_bit(monkeypatch, m2):
-    cfg = GapConfig(1e-6, PC, m2)
-    xi = np.geomspace(1e11, 1.2e16, 97)
-
-    def inner():
-        return [[v.hex() for a in _inner_integrals([cfg], [kind], 1e-9, 300)(xi, 0)
-                 for v in a.tolist()] for kind in ("energy", "pressure")]
-
-    shared = inner()
-    real = _reflection_by_owner
-
-    def as_arrays(*args):
-        # float coefficients as arrays: the two polarizations are formed apart
-        rf = real(*args)
-        return lambda u, owner: tuple(np.full(np.shape(u), r) for r in rf(u, owner))
-
-    monkeypatch.setattr(engine, "_reflection_by_owner", as_arrays)
-    assert inner() == shared
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,19 @@ def test_xi2_susceptibility_takes_arrays():
     assert np.all(PerfectConductor().xi2_susceptibility(xi) == np.inf)
 
 
+@pytest.mark.parametrize("model", [
+    PerfectConductor(), Plasma(9e15), Drude(1.37e16, 5.3e13),
+    Tabulated(TabulatedAbsorption(np.geomspace(1e13, 1e17, 20), np.ones(20),
+                                  LowTail("constant")))], ids=repr)
+def test_xi2_susceptibility_is_a_float_or_shaped_like_xi(model):
+    xi = np.append([0.0, 5e-324, 1e-300], np.geomspace(1e-3, 1e15, 15)).reshape(3, 6)
+    weights = model.xi2_susceptibility(xi)
+    assert isinstance(weights, np.ndarray) and weights.shape == xi.shape
+    for x, w in zip(xi.ravel().tolist(), weights.ravel().tolist()):
+        scalar = model.xi2_susceptibility(x)
+        assert isinstance(scalar, float) and scalar.hex() == w.hex()
+
+
 def test_drude_weight_reaches_the_plasma_weight_at_huge_xi():
     drude = Drude(1.37e16, 5.3e13)
     wp2 = 1.37e16 ** 2
