@@ -249,7 +249,9 @@ def _reflection_at_limits(material, xi, c_unit, v, e, m, s=None):
     ``xi2_susceptibility``.  Where mu or that weight is infinite, so is q,
     even where c_unit is: the infinitely permeable plate reflects as
     (+1, -1) and the perfect conductor as (-1, +1).  An infinite q reflects
-    as -1.
+    as -1.  Where q is infinite at every owner, each owner's pair is formed
+    once here and copied to the points, since the inner integrand asks for
+    it at every node.
     """
     e_inf = np.isinf(e)
     m_inf = np.isinf(m)
@@ -262,6 +264,16 @@ def _reflection_at_limits(material, xi, c_unit, v, e, m, s=None):
             weight = material.xi2_susceptibility(xi)
             q_inf = m_inf | (e_inf & np.isinf(weight))
             w = np.where(q_inf, 0.0, weight) / c_unit / c_unit
+    if q_inf.all():  # the ideal mirrors: each owner's pair at any u
+        r = np.where(m_inf, 1.0, -1.0), np.where(e_inf, 1.0, -1.0)
+
+        def rf_ideal(u, owner):
+            r_te, r_tm = r[0][owner], r[1][owner]
+            out = np.empty((2,) + np.broadcast(u, r_te).shape)
+            out[0], out[1] = r_te, r_tm
+            return out[0], out[1]
+
+        return rf_ideal
 
     def rf(u, owner):
         t = v[owner] / u

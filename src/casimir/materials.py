@@ -79,7 +79,8 @@ class MaterialResponse:
     Instances are immutable after construction and safe to share across
     threads; evaluation is a pure function of (model, xi).  ``eps`` and
     ``mu`` are inf where the response diverges, and ``xi2_susceptibility``
-    gives the finite weight of an infinite eps.  A model file stores
+    gives the weight of an infinite eps: finite for the metals, and inf for
+    the perfect conductor.  A model file stores
     ``kind`` (the class name) and ``parameters``; ``from_parameters``
     rebuilds the model from them.
     """
