@@ -581,7 +581,7 @@ def _angular_products(pairs, pair_of, t):
     """r1 r2 of each polarization at the rows of points ``t``, each row of
     the pair ``pairs[pair_of]``: an array of shape (2,) + t.shape."""
     r = np.empty((2,) + t.shape)
-    for k in np.unique(pair_of):
+    for k in np.flatnonzero(np.bincount(pair_of)):
         at = pair_of == k
         m1, m2 = pairs[k]
         r1 = _angular_reflection(m1, t[at])
