@@ -34,8 +34,8 @@ y-integral at fixed t is a polylogarithm and
 
 with J a function of the pair alone.  It is solved once per unordered pair
 (by type and parameters) and QuadratureConfig, and so are the index of the
-seed node that is ``dominant_xi`` (``_seed_peak``) and ``dominant_frequency``
-in the unit c/a; each gap rescales them and checks its own tolerance.
+seed node that is ``dominant_xi`` and ``dominant_frequency`` in the unit
+c/a (``_peak_weights``); each gap rescales them and checks its own tolerance.
 """
 
 import math
@@ -52,9 +52,8 @@ from .errors import (ContinuumModelWarning, ConvergenceError,
 from .materials import (ConstantEpsMu, InfinitelyPermeable, MaterialResponse,
                         PerfectConductor)
 # integrate_adaptive stays bound here for the benchmark's tracer to patch
-from .quadrature import (_EVAL_ROWS, _G_WEIGHTS, _GK_WEIGHTS, geometric_edges,
-                         geometric_panels, integrate_adaptive, integrate_panels,
-                         kronrod_nodes)
+from .quadrature import (_EVAL_ROWS, geometric_edges, geometric_panels,
+                         integrate_adaptive, integrate_panels, kronrod_nodes)
 
 
 @dataclass(frozen=True)
@@ -155,9 +154,10 @@ class EnergyResult:
     integrand vanishes identically); 2 pi c / dominant_xi is the
     wavelength doing most of the work, of order the separation.  For a
     pair of frequency-independent media, which is integrated over t, it is
-    the node of the outer seed where xi*|F(xi)| peaks, the 2-D engine's own
-    answer whenever that engine converges on its seed; its index in the
-    seed is found once per pair, kind and seed, and holds at every gap.
+    the node of the outer seed where xi*|F(xi)| peaks, F being the 2-D
+    engine's inner integral (``_peak_weights``), the 2-D engine's own answer
+    whenever it converges on its seed; its index in the seed is found once
+    per pair, kind and seed, and holds at every gap.
     """
 
     value: float          # J/m^2, negative = attraction
@@ -169,8 +169,8 @@ class EnergyResult:
 class PressureResult:
     """Signed Casimir pressure; negative pulls the plates together.
 
-    dominant_xi is defined as for ``EnergyResult``, with F the pressure's
-    outer integrand.
+    dominant_xi is defined, and found for frequency-independent media, as
+    for ``EnergyResult``, with F the pressure's outer integrand.
     """
 
     value: float          # Pa
@@ -519,8 +519,8 @@ _LI4_BELOW_ODD = ((1.0 - 4.0 ** _M) * _ODD_TERMS)[::-1]
 # engine meets out of reach.
 _T_EDGES = np.linspace(0.0, 1.0, 5)
 _LI4_ROUNDING = 4.0 * np.finfo(float).eps
-# Nodes whose weight bound reaches this share of the largest bound are the
-# first candidates for the seed peak (``_seed_peak``)
+# Nodes whose weight bound reaches this share of the largest bound are
+# weighed first in the peak search (``_peak_weights``)
 _PEAK_SHARE = 0.8
 
 
@@ -655,14 +655,17 @@ def _pair_key(cfg):
 
 
 def _dominant_xi(cfg, kind, key, rel_tol):
-    """The node of this gap's outer seed at the index ``_seed_peak`` finds
-    once on the seed in the unit of y0, the same at every gap."""
+    """The node of this gap's outer seed at the index where the seed's
+    ``_peak_weights`` in the unit of y0 peak, found once, the same at every gap."""
     def seed(at):
         edges = _outer_edges(at, rel_tol)
         return kronrod_nodes(edges[:-1], edges[1:])[0].reshape(-1)
 
-    index = _cached((key, kind, rel_tol >= _COARSE_SEED_TOL),
-                    lambda: _seed_peak(kind, (cfg.material1, cfg.material2), seed(None)))
+    def peak():
+        weight = _peak_weights(kind, (cfg.material1, cfg.material2), seed(None))
+        return int(np.argmax(weight)) if weight.max() > 0.0 else None
+
+    index = _cached((key, kind, rel_tol >= _COARSE_SEED_TOL), peak)
     return None if index is None else float(seed(cfg)[index])
 
 
@@ -684,75 +687,42 @@ def _weight_bound(kind, y0, x):
     return bound.sum(axis=0)
 
 
-def _seed_peak(kind, pair, y0):
-    """Index of the node of ``y0`` (ascending values of 2 a xi / c) where
-    y0 |F(y0)| peaks, F being the inner integral of a frequency-independent
-    pair, or None where F vanishes; it is where xi |F| peaks at any gap.
+def _peak_weights(kind, pair, y0):
+    """y0 |F(y0)| at the nodes of ``y0`` (values of 2 a xi / c) that can
+    hold its peak, and 0 at the others, F being the inner integral of a
+    frequency-independent pair; the peak is where xi |F| peaks at any gap.
 
     ``_weight_bound`` bounds every node's weight, with |r1p r2p| <= the
     product of each side's largest |r| at t = 0 and t = 1 (r is monotonic
-    in t).  ``_peak_weights`` on one t-panel per octave gives the weights
-    where the bound reaches ``_PEAK_SHARE`` of its largest, then wherever
-    else it reaches the least weight (weight less error) found.  Where more
-    than one node's weight, give or take its error, reaches that least
-    weight, four panels per octave decide between them.
+    in t).  ``_inner_block`` (unit c = 2 a = 1, xi = y0, rel_tol 1e-10)
+    weighs the nodes whose bound reaches ``_PEAK_SHARE`` of the largest,
+    then every other node whose bound reaches the largest weight found,
+    then the peak's two neighbours, for the parabolic vertex of
+    ``dominant_frequency``.  Its y-axis refines where r varies as
+    sqrt(1 - t) at t = 1 (eps mu << 1).
     """
-    # t = 0, t = 1 and the panels of one octave each from 1 to past y0 / 80
-    panels = _octave_panels(y0[0], 1)
-    t = np.concatenate([[0.0, 1.0], panels[0].reshape(-1)])
-    r1 = _angular_reflection(pair[0], t)
-    r2 = r1 if pair[1] is pair[0] else _angular_reflection(pair[1], t)
-    largest = [float(np.max(np.abs(r[:2]))) for r in r1 + r2]
+    r1, r2 = (_angular_reflection(m, np.array([0.0, 1.0])) for m in pair)
+    largest = [float(np.max(np.abs(r))) for r in r1 + r2]
     rho = np.array([[largest[0] * largest[2]], [largest[1] * largest[3]]])
     bound = y0 * _weight_bound(kind, y0, rho * np.exp(-y0))
+    weight = np.zeros(y0.size)
+
+    def weigh(nodes):
+        nodes = nodes[weight[nodes] == 0.0]  # not weighed yet, or F = 0 there
+        if nodes.size:
+            y = y0[nodes]
+            rf1, rf2 = (_reflection_by_owner(m, y, 1.0, y) for m in pair)
+            each = np.arange(nodes.size)
+            vals, _ = _inner_block(1.0, kind, rf1, rf2, each, each, y, 1e-10, _INNER_BUDGET)
+            weight[nodes] = y * np.abs(vals)
+
     share = _PEAK_SHARE * bound.max()
-    if not share > 0.0:
-        return None
-    products = tuple(p[2:].reshape(panels[0].shape) for p in (r1[0] * r2[0], r1[1] * r2[1]))
-    nodes = np.flatnonzero(bound >= share)
-    w, e = _peak_weights(kind, products, panels, y0[nodes], 1)
-    more = np.flatnonzero((bound >= np.max(w - e)) & (bound < share))
-    if more.size:
-        nodes = np.concatenate([nodes, more])
-        w, e = (np.concatenate(z) for z in
-                zip((w, e), _peak_weights(kind, products, panels, y0[more], 1)))
-    top = np.sort(nodes[w + e >= np.max(w - e)])
-    if top.size > 1:
-        fine = _octave_panels(y0[top].min(), 4)
-        products = _angular_products([pair], np.zeros(fine[0].shape[0], np.intp), fine[0])
-        w, _ = _peak_weights(kind, products, fine, y0[top], 4)
-        top = top[np.argmax(w):]
-    return int(top[0]) if w.max() > 0.0 else None
-
-
-def _octave_panels(y0, per_octave):
-    """Kronrod nodes and half-widths of ``per_octave`` panels per octave of
-    t from 1 down past y0 / 80, where the inner integral ends."""
-    octaves = math.ceil(math.log2(_Y_CUTOFF / y0))
-    edges = 0.5 ** (np.arange(octaves * per_octave + 1) / per_octave)
-    return kronrod_nodes(edges[1:], edges[:-1])
-
-
-def _peak_weights(kind, products, panels, y0, per_octave):
-    """y0 |F(y0)| at the nodes y0 = 2 a xi / c, and its error, F written in
-    t = y0 / y: F = int_{y0/80}^1 g(y0 / t) y0 / t^2 dt, with g the inner
-    integrand of ``_inner_block`` in the form of ``_stable_q`` throughout.
-    One GK15 rule on each of the ``panels`` of ``_octave_panels``, as far
-    down as the lowest y0 needs, where the r1 r2 are ``products``; the
-    error is the sum of each panel's |Kronrod - Gauss|."""
-    rows = per_octave * math.ceil(math.log2(_Y_CUTOFF / y0.min()))
-    t, half = panels[0][:rows], panels[1][:rows]
-    y = y0[:, None, None] / t
-    emy, omy = np.exp(-y), -np.expm1(-y)
-    terms = 0.0
-    for p in products:
-        p = p[:rows]
-        q = omy + (1.0 - p) * emy
-        terms = terms + (np.log(q) if kind == "energy" else p * emy / q)
-    g = (y if kind == "energy" else y * y) * terms * y / t
-    kronrod = np.einsum("mpi,i->mp", g, _GK_WEIGHTS) * half
-    gauss = np.einsum("mpi,i->mp", g[..., 1::2], _G_WEIGHTS) * half
-    return y0 * np.abs(kronrod.sum(axis=1)), y0 * np.abs(kronrod - gauss).sum(axis=1)
+    if share > 0.0:
+        weigh(np.flatnonzero(bound >= share))
+        weigh(np.flatnonzero(bound >= weight.max()))
+        m = int(np.argmax(weight))
+        weigh(np.arange(max(m - 1, 0), min(m + 2, y0.size)))
+    return weight
 
 
 def _frequency_independent(cfg):
@@ -816,13 +786,16 @@ def dominant_frequency(cfg):
     Defined as the peak of the per-log-frequency contribution
     xi * |F(xi)| of the outer integrand F; located on a logarithmic scan
     and refined by a parabolic fit.  Raises DegenerateIntegrandError when
-    the integrand vanishes everywhere (e.g. one side is vacuum).  Constant
-    media are scanned once per pair, in the unit c/a (``_angular_scan``).
+    the integrand vanishes everywhere (e.g. one side is vacuum).  A pair of
+    constant media is scanned once, in the unit c/a, by ``_peak_weights``:
+    the nodes a bound leaves in the running and the peak's two neighbours
+    take inner integrals at rel_tol 1e-10, the others weigh 0.
     """
     unit = C / cfg.a
     if _frequency_independent(cfg):
-        weight = _cached((_pair_key(cfg),),
-                         lambda: _angular_scan((cfg.material1, cfg.material2)))
+        # y0 |F| on y0 = 2 xi, halved: xi |F| to the bit
+        weight = _cached((_pair_key(cfg),), lambda: 0.5 * _peak_weights(
+            "energy", (cfg.material1, cfg.material2), 2.0 * _SCAN))
     else:
         vals, _ = _inner_integrals([cfg], ["energy"], 1e-6, _INNER_BUDGET)(unit * _SCAN, 0)
         weight = _SCAN * np.abs(vals)
@@ -836,20 +809,3 @@ def dominant_frequency(cfg):
         denom = s[0] - 2.0 * s[1] + s[2]
         shift = 0.5 * (s[0] - s[2]) / denom if denom < 0.0 else 0.0
     return float(unit * np.exp(math.log(_SCAN[m]) + shift * math.log(_SCAN[1] / _SCAN[0])))
-
-
-def _angular_scan(pair):
-    """The scan's weights for a frequency-independent pair: 0 but at the
-    node ``_seed_peak`` finds from t-form weights and two either side, the
-    inner integrals of which (unit c = 2 a = 1, xi = y0, rel_tol 1e-10)
-    refine where r varies as sqrt(1 - t) at t = 1 (eps mu << 1)."""
-    weight = np.zeros(_SCAN.size)
-    m = _seed_peak("energy", pair, 2.0 * _SCAN)
-    if m is not None:
-        near = np.arange(max(m - 2, 0), min(m + 3, _SCAN.size))
-        y0 = 2.0 * _SCAN[near]
-        rf1, rf2 = (_reflection_by_owner(model, y0, 1.0, y0) for model in pair)
-        each = np.arange(near.size)
-        vals, _ = _inner_block(1.0, "energy", rf1, rf2, each, each, y0, 1e-10, _INNER_BUDGET)
-        weight[near] = _SCAN[near] * np.abs(vals)
-    return weight

@@ -68,7 +68,7 @@ def load_material(spec):
             f"({', '.join(sorted(BUILTIN_MATERIALS))}) nor an existing file")
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IngestionError(f"{path}: not valid JSON ({exc})")
     return material_from_dict(doc)
 
@@ -93,26 +93,29 @@ def load_absorption_table(csv_path):
     csv_path = Path(csv_path)
     if not csv_path.exists():
         raise IngestionError(f"no such file: {csv_path}")
+    try:
+        with open(csv_path, newline="") as fh:
+            reader = csv.reader(fh.readlines())
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{csv_path}: not a text file ({exc})")
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestionError(f"{csv_path}: empty file")
+    if [h.strip() for h in header] != ABSORPTION_HEADER:
+        raise IngestionError(
+            f"{csv_path}: header must be '{','.join(ABSORPTION_HEADER)}', "
+            f"got {','.join(header)!r}")
     omega = []
     eps_imag = []
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{csv_path}: empty file")
-        if [h.strip() for h in header] != ABSORPTION_HEADER:
-            raise IngestionError(
-                f"{csv_path}: header must be '{','.join(ABSORPTION_HEADER)}', "
-                f"got {','.join(header)!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                omega.append(float(row[0]))
-                eps_imag.append(float(row[1]))
-            except (ValueError, IndexError):
-                raise IngestionError(f"{csv_path}:{lineno}: bad sample row {row!r}")
+            omega.append(float(row[0]))
+            eps_imag.append(float(row[1]))
+        except (ValueError, IndexError):
+            raise IngestionError(f"{csv_path}:{lineno}: bad sample row {row!r}")
     low = None
     high = None
     sidecar = csv_path.with_suffix(".json")

@@ -427,6 +427,8 @@ def dispersion_restores_attraction(models, separations=None, quad=None,
     configs = [GapConfig(float(a), m1, m2)
                for m1, m2 in itertools.combinations_with_replacement(models, 2)
                for a in separations]
+    if not configs:
+        raise DomainError("empty grid")
     asserted = {id(m): not isinstance(m, DebyeMagnetic)
                 or m.delta_mu * m.omega_m <= _SNOEK_PRODUCT_MAX for m in models}
     rows = [AttractionRow(c.material1.label, c.material2.label, c.a, v.pressure, v.error,

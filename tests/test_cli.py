@@ -84,6 +84,18 @@ def test_malformed_model_file_is_usage_error(capsys, tmp_path):
     assert "'Drude' has malformed parameters" in err
 
 
+@pytest.mark.parametrize("name, content, args", [
+    ("model.json", b"\xff{}", ("energy", "--material2", "pc", "--gap", "1e-6", "--material1")),
+    ("table.csv", b"omega_rad_s,eps_imag\n1e14,0.5\xff\n", ("kk", "--table"))])
+def test_undecodable_input_file_is_usage_error(capsys, tmp_path, name, content, args):
+    path = tmp_path / name
+    path.write_bytes(content)
+    code, out, err = run(capsys, *args, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and name in err
+
+
 def test_vacuum_is_indeterminate(capsys):
     code, out, _ = run(capsys, "energy", "--material1", "pc",
                        "--material2", "vacuum", "--gap", "1e-6")

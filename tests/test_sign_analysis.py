@@ -217,6 +217,14 @@ def test_constant_models_rejected_from_dispersive_report(quad_fast):
         dispersion_restores_attraction([GOLD, PC], quad=quad_fast)
 
 
+@pytest.mark.parametrize("models, separations", [([], None), ([GOLD, Plasma(9e15)], []),
+                                                ([GOLD, Plasma(9e15)], np.array([]))])
+def test_attraction_check_on_an_empty_grid_is_a_domain_error(quad_fast, models, separations):
+    # no row would read as a confirmed all_attractive
+    with pytest.raises(DomainError, match="empty grid"):
+        dispersion_restores_attraction(models, separations=separations, quad=quad_fast)
+
+
 # ---------------------------------------------------------------------------
 # reports longer than one batch of configurations
 # ---------------------------------------------------------------------------
