@@ -44,7 +44,12 @@ def _fmt(x):
     return f"{x:.16e}"
 
 
-def _manifest(command, parameters, materials):
+def _manifest(command, parameters, materials, quad=None):
+    """The run's record; with ``quad``, its rel_tol and max_subdivisions join
+    ``parameters``, so that the run can be repeated from it."""
+    if quad is not None:
+        parameters = dict(parameters, rel_tol=quad.rel_tol,
+                          max_subdivisions=quad.max_subdivisions)
     # one digest per distinct model: the sides of a spec given twice share it
     digests = {id(m): material_digest(m) for m in {id(m): m for m in materials}.values()}
     return {
@@ -101,9 +106,7 @@ def _cmd_point(args, kind):
     m1, m2 = _load_materials(args.material1, args.material2)
     cfg = GapConfig(args.gap, m1, m2)
     quad = _quad_config(args)
-    manifest = _manifest(kind, {"gap_m": args.gap, "rel_tol": quad.rel_tol,
-                                "max_subdivisions": quad.max_subdivisions},
-                         [m1, m2])
+    manifest = _manifest(kind, {"gap_m": args.gap}, [m1, m2], quad)
     if kind == "energy":
         compute, units, floor = energy_per_area, "J/m^2", VERDICT_FLOOR_PA * args.gap
     else:
@@ -128,8 +131,7 @@ def _cmd_sweep(args):
     gaps = np.geomspace(args.gap_min, args.gap_max, args.points)
     manifest = _manifest("sweep", {"gap_min_m": args.gap_min,
                                    "gap_max_m": args.gap_max,
-                                   "points": args.points,
-                                   "rel_tol": quad.rel_tol}, [m1, m2])
+                                   "points": args.points}, [m1, m2], quad)
 
     results = integrate_gaps([(GapConfig(float(a), m1, m2), kind) for a in gaps
                               for kind in ("energy", "pressure")], quad)
@@ -173,8 +175,7 @@ def _cmd_signmap(args):
     quad = _quad_config(args)
     manifest = _manifest("signmap", {"eps1": args.eps1, "mu1": args.mu1,
                                      "eps2": args.eps2, "mu2": args.mu2,
-                                     "gap_m": args.gap,
-                                     "rel_tol": quad.rel_tol}, [])
+                                     "gap_m": args.gap}, [], quad)
     table = sign_map(args.eps1, args.mu1, args.eps2, args.mu2, args.gap,
                      quad=quad, threshold=args.threshold)
     return _emit_map(args, table, ("eps1", "mu1", "eps2", "mu2"), quad, manifest)
@@ -184,8 +185,7 @@ def _cmd_uvlmap(args):
     quad = _quad_config(args)
     manifest = _manifest("uvlmap", {"mu1": args.mu1, "mu2": args.mu2,
                                     "gap_m": args.gap, "mode": args.mode,
-                                    "eps_mu_product": args.product,
-                                    "rel_tol": quad.rel_tol}, [])
+                                    "eps_mu_product": args.product}, [], quad)
     table = uvl_map(args.mu1, args.mu2, args.gap, quad=quad,
                     threshold=args.threshold, mode=args.mode,
                     eps_mu_product=args.product)
@@ -206,8 +206,8 @@ def _cmd_pfa(args):
     sphere, plate = _load_materials(args.sphere, args.plate)
     quad = _quad_config(args)
     geom = SpherePlate(args.radius, args.gap)
-    manifest = _manifest("pfa", {"radius_m": args.radius, "gap_m": args.gap,
-                                 "rel_tol": quad.rel_tol}, [sphere, plate])
+    manifest = _manifest("pfa", {"radius_m": args.radius, "gap_m": args.gap},
+                         [sphere, plate], quad)
     result = pfa_force(geom, sphere, plate, quad)
     scale = 2 * np.pi * args.radius  # force per energy per area, as in pfa_force
     doc = {

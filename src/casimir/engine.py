@@ -21,8 +21,9 @@ panels) from there up.  Each round hands their xi nodes to the inner axis:
 each model's eps and mu are evaluated once per distinct frequency of the
 owners that use it, as arrays, and the inner integrals of each owner's
 nodes refine in one ``integrate_panels`` call per owner per round, each
-node to its own tolerance and budget.  Inner-integral error
-estimates are propagated into the outer total in quadrature sum.
+node to its own tolerance and budget from geometric panels in y, graded
+toward y0 below rel_tol 1e-7.  Inner-integral error estimates are
+propagated into the outer total in quadrature sum.
 
 Frequency-independent media (``PerfectConductor``, ``InfinitelyPermeable``
 and ``ConstantEpsMu``, the vacuum included) skip that double quadrature.
@@ -120,19 +121,20 @@ class QuadratureConfig:
     """Accuracy knobs for the double quadrature.
 
     Each result converges to ``error <= rel_tol * |value| + 1e-30`` in its
-    own unit (J/m^2 for energies, Pa for pressures).  max_subdivisions
-    budgets the outer adaptive axis.  The inner integrals at the outer
-    nodes refine together, but each keeps its own budget of
+    own unit (J/m^2 for energies, Pa for pressures).  max_subdivisions, an
+    integer >= 1, budgets the outer adaptive axis.  The inner integrals at
+    the outer nodes refine together, but each keeps its own budget of
     min(max_subdivisions, 300) splits and its own tolerance, so one that
-    exhausts its budget stops alone.  The outer axis starts from 20
-    geometric panels in xi, [0, 1e-4 c/a, 2e-4 c/a, 4e-4 c/a, ...], or from
-    every other edge of them (10 panels) when rel_tol >= 1e-7: a loose
-    tolerance then takes half the inner integrals, and refinement splits
-    the panels it needs.  The truncation is fixed: the inner axis ends at
-    y = 80, so the outer axis ends where y0 = 2 a xi / c reaches 80, at
-    xi = 40 c/a.  A pair of frequency-independent media takes one adaptive
-    axis instead, t = xi / (c kappa0) in [0, 1], from 4 panels, to the same
-    tolerance within the same max_subdivisions.
+    exhausts its budget stops alone; each starts from geometric panels in y,
+    the first 0.25 wide, or 4 y0 within [1e-5, 0.25] when rel_tol < 1e-7.
+    The outer axis starts from 20 geometric panels in xi,
+    [0, 1e-4 c/a, 2e-4 c/a, 4e-4 c/a, ...], or from every other edge of them
+    (10 panels) when rel_tol >= 1e-7: a loose tolerance then takes half the
+    inner integrals, and refinement splits the panels it needs.  The truncation is fixed: the
+    inner axis ends at y = 80, so the outer axis ends where y0 = 2 a xi / c
+    reaches 80, at xi = 40 c/a.  A pair of frequency-independent media takes
+    one adaptive axis instead, t = xi / (c kappa0) in [0, 1], from 4 panels,
+    to the same tolerance within the same max_subdivisions.
     """
 
     rel_tol: float = 1e-8
@@ -141,8 +143,9 @@ class QuadratureConfig:
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
             raise DomainError("rel_tol must lie in (0, 1)")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be positive")
+        m = self.max_subdivisions
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+            raise DomainError("max_subdivisions must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -368,8 +371,10 @@ def _inner_integrals(cfgs, kinds, rel_tol, budget):
     distinct frequency of the nodes of the owners that use it.  Nodes whose
     lower limit y0 = 2 a xi / c reaches ``_Y_CUTOFF`` give exactly zero;
     the others refine from the seed panels ``geometric_edges(y0,
-    _Y_CUTOFF, 0.25)`` to ``rel_tol`` within ``budget`` splits, the nodes of
-    one owner per ``integrate_panels`` call.
+    _Y_CUTOFF, w)`` to ``rel_tol`` within ``budget`` splits, the nodes of
+    one owner per ``integrate_panels`` call.  w = 0.25, or clip(4 y0, 1e-5,
+    0.25) below rel_tol 1e-8: where y0 << 1 and r1 r2 -> 1 the integrand
+    goes as y ln y, which a first panel graded toward y0 resolves at once.
     """
     two_a = 2.0 * np.array([cfg.a for cfg in cfgs])
     sides = [(id(cfg.material1), id(cfg.material2)) for cfg in cfgs]
@@ -428,7 +433,8 @@ def _inner_block(two_a, kind, rf1, rf2, node1, node2, y0, rel_tol, budget):
         terms = term(pte, emy, omy) + term(ptm, emy, omy)
         return y * terms if kind == "energy" else y * y * terms
 
-    lo, hi, owner = geometric_panels(y0, _Y_CUTOFF, 0.25)
+    width = np.clip(4.0 * y0, 1e-5, 0.25) if rel_tol < 0.1 * _COARSE_SEED_TOL else 0.25
+    lo, hi, owner = geometric_panels(y0, _Y_CUTOFF, width)
     res = integrate_panels(g, lo, hi, owner, y0.size, rel_tol=rel_tol,
                            max_subdivisions=budget)
     return res.value, res.error

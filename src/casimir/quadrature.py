@@ -246,17 +246,17 @@ def integrate_adaptive(f, edges, rel_tol, abs_floor=0.0, max_subdivisions=1000,
 def geometric_panels(starts, stop, first_width):
     """``geometric_edges(start, stop, first_width)`` for every start at once.
 
-    Returns the panels flattened as ``(lo, hi, owner)`` for
-    ``integrate_panels``, ``owner`` being the index into ``starts``; each
-    owner's panels are contiguous and in increasing order.
-    Starts at or beyond ``stop`` get no panel.  The edges are the same
-    floating-point numbers ``geometric_edges`` gives.
+    ``first_width`` is a float or one width per start.  Returns the panels
+    flattened as ``(lo, hi, owner)`` for ``integrate_panels``, ``owner``
+    being the index into ``starts``; each owner's panels are contiguous and
+    in increasing order.  Starts at or beyond ``stop`` get no panel.  The
+    edges are the same floating-point numbers ``geometric_edges`` gives.
     """
     starts = np.asarray(starts, dtype=float)
-    span = (stop - starts.min()) / first_width if starts.size else 0.0
+    span = (stop - starts.min()) / np.min(first_width) if starts.size else 0.0
     # enough doublings to pass stop from the lowest start, one spare
     n_steps = int(np.ceil(np.log2(max(span, 1.0) + 1.0))) + 1
-    widths = first_width * 2.0 ** np.arange(n_steps)
+    widths = np.multiply.outer(first_width, 2.0 ** np.arange(n_steps))
     # each edge is the previous edge plus the next width, rounded per step
     edges = np.cumsum(np.column_stack(
         [starts, np.broadcast_to(widths, (starts.size, n_steps))]), axis=1)

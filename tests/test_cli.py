@@ -302,6 +302,29 @@ def test_pfa_command(capsys):
     assert doc["verdict"] == "Attractive"
 
 
+@pytest.mark.parametrize("argv", [
+    ("energy", "--material1", "pc", "--material2", "pc", "--gap", "1e-6"),
+    ("sweep", "--material1", "pc", "--material2", "pc", "--gap-min", "5e-7",
+     "--gap-max", "2e-6", "--points", "2"),
+    ("signmap", "--eps1", "1", "100", "--mu1", "1", "--eps2", "1", "--mu2", "1",
+     "--gap", "1e-6", "--no-refine-boundaries"),
+    ("uvlmap", "--mu1", "0.5", "--mu2", "2", "--gap", "1e-6", "--no-refine-boundaries"),
+    ("pfa", "--radius", "100e-6", "--gap", "1e-6", "--sphere", "pc", "--plate", "pc"),
+], ids=lambda argv: argv[0])
+def test_every_manifest_records_the_quadrature_it_ran_with(capsys, argv):
+    code, out, err = run(capsys, *argv, "--rel-tol", "1e-6", "--max-subdivisions", "123")
+    assert code == 0
+    if argv[0] in ("energy", "pfa"):
+        manifest = json.loads(out)["manifest"]
+    elif argv[0] == "sweep":
+        manifest = json.loads(err)
+    else:
+        manifest = json.loads(err)["manifest"]
+    assert manifest["command"] == argv[0]
+    assert manifest["parameters"]["rel_tol"] == 1e-6
+    assert manifest["parameters"]["max_subdivisions"] == 123
+
+
 def test_saved_models_feed_the_cli(capsys, tmp_path):
     path = tmp_path / "gold.json"
     save_material(Drude(1.37e16, 5.3e13, label="gold-like"), path)

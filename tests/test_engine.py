@@ -452,6 +452,16 @@ def test_quadrature_config_validation():
         QuadratureConfig(max_subdivisions=0)
 
 
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), 2.5, True, np.True_,
+                                    "10", 0, -3])
+def test_max_subdivisions_must_be_an_integer_of_at_least_one(budget):
+    # a NaN budget once let a PC-PC solve at rel_tol 1e-15 run on unbounded
+    with pytest.raises(DomainError, match="max_subdivisions"):
+        QuadratureConfig(max_subdivisions=budget)
+    assert QuadratureConfig(max_subdivisions=np.int64(7)).max_subdivisions == 7
+    assert QuadratureConfig(max_subdivisions=1).max_subdivisions == 1
+
+
 def test_engine_speed_ideal_mirrors():
     cfg = GapConfig(1e-6, PC, PC)
     energy_per_area(cfg)  # warm
@@ -588,6 +598,80 @@ def test_outer_seed_edges_are_the_geometric_edges():
         s = 1e-4 * C_LIGHT / cfg.a
         want = np.append(0.0, engine.geometric_edges(s, engine._xi_cutoff(cfg), s))
         assert engine._outer_edges(cfg, 1e-8).tolist() == want.tolist()
+
+
+@pytest.fixture
+def inner_seeds(monkeypatch):
+    """(y0, first width) of every inner seed ``_inner_block`` forms."""
+    seeds = []
+    real = engine.geometric_panels
+
+    def recorded(starts, stop, first_width):
+        seeds.append((starts, first_width))
+        return real(starts, stop, first_width)
+
+    monkeypatch.setattr(engine, "geometric_panels", recorded)
+    return seeds
+
+
+@pytest.mark.parametrize("rel_tol", [1e-7, 1e-6, 1e-3])
+def test_inner_seed_starts_a_quarter_wide_from_rel_tol_1e_7(inner_seeds, rel_tol):
+    quad = QuadratureConfig(rel_tol=rel_tol)
+    for m2 in (GOLD, PC, TABLE):
+        energy_per_area(GapConfig(1e-6, GOLD, m2), quad)
+        pressure(GapConfig(1e-7, GOLD, m2), quad)
+    dominant_frequency(GapConfig(1e-6, GOLD, GOLD))
+    assert inner_seeds
+    assert all(type(width) is float and width == 0.25 for _, width in inner_seeds)
+
+
+def test_inner_seed_is_graded_toward_y0_below_rel_tol_1e_7(inner_seeds):
+    pressure(GapConfig(1e-6, GOLD, GOLD), QuadratureConfig(rel_tol=9.9e-8))
+    assert inner_seeds
+    for y0, width in inner_seeds:
+        assert width.tolist() == np.clip(4.0 * y0, 1e-5, 0.25).tolist()
+    assert min(width.min() for _, width in inner_seeds) < 0.25
+
+
+@pytest.mark.parametrize("fn", [energy_per_area, pressure])
+@pytest.mark.parametrize("pair", [(GOLD, GOLD), (Plasma(9e15), Plasma(9e15))],
+                         ids=["drude", "plasma"])
+def test_metals_converge_every_inner_integral_in_its_seed_round(monkeypatch, pair, fn):
+    # per inner quadrature: its integrand calls and the calls its seed takes
+    calls = []
+    real = engine.integrate_panels
+
+    def counted(f, lo, *args, with_errors=False, **kwargs):
+        if with_errors:
+            return real(f, lo, *args, with_errors=True, **kwargs)
+        n = [0]
+
+        def g(x, owner):
+            n[0] += 1
+            return f(x, owner)
+        result = real(g, lo, *args, **kwargs)
+        calls.append((n[0], -(-lo.size // _EVAL_ROWS)))
+        return result
+
+    monkeypatch.setattr(engine, "integrate_panels", counted)
+    fn(GapConfig(1e-6, *pair))
+    assert calls
+    assert [n for n, _ in calls] == [seed for _, seed in calls]
+
+
+GRADED_PAIRS = [(GOLD, GOLD), (Plasma(9e15), Plasma(9e15)), (LORENTZ, LORENTZ),
+                (GOLD, FERRITE), (LORENTZ, TABLE), (LORENTZ, PC)]
+
+
+def test_graded_inner_seed_keeps_its_error_bounds():
+    # against references at rel_tol 1e-11, at the default rel_tol 1e-8
+    items = [(GapConfig(a, m1, m2), kind) for m1, m2 in GRADED_PAIRS
+             for a in (7e-8, 8e-7, 6e-6) for kind in ("energy", "pressure")]
+    refs = integrate_gaps(items, QuadratureConfig(rel_tol=1e-11))
+    for ref, r in zip(refs, integrate_gaps(items)):
+        err = abs(r.value - ref.value)
+        assert err <= r.error_estimate
+        assert err <= 1e-8 * abs(ref.value)
 
 
 ACCURACY_PAIRS = [(PC, PC), (PC, IPP), (GOLD, FERRITE), (LORENTZ, TABLE),

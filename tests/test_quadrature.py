@@ -95,6 +95,20 @@ def test_geometric_panels_match_geometric_edges():
         np.testing.assert_array_equal(hi[mine], edges[1:])
 
 
+def test_geometric_panels_take_one_first_width_per_start():
+    starts = np.array([0.0, 3e-6, 1e-3, 0.02, 0.3, 2.0, 79.9, 80.0, 95.0])
+    widths = np.clip(4.0 * starts, 1e-5, 0.25)
+    lo, hi, owner = geometric_panels(starts, 80.0, widths)
+    for i, (start, width) in enumerate(zip(starts, widths)):
+        mine = owner == i
+        if start >= 80.0:
+            assert not mine.any()
+            continue
+        edges = geometric_edges(start, 80.0, width)
+        assert hexes(lo[mine]) == hexes(edges[:-1])
+        assert hexes(hi[mine]) == hexes(edges[1:])
+
+
 # (integrand, seed edges) per owner: different seed-panel counts, one
 # identically zero, and a needle that needs far more splits than allowed
 _OWNERS = [
