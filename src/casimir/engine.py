@@ -15,15 +15,15 @@ y = 2 kappa0 a (so k dk -> y dy / (2a)^2 with lower limit y0 = 2 a xi / c),
 which makes the exponential kernel separation-independent.  Both axes use
 vectorized adaptive Gauss-Kronrod panels.  The outer axis refines the
 (gap, kind) integrals of any material pairs together, one owner each
-(``integrate_gaps``), from a seed that follows the tolerance: 20
-geometric panels in xi below rel_tol 1e-7, every other edge of them (10
-panels) from there up.  Each round hands their xi nodes to the inner axis:
-each model's eps and mu are evaluated once per distinct frequency of the
-owners that use it, as arrays, and the inner integrals of each owner's
-nodes refine in one ``integrate_panels`` call per owner per round, each
-node to its own tolerance and budget from geometric panels in y, graded
-toward y0 below rel_tol 1e-7.  Inner-integral error estimates are
-propagated into the outer total in quadrature sum.
+(``integrate_gaps``), from a seed that follows the tolerance: 10 geometric
+panels in xi from rel_tol 1e-7 up, 15 below it, where the panels that hold
+a metal's integral are halved.  Each round hands their xi nodes to the
+inner axis: each model's eps and mu are evaluated once per distinct
+frequency of the owners that use it, as arrays, and the inner integrals of
+each owner's nodes refine in one ``integrate_panels`` call per owner per
+round, each node to its own tolerance and budget from geometric panels in
+y, graded toward y0 below rel_tol 1e-7.  Inner-integral error estimates
+are propagated into the outer total in quadrature sum.
 
 Frequency-independent media (``PerfectConductor``, ``InfinitelyPermeable``
 and ``ConstantEpsMu``, the vacuum included) skip that double quadrature.
@@ -53,7 +53,7 @@ from .errors import (ContinuumModelWarning, ConvergenceError,
 from .materials import (ConstantEpsMu, InfinitelyPermeable, MaterialResponse,
                         PerfectConductor)
 # integrate_adaptive stays bound here for the benchmark's tracer to patch
-from .quadrature import (_EVAL_ROWS, geometric_edges, geometric_panels,
+from .quadrature import (_EVAL_ROWS, geometric_panels,
                          integrate_adaptive, integrate_panels, kronrod_nodes)
 
 
@@ -127,14 +127,15 @@ class QuadratureConfig:
     min(max_subdivisions, 300) splits and its own tolerance, so one that
     exhausts its budget stops alone; each starts from geometric panels in y,
     the first 0.25 wide, or 4 y0 within [1e-5, 0.25] when rel_tol < 1e-7.
-    The outer axis starts from 20 geometric panels in xi,
-    [0, 1e-4 c/a, 2e-4 c/a, 4e-4 c/a, ...], or from every other edge of them
-    (10 panels) when rel_tol >= 1e-7: a loose tolerance then takes half the
-    inner integrals, and refinement splits the panels it needs.  The truncation is fixed: the
-    inner axis ends at y = 80, so the outer axis ends where y0 = 2 a xi / c
-    reaches 80, at xi = 40 c/a.  A pair of frequency-independent media takes
-    one adaptive axis instead, t = xi / (c kappa0) in [0, 1], from 4 panels,
-    to the same tolerance within the same max_subdivisions.
+    The outer axis starts from 10 geometric panels in xi,
+    [0, 2e-4, 8e-4, 3.2e-3, ..., 13.1072, 40] c/a, when rel_tol >= 1e-7, and
+    refinement splits the panels it needs; below that, from 15: the same
+    with [0, 2e-4] and the four panels from 0.0512 to 13.1072 c/a halved.
+    The truncation is fixed: the inner axis ends at y = 80, so the outer
+    axis ends where y0 = 2 a xi / c reaches 80, at xi = 40 c/a.  A pair of
+    frequency-independent media takes one adaptive axis instead, t = xi /
+    (c kappa0) in [0, 1], from 4 panels, to the same tolerance within the
+    same max_subdivisions.
     """
 
     rel_tol: float = 1e-8
@@ -348,15 +349,17 @@ def _xi_cutoff(cfg):
 
 
 _INNER_BUDGET = 300
-# Outer seed panels per owner below rel_tol 1e-7: [0, 1e-4 c/a] and the
-# geometric panels from there to the cutoff, the same 20 at every gap (in
-# the unit c/a).  From rel_tol 1e-7 up the seed keeps every other edge,
-# [0, 2e-4, 8e-4, 3.2e-3, ..., 40] c/a: 10 panels, which refinement splits
-# where the tolerance asks for it (``_outer_edges``).
-_OUTER_SEED_PANELS = geometric_edges(1e-4, 0.5 * _Y_CUTOFF, 1e-4).size
-_SEED_POWERS = 2.0 ** np.arange(_OUTER_SEED_PANELS - 1)
+# Outer seed edges, the same at every gap in the unit c/a: 0, 1e-4 2^k for
+# these k, and the cutoff 40.  From rel_tol 1e-7 up the odd k alone make 10
+# panels, [0, 2e-4, 8e-4, ..., 13.1072, 40] c/a, split where the tolerance
+# asks (``_outer_edges``); below it k = 0 and 10, 12, 14, 16 halve the first,
+# where a conductor is not analytic in xi, and the four from 0.0512 to 13.1
+# c/a, which hold ~97 % of a metal's integral: 15 panels.
+_SEED_EXPONENTS = np.r_[0, 1:9:2, 9:18]
+_SEED_POWERS = 2.0 ** _SEED_EXPONENTS
+_OUTER_SEED_PANELS = _SEED_POWERS.size + 1
 _COARSE_SEED_TOL = 1e-7
-# Configurations per batched outer call (28): as many as one integrand call
+# Configurations per batched outer call (38): as many as one integrand call
 # of ``_EVAL_ROWS`` panels seeds at the finer seed, so that each owner's
 # seed round takes one inner quadrature at any tolerance.  It also bounds
 # the working set of a round.
@@ -441,12 +444,13 @@ def _inner_block(two_a, kind, rf1, rf2, node1, node2, y0, rel_tol, budget):
 
 
 def _outer_edges(cfg, rel_tol):
-    """Seed edges of one owner's outer axis, as ``_OUTER_SEED_PANELS`` says:
-    ``geometric_edges(s, xi_cut, s)`` after 0, whose edges s 2^k are exact
-    in floating point, so they are formed as such; with ``cfg`` None, in y0."""
+    """Seed edges of one owner's outer axis, as ``_SEED_EXPONENTS`` says:
+    0, s 2^k and the cutoff, with s = 1e-4 c/a; the edges s 2^k are exact in
+    floating point, so they are formed as such; with ``cfg`` None, in y0."""
     s, cut = (2e-4, _Y_CUTOFF) if cfg is None else (1e-4 * C / cfg.a, _xi_cutoff(cfg))
-    edges = np.concatenate([[0.0], s * _SEED_POWERS, [cut]])
-    return np.append(edges[:-1:2], edges[-1]) if rel_tol >= _COARSE_SEED_TOL else edges
+    coarse = rel_tol >= _COARSE_SEED_TOL
+    powers = _SEED_POWERS[_SEED_EXPONENTS % 2 == 1] if coarse else _SEED_POWERS
+    return np.concatenate([[0.0], s * powers, [cut]])
 
 
 def _integrate_batch(items, quad):
@@ -735,19 +739,28 @@ def _frequency_independent(cfg):
     return type(cfg.material1) in _CONSTANT_MEDIA and type(cfg.material2) in _CONSTANT_MEDIA
 
 
+def _vacuum_side(cfg):
+    """Whether a side is ``ConstantEpsMu(1, 1)``, which reflects nothing."""
+    return any(type(m) is ConstantEpsMu and m.eps_const == m.mu_const == 1.0
+               for m in (cfg.material1, cfg.material2))
+
+
 def _outcomes(items, quad, peaks=True):
-    """Each item's result, or its ConvergenceError unraised, in order.  The
-    frequency-independent items take the angular integral, all in one
-    call; the others go to ``_integrate_batch``, ``_CONFIGS`` at a time.
-    With ``peaks`` false the frequency-independent items leave
-    ``dominant_xi`` None, for callers that read the value alone."""
-    constant = [_frequency_independent(cfg) for cfg, _ in items]
+    """Each item's result, or its ConvergenceError unraised, in order.  An
+    item with a vacuum side is an exact, converged 0.0 with no
+    ``dominant_xi``.  The other frequency-independent items take the
+    angular integral, all in one call; the rest go to ``_integrate_batch``,
+    ``_CONFIGS`` at a time.  With ``peaks`` false the frequency-independent
+    items leave ``dominant_xi`` None, for callers that read the value alone."""
+    vacuum = [_vacuum_side(cfg) for cfg, _ in items]
+    constant = [not v and _frequency_independent(cfg) for (cfg, _), v in zip(items, vacuum)]
     closed = _angular_batch([it for it, c in zip(items, constant) if c], quad, peaks)
-    dispersive = [it for it, c in zip(items, constant) if not c]
+    dispersive = [it for it, v, c in zip(items, vacuum, constant) if not (v or c)]
     batches = (r for start in range(0, len(dispersive), _CONFIGS)
                for r in _integrate_batch(dispersive[start:start + _CONFIGS], quad))
-    for c in constant:
-        yield next(closed if c else batches)
+    for (_, kind), v, c in zip(items, vacuum, constant):
+        yield _outcome(kind, 0.0, 0.0, None, True, quad) if v else \
+            next(closed if c else batches)
 
 
 def integrate_gaps(items, quad=None):
@@ -792,13 +805,16 @@ def dominant_frequency(cfg):
     Defined as the peak of the per-log-frequency contribution
     xi * |F(xi)| of the outer integrand F; located on a logarithmic scan
     and refined by a parabolic fit.  Raises DegenerateIntegrandError when
-    the integrand vanishes everywhere (e.g. one side is vacuum).  A pair of
-    constant media is scanned once, in the unit c/a, by ``_peak_weights``:
-    the nodes a bound leaves in the running and the peak's two neighbours
-    take inner integrals at rel_tol 1e-10, the others weigh 0.
+    the integrand vanishes everywhere, without a scan where one side is
+    the vacuum.  A pair of constant media is scanned once, in the unit
+    c/a, by ``_peak_weights``: the nodes a bound leaves in the running and
+    the peak's two neighbours take inner integrals at rel_tol 1e-10, the
+    others weigh 0.
     """
     unit = C / cfg.a
-    if _frequency_independent(cfg):
+    if _vacuum_side(cfg):
+        weight = np.zeros(_SCAN.size)
+    elif _frequency_independent(cfg):
         # y0 |F| on y0 = 2 xi, halved: xi |F| to the bit
         weight = _cached((_pair_key(cfg),), lambda: 0.5 * _peak_weights(
             "energy", (cfg.material1, cfg.material2), 2.0 * _SCAN))

@@ -106,6 +106,18 @@ def test_vacuum_is_indeterminate(capsys):
     assert doc["dominant_xi_rad_s"] is None
 
 
+def test_a_metal_facing_vacuum_prints_a_positive_zero_pressure(capsys, tmp_path):
+    path = tmp_path / "gold.json"
+    save_material(Drude(1.37e16, 5.3e13, label="gold"), path)
+    for pair in ((str(path), "vacuum"), ("vacuum", str(path))):
+        code, out, _ = run(capsys, "pressure", "--material1", pair[0], "--material2",
+                           pair[1], "--gap", "1e-6", "--csv")
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out)))[1] == [
+            "0.0000000000000000e+00", "0.0000000000000000e+00", "Pa", "", "Indeterminate",
+            "true"]
+
+
 def test_nonconvergence_exits_3_with_best_estimate(capsys, tmp_path):
     # a Drude metal of plasma wavelength 1.9 nm, within 0.15 % of the ideal
     # mirrors at 1 um, which the 2-D quadrature integrates

@@ -28,7 +28,7 @@ from casimir import (ConstantEpsMu, ContinuumModelWarning,
 from casimir import engine
 from casimir.engine import (_inner_integrals, _integrate_batch, _li4, _ln_one_minus,
                             _reflection_at_limits, _reflection_by_owner, integrate_gaps)
-from casimir.quadrature import _EVAL_ROWS, kronrod_nodes
+from casimir.quadrature import _EVAL_ROWS, geometric_edges, kronrod_nodes
 
 HBAR = 1.054571817e-34
 C_LIGHT = 2.99792458e8
@@ -342,6 +342,64 @@ def test_vacuum_side_gives_exact_zero():
         assert pressure(GapConfig(2e-6, other, vacuum())).value == 0.0
 
 
+VACUUM_PARTNERS = [GOLD, Plasma(9e15), LORENTZ, TABLE, FERRITE, PC, IPP,
+                   ConstantEpsMu(10.0, 3.0), vacuum()]
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("an integrand of a vacuum pair was evaluated")
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-3])
+def test_a_vacuum_side_is_a_converged_positive_zero_without_integrating(monkeypatch,
+                                                                         rel_tol):
+    for name in ("integrate_panels", "_inner_integrals", "_peak_weights"):
+        monkeypatch.setattr(engine, name, refuse)
+    items = [(GapConfig(a, *pair), kind) for m in VACUUM_PARTNERS
+             for pair in ((vacuum(), m), (m, vacuum())) for a in BATCH_GAPS
+             for kind in ("energy", "pressure")]
+    for quad in (QuadratureConfig(rel_tol=rel_tol),
+                 QuadratureConfig(rel_tol=1e-15, max_subdivisions=1)):
+        results = integrate_gaps(items, quad)
+        for (_, kind), r in zip(items, results):
+            assert type(r).__name__ == ("EnergyResult" if kind == "energy"
+                                        else "PressureResult")
+            assert (r.value, r.error_estimate, r.dominant_xi) == (0.0, 0.0, None)
+            assert math.copysign(1.0, r.value) == 1.0
+
+
+def test_a_mixed_batch_keeps_its_vacuum_items_in_order(monkeypatch):
+    handed = []
+
+    def recorded(items, quad):
+        handed.extend(items)
+        return _integrate_batch(items, quad)
+
+    side = vacuum()
+    pairs = [(GOLD, side), (GOLD, GOLD), (side, TABLE), (PC, IPP), (side, PC), (LORENTZ, PC)]
+    items = [(GapConfig(a, m1, m2), kind) for m1, m2 in pairs for a in BATCH_GAPS
+             for kind in ("energy", "pressure")]
+    alone = [(energy_per_area if kind == "energy" else pressure)(cfg)
+             for cfg, kind in items]
+    monkeypatch.setattr(engine, "_integrate_batch", recorded)
+    batched = integrate_gaps(items)
+    assert [bits(r) for r in batched] == [bits(r) for r in alone]
+    assert handed == [(cfg, kind) for cfg, kind in items
+                      if (cfg.material1, cfg.material2) in (pairs[1], pairs[5])]
+    for (cfg, _), r in zip(items, batched):
+        assert (r.value == 0.0) == (side in (cfg.material1, cfg.material2))
+
+
+def test_dominant_frequency_of_a_vacuum_pair_raises_without_a_scan(monkeypatch):
+    for name in ("_inner_integrals", "_peak_weights"):
+        monkeypatch.setattr(engine, name, refuse)
+    engine._SOLVED.clear()
+    for m in VACUUM_PARTNERS:
+        for pair in ((vacuum(), m), (m, vacuum())):
+            with pytest.raises(DegenerateIntegrandError):
+                dominant_frequency(GapConfig(1e-6, *pair))
+
+
 def test_scale_law_for_constant_materials():
     m = ConstantEpsMu(4.0, 1.0)
     for a in (0.3e-6, 1e-6):
@@ -516,9 +574,10 @@ def test_batched_call_gives_the_bits_of_one_configuration_calls(m1, m2):
 
 
 def test_batched_convergence_error_is_the_first_owner_in_gap_order():
-    # with one split the pressures at 1e-5 and 2e-5 m fail, the one at 1e-6 m does not
-    quad = QuadratureConfig(rel_tol=1e-10, max_subdivisions=1)
+    # with two splits the pressures at 1e-5 and 2e-5 m fail, the one at 1e-6 m does not
+    quad = QuadratureConfig(rel_tol=1e-10, max_subdivisions=2)
     items = [(GapConfig(a, GOLD, GOLD), "pressure") for a in (1e-6, 1e-5, 2e-5)]
+    assert pressure(items[0][0], quad).value < 0.0
     with pytest.raises(ConvergenceError, match="^pressure quadrature") as batched:
         integrate_gaps(items, quad)
     with pytest.raises(ConvergenceError) as alone:
@@ -569,14 +628,23 @@ def test_attraction_check_transforms_each_node_once(kk_nodes):
     assert sum(x.size for x in kk_nodes) == 2 * nodes.size
 
 
-@pytest.mark.parametrize("rel_tol, nodes", [(1e-8, 300), (1e-6, 150)])
+@pytest.mark.parametrize("rel_tol, nodes", [(1e-8, 225), (1e-6, 150)])
 def test_outer_seed_keeps_every_other_edge_from_rel_tol_1e_7(monkeypatch, rel_tol, nodes):
-    # Drude-Drude converges on its seed panels, 15 Kronrod nodes each: 20
-    # panels below rel_tol 1e-7 and every other edge of them, 10 panels, from there
+    # Drude-Drude converges on its seed panels, 15 Kronrod nodes each: from
+    # rel_tol 1e-7 up every other geometric edge, 10 panels; below it 15
+    # panels, those 10 with the first one and the four from 0.0512 to
+    # 13.1072 c/a halved
     cfg = GapConfig(1e-6, GOLD, GOLD)
     fine = engine._outer_edges(cfg, 1e-8)
-    assert fine.size == engine._OUTER_SEED_PANELS + 1
-    assert engine._outer_edges(cfg, 1e-7).tolist() == fine[::2].tolist()
+    coarse = engine._outer_edges(cfg, 1e-7)
+    assert fine.size == engine._OUTER_SEED_PANELS + 1 == 16
+    assert coarse.size == 11
+    assert set(coarse.tolist()) <= set(fine.tolist())
+    halved = [k for k in range(coarse.size - 1)
+              if np.any((fine > coarse[k]) & (fine < coarse[k + 1]))]
+    assert halved == [0, 5, 6, 7, 8]
+    assert fine[np.isin(fine, coarse, invert=True)] / (C_LIGHT / cfg.a) == \
+        pytest.approx([1e-4, 0.1024, 0.4096, 1.6384, 6.5536], rel=1e-15)
     sampled = []
 
     def recorded(*args):
@@ -593,11 +661,20 @@ def test_outer_seed_keeps_every_other_edge_from_rel_tol_1e_7(monkeypatch, rel_to
 
 
 def test_outer_seed_edges_are_the_geometric_edges():
+    # 0, s 2^k for these k and the cutoff, s = 1e-4 c/a: the odd k from
+    # rel_tol 1e-7 up, and k = 0 and 10, 12, 14, 16 with them below it
+    fine_k = [0, 1, 3, 5, 7, 9, 10, 11, 12, 13, 14, 15, 16, 17]
+    coarse_k = [1, 3, 5, 7, 9, 11, 13, 15, 17]
     for a in np.geomspace(1e-9, 1e-3, 61):
         cfg = GapConfig(float(a), GOLD, GOLD)
         s = 1e-4 * C_LIGHT / cfg.a
-        want = np.append(0.0, engine.geometric_edges(s, engine._xi_cutoff(cfg), s))
-        assert engine._outer_edges(cfg, 1e-8).tolist() == want.tolist()
+        cut = engine._xi_cutoff(cfg)
+        # 0, then s 2^k for k = 0 .. 18, then the cutoff
+        full = np.append(0.0, geometric_edges(s, cut, s))
+        assert full.size == 21 and full[-1] == cut
+        for rel_tol, k in ((1e-8, fine_k), (1e-7, coarse_k), (1e-3, coarse_k)):
+            want = np.concatenate([[0.0], full[1:-1][k], [cut]])
+            assert engine._outer_edges(cfg, rel_tol).tolist() == want.tolist()
 
 
 @pytest.fixture
@@ -659,12 +736,39 @@ def test_metals_converge_every_inner_integral_in_its_seed_round(monkeypatch, pai
     assert [n for n, _ in calls] == [seed for _, seed in calls]
 
 
+@pytest.mark.parametrize("fn", [energy_per_area, pressure])
+@pytest.mark.parametrize("pair", [(GOLD, GOLD), (Plasma(9e15), Plasma(9e15))],
+                         ids=["drude", "plasma"])
+def test_metals_converge_in_one_outer_integrand_call_of_225_nodes(monkeypatch, pair, fn):
+    # the 15 seed panels of rel_tol 1e-8, 15 Kronrod nodes each, and no split
+    nodes = []
+    real = engine.integrate_panels
+
+    def counted(f, *args, with_errors=False, **kwargs):
+        if not with_errors:
+            return real(f, *args, **kwargs)
+
+        def outer(x, owners):
+            nodes.append(x.size)
+            return f(x, owners)
+        return real(outer, *args, with_errors=True, **kwargs)
+
+    monkeypatch.setattr(engine, "integrate_panels", counted)
+    fn(GapConfig(1e-6, *pair))
+    assert nodes == [225]
+
+
+# the ferrites span Delta mu omega_m from 1e11 to 1e14 rad/s; a Drude metal of
+# gamma = 1e10 rad/s reflects like a plasma down to far lower xi
 GRADED_PAIRS = [(GOLD, GOLD), (Plasma(9e15), Plasma(9e15)), (LORENTZ, LORENTZ),
-                (GOLD, FERRITE), (LORENTZ, TABLE), (LORENTZ, PC)]
+                (GOLD, FERRITE), (LORENTZ, TABLE), (LORENTZ, PC),
+                (GOLD, DebyeMagnetic(1e3, 1e11)), (GOLD, DebyeMagnetic(10.0, 1e10)),
+                (Drude(1.37e16, 1e10), Drude(1.37e16, 1e10))]
 
 
 def test_graded_inner_seed_keeps_its_error_bounds():
-    # against references at rel_tol 1e-11, at the default rel_tol 1e-8
+    # against references at rel_tol 1e-11, at the default rel_tol 1e-8: the
+    # inner seeds graded toward y0 and the outer seed of 15 panels
     items = [(GapConfig(a, m1, m2), kind) for m1, m2 in GRADED_PAIRS
              for a in (7e-8, 8e-7, 6e-6) for kind in ("energy", "pressure")]
     refs = integrate_gaps(items, QuadratureConfig(rel_tol=1e-11))
@@ -679,7 +783,7 @@ ACCURACY_PAIRS = [(PC, PC), (PC, IPP), (GOLD, FERRITE), (LORENTZ, TABLE),
 
 
 def test_loose_tolerances_on_the_coarse_seed_keep_their_error_bounds(rng):
-    # against references at rel_tol 1e-11, on the 20-panel seed
+    # against references at rel_tol 1e-11, on the 10-panel seed
     gaps = np.sort(np.exp(rng.uniform(np.log(5e-8), np.log(5e-6), 2)))
     items = [(GapConfig(float(a), m1, m2), kind) for m1, m2 in ACCURACY_PAIRS
              for a in gaps for kind in ("energy", "pressure")]
@@ -697,9 +801,8 @@ def test_a_full_batch_takes_one_inner_quadrature_per_owner_in_its_seed_round(mon
     assert engine._CONFIGS * engine._OUTER_SEED_PANELS <= _EVAL_ROWS
     gaps = np.geomspace(1e-7, 1e-5, engine._CONFIGS + 4)
     for a in gaps:
-        xi_lo = 1e-4 * C_LIGHT / a
-        cutoff = engine._xi_cutoff(GapConfig(a, PC, PC))
-        assert engine.geometric_edges(xi_lo, cutoff, xi_lo).size == engine._OUTER_SEED_PANELS
+        assert engine._outer_edges(GapConfig(a, PC, PC), 1e-8).size == \
+            engine._OUTER_SEED_PANELS + 1
     rounds = []  # per outer integrand call, the gap of each inner quadrature
     inner_block = engine._inner_block
 

@@ -10,8 +10,11 @@ came to take the closed-form angular integral in t = xi / (c kappa0); their
 values and dominant frequencies are still the 2-D engine's.  Those of the
 dispersive pairs (drude, plasma, lorentz-table) were re-recorded when the
 inner y-axis came to start from panels graded toward y0 below rel_tol
-1e-7; their values moved by at most 5.8e-14 relative.  The engine
-must reproduce them: values to rel 1e-13, error estimates to rel 1e-6 (the
+1e-7, their values moving by at most 5.8e-14 relative, and again when the
+outer xi-seed below rel_tol 1e-7 came to halve only the panels of the
+coarse seed where a metal's integral lives, their values and dominant
+frequencies holding to their pins.  The engine must reproduce them:
+values to rel 1e-13, error estimates to rel 1e-6 (the
 Kronrod-Gauss differences that make them up amplify last-bit changes of
 the integrand) and dominant frequencies to rel 1e-12.
 """
@@ -69,29 +72,29 @@ PINNED = {
     ("const", 1e-06, "pressure"):
         (-0.00021246843961941504, 2.5751067857255063e-17, 262183953483457.5),
     ("drude", 1e-07, "energy"):
-        (-2.244420681043866e-07, 8.229807548821456e-18, 1592746103810433.2),
+        (-2.244420681043866e-07, 2.796147510875377e-17, 1592746103810433.2),
     ("drude", 1e-07, "pressure"):
-        (-5.682574018084891, 5.539021049998076e-10, 2201767745378885.5),
+        (-5.682574018084891, 7.353629089891994e-10, 2201767745378885.5),
     ("drude", 1e-06, "energy"):
-        (-3.914029860041405e-10, 7.622489082099483e-20, 220176774537888.56),
+        (-3.914029860041405e-10, 1.1488188764339235e-19, 220176774537888.56),
     ("drude", 1e-06, "pressure"):
-        (-0.0011414739869132925, 1.397827496026832e-13, 318549220762086.7),
+        (-0.0011414739869132925, 2.295248342020603e-13, 318549220762086.7),
     ("plasma", 1e-07, "energy"):
-        (-1.8315289874837984e-07, 9.602916666982536e-18, 1386643286395911.0),
+        (-1.8315289874837984e-07, 1.0060668561443478e-17, 1386643286395911.0),
     ("plasma", 1e-07, "pressure"):
-        (-4.459355652505521, 1.6888714703117585e-10, 1841924861952000.0),
+        (-4.459355652505521, 1.703680247009675e-10, 1841924861952000.0),
     ("plasma", 1e-06, "energy"):
-        (-3.819111130647368e-10, 2.5539433529743364e-20, 220176774537888.56),
+        (-3.819111130647368e-10, 2.6261968074715466e-20, 220176774537888.56),
     ("plasma", 1e-06, "pressure"):
-        (-0.0010999530678712476, 1.0434306162015585e-13, 296416395705023.0),
+        (-0.0010999530678712476, 1.1573240248415543e-13, 296416395705023.0),
     ("lorentz-table", 1e-07, "energy"):
-        (-4.1253675264691965e-08, 1.3426966784588341e-18, 1714350103762458.2),
+        (-4.1253675264691965e-08, 1.3609482830038061e-18, 1714350103762458.2),
     ("lorentz-table", 1e-07, "pressure"):
-        (-1.1345188641777189, 1.2946523024584321e-10, 2201767745378885.5),
+        (-1.1345188641777189, 1.2965801406717864e-10, 2201767745378885.5),
     ("lorentz-table", 1e-06, "energy"):
-        (-4.9296800018725277e-11, 3.126163878088484e-21, 209110362009356.72),
+        (-4.9296800018725277e-11, 3.268714896019306e-21, 209110362009356.72),
     ("lorentz-table", 1e-06, "pressure"):
-        (-0.0001475819878850194, 1.1741485960063823e-14, 296416395705023.0),
+        (-0.0001475819878850194, 1.4875206358439463e-14, 296416395705023.0),
 }
 
 # dominant_frequency at a = 1 um
