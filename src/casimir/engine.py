@@ -36,7 +36,8 @@ y-integral at fixed t is a polylogarithm and
 with J a function of the pair alone.  It is solved once per unordered pair
 (by type and parameters) and QuadratureConfig, and so are the index of the
 seed node that is ``dominant_xi`` and ``dominant_frequency`` in the unit
-c/a (``_peak_weights``); each gap rescales them and checks its own tolerance.
+c/a, from the inner integrals of every node (``_peak_weights``); each gap
+rescales them and checks its own tolerance.
 """
 
 import math
@@ -86,9 +87,16 @@ class ReflectionPair(NamedTuple):
     r_tm: float
 
 
+# Widest gap, m.  There the ideal mirrors' pressure is ~1e-267 Pa; it leaves
+# the normal floats from ~1e70 m, and the prefactors' a^3 overflow from
+# ~1e103 m.
+_MAX_GAP = 1e60
+
+
 @dataclass(frozen=True)
 class GapConfig:
-    """Two material half-spaces separated by a vacuum gap of width a (m)."""
+    """Two material half-spaces separated by a vacuum gap of width a (m),
+    0 < a <= 1e60."""
 
     a: float
     material1: MaterialResponse
@@ -100,6 +108,8 @@ class GapConfig:
             raise DomainError("material1/material2 must be MaterialResponse instances")
         if not np.isfinite(self.a) or self.a <= 0.0:
             raise DomainError("gap must be positive")
+        if self.a > _MAX_GAP:
+            raise DomainError(f"gap must be at most {_MAX_GAP:g} m, got {self.a!r}")
         if self.a < 1e-9:
             warnings.warn("separation below 1 nm: continuum material response "
                           "is questionable at this scale", ContinuumModelWarning,
@@ -159,9 +169,9 @@ class EnergyResult:
     wavelength doing most of the work, of order the separation.  For a
     pair of frequency-independent media, which is integrated over t, it is
     the node of the outer seed where xi*|F(xi)| peaks, F being the 2-D
-    engine's inner integral (``_peak_weights``), the 2-D engine's own answer
-    whenever it converges on its seed; its index in the seed is found once
-    per pair, kind and seed, and holds at every gap.
+    engine's inner integral at every seed node (``_peak_weights``), the 2-D
+    engine's own answer whenever it converges on its seed; its index in the
+    seed is found once per pair, kind and seed, and holds at every gap.
     """
 
     value: float          # J/m^2, negative = attraction
@@ -373,7 +383,7 @@ def _inner_integrals(cfgs, kinds, rel_tol, budget):
     polarizations.  Each distinct model (by identity) is evaluated once per
     distinct frequency of the nodes of the owners that use it.  Nodes whose
     lower limit y0 = 2 a xi / c reaches ``_Y_CUTOFF`` give exactly zero;
-    the others refine from the seed panels ``geometric_edges(y0,
+    the others refine from the seed panels ``geometric_panels(y0,
     _Y_CUTOFF, w)`` to ``rel_tol`` within ``budget`` splits, the nodes of
     one owner per ``integrate_panels`` call.  w = 0.25, or clip(4 y0, 1e-5,
     0.25) below rel_tol 1e-8: where y0 << 1 and r1 r2 -> 1 the integrand
@@ -529,9 +539,6 @@ _LI4_BELOW_ODD = ((1.0 - 4.0 ** _M) * _ODD_TERMS)[::-1]
 # engine meets out of reach.
 _T_EDGES = np.linspace(0.0, 1.0, 5)
 _LI4_ROUNDING = 4.0 * np.finfo(float).eps
-# Nodes whose weight bound reaches this share of the largest bound are
-# weighed first in the peak search (``_peak_weights``)
-_PEAK_SHARE = 0.8
 
 
 def _li4_series(x):
@@ -679,60 +686,18 @@ def _dominant_xi(cfg, kind, key, rel_tol):
     return None if index is None else float(seed(cfg)[index])
 
 
-def _weight_bound(kind, y0, x):
-    """An upper bound of |F| at the nodes y0 = 2 a xi / c, where |r1p r2p|
-    e^{-y0} <= x_p for each polarization p (the rows of ``x``).
-
-    Expanding the log (the pressure's fraction) in powers of r1p r2p e^{-y}
-    bounds |F| by sum_p [y0 Li2(x_p) + Li3(x_p)] for an energy and by
-    sum_p [-y0^2 ln(1 - x_p) + 2 y0 Li2(x_p) + 2 Li3(x_p)] for a pressure,
-    with Li_s(x) <= min(x + x^2 / (2^s (1 - x)), zeta(s) x) on [0, 1].
-    """
-    with np.errstate(divide="ignore"):  # x = 1 only at y0 = 0
-        rest = x * x / (1.0 - x)
-        li2 = np.minimum(x + 0.25 * rest, _ZETA2 * x)
-        li3 = np.minimum(x + 0.125 * rest, _ZETA3 * x)
-        bound = y0 * li2 + li3 if kind == "energy" else \
-            2.0 * (y0 * li2 + li3) - y0 * y0 * np.log1p(-x)
-    return bound.sum(axis=0)
-
-
 def _peak_weights(kind, pair, y0):
-    """y0 |F(y0)| at the nodes of ``y0`` (values of 2 a xi / c) that can
-    hold its peak, and 0 at the others, F being the inner integral of a
-    frequency-independent pair; the peak is where xi |F| peaks at any gap.
-
-    ``_weight_bound`` bounds every node's weight, with |r1p r2p| <= the
-    product of each side's largest |r| at t = 0 and t = 1 (r is monotonic
-    in t).  ``_inner_block`` (unit c = 2 a = 1, xi = y0, rel_tol 1e-10)
-    weighs the nodes whose bound reaches ``_PEAK_SHARE`` of the largest,
-    then every other node whose bound reaches the largest weight found,
-    then the peak's two neighbours, for the parabolic vertex of
-    ``dominant_frequency``.  Its y-axis refines where r varies as
-    sqrt(1 - t) at t = 1 (eps mu << 1).
+    """y0 |F(y0)| at the nodes of ``y0`` (values of 2 a xi / c), F being the
+    inner integral of a frequency-independent pair; the peak is where xi |F|
+    peaks at any gap.  One ``_inner_block`` call (unit c = 2 a = 1, xi = y0,
+    rel_tol 1e-10) weighs every node, each to the bits of its solo
+    integration.  Its y-axis refines where r varies as sqrt(1 - t) at t = 1
+    (eps mu << 1).
     """
-    r1, r2 = (_angular_reflection(m, np.array([0.0, 1.0])) for m in pair)
-    largest = [float(np.max(np.abs(r))) for r in r1 + r2]
-    rho = np.array([[largest[0] * largest[2]], [largest[1] * largest[3]]])
-    bound = y0 * _weight_bound(kind, y0, rho * np.exp(-y0))
-    weight = np.zeros(y0.size)
-
-    def weigh(nodes):
-        nodes = nodes[weight[nodes] == 0.0]  # not weighed yet, or F = 0 there
-        if nodes.size:
-            y = y0[nodes]
-            rf1, rf2 = (_reflection_by_owner(m, y, 1.0, y) for m in pair)
-            each = np.arange(nodes.size)
-            vals, _ = _inner_block(1.0, kind, rf1, rf2, each, each, y, 1e-10, _INNER_BUDGET)
-            weight[nodes] = y * np.abs(vals)
-
-    share = _PEAK_SHARE * bound.max()
-    if share > 0.0:
-        weigh(np.flatnonzero(bound >= share))
-        weigh(np.flatnonzero(bound >= weight.max()))
-        m = int(np.argmax(weight))
-        weigh(np.arange(max(m - 1, 0), min(m + 2, y0.size)))
-    return weight
+    rf1, rf2 = (_reflection_by_owner(m, y0, 1.0, y0) for m in pair)
+    each = np.arange(y0.size)
+    vals, _ = _inner_block(1.0, kind, rf1, rf2, each, each, y0, 1e-10, _INNER_BUDGET)
+    return y0 * np.abs(vals)
 
 
 def _frequency_independent(cfg):
@@ -807,9 +772,8 @@ def dominant_frequency(cfg):
     and refined by a parabolic fit.  Raises DegenerateIntegrandError when
     the integrand vanishes everywhere, without a scan where one side is
     the vacuum.  A pair of constant media is scanned once, in the unit
-    c/a, by ``_peak_weights``: the nodes a bound leaves in the running and
-    the peak's two neighbours take inner integrals at rel_tol 1e-10, the
-    others weigh 0.
+    c/a, by ``_peak_weights``: every node takes its inner integral at
+    rel_tol 1e-10.
     """
     unit = C / cfg.a
     if _vacuum_side(cfg):

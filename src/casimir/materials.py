@@ -24,6 +24,8 @@ block's part and its moments have non-negative integrands, so the far
 field is more accurate than the direct sum it replaces.
 """
 
+import math
+
 import numpy as np
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -33,8 +35,11 @@ from .errors import DomainError, IngestionError, InvalidModelError
 from .quadrature import _GK_NODES as _TAIL_NODES, _GK_WEIGHTS as _TAIL_WEIGHTS
 
 
-# eps is taken at min(xi, _XI_FLAT), where xi^2 is finite and eps = 1 to rounding
-_XI_FLAT = 1e150  # for every model with its frequencies below ~1e140 rad/s
+# eps is taken at min(xi, _XI_FLAT), where xi^2 is finite and eps = 1 to
+# rounding for every model, since the constructors keep each frequency of a
+# model (and each sample of a table) at most _MAX_FREQUENCY, rad/s
+_XI_FLAT = 1e150
+_MAX_FREQUENCY = 1e140
 
 
 def _as_xi(xi):
@@ -58,6 +63,14 @@ def _positive(name, value):
     value = _finite(name, value)
     if value <= 0.0:
         raise InvalidModelError(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def _frequency(name, value):
+    value = _positive(name, value)
+    if value > _MAX_FREQUENCY:
+        raise InvalidModelError(f"{name} must be at most {_MAX_FREQUENCY:g} rad/s, "
+                                f"got {value!r}")
     return value
 
 
@@ -209,8 +222,8 @@ class Drude(MaterialResponse):
     """
 
     def __init__(self, omega_p, gamma, label=None):
-        self.omega_p = _positive("omega_p", omega_p)
-        self.gamma = _positive("gamma", gamma)
+        self.omega_p = _frequency("omega_p", omega_p)
+        self.gamma = _frequency("gamma", gamma)
         self.label = label or f"Drude(wp={self.omega_p:.3g}, gamma={self.gamma:.3g})"
 
     @property
@@ -239,7 +252,7 @@ class Plasma(MaterialResponse):
     """Dissipationless plasma: eps(i xi) = 1 + wp^2 / xi^2, inf at xi = 0."""
 
     def __init__(self, omega_p, label=None):
-        self.omega_p = _positive("omega_p", omega_p)
+        self.omega_p = _frequency("omega_p", omega_p)
         self.label = label or f"plasma(wp={self.omega_p:.3g})"
 
     @property
@@ -277,9 +290,9 @@ class LorentzOscillators(MaterialResponse):
                 raise InvalidModelError(
                     f"oscillator {j}: expected (f, omega_p, omega0, gamma)")
             terms.append((_nonnegative(f"f[{j}]", f),
-                          _positive(f"omega_p[{j}]", wp),
-                          _positive(f"omega0[{j}]", w0),
-                          _positive(f"gamma[{j}]", g)))
+                          _frequency(f"omega_p[{j}]", wp),
+                          _frequency(f"omega0[{j}]", w0),
+                          _frequency(f"gamma[{j}]", g)))
         if not terms:
             raise InvalidModelError("at least one oscillator is required")
         self.oscillators = tuple(terms)
@@ -322,9 +335,9 @@ class DebyeMagnetic(MaterialResponse):
     def __init__(self, delta_mu, omega_m, delta_eps=11.0, omega_e=2.0e14,
                  label=None):
         self.delta_mu = _nonnegative("delta_mu", delta_mu)
-        self.omega_m = _positive("omega_m", omega_m)
+        self.omega_m = _frequency("omega_m", omega_m)
         self.delta_eps = _nonnegative("delta_eps", delta_eps)
-        self.omega_e = _positive("omega_e", omega_e)
+        self.omega_e = _frequency("omega_e", omega_e)
         self.label = label or (f"Debye ferrite(dmu={self.delta_mu:g}, "
                                f"wm={self.omega_m:.3g})")
 
@@ -421,6 +434,8 @@ class TabulatedAbsorption:
             raise IngestionError("samples must be finite")
         if omega[0] <= 0.0:
             raise IngestionError("omega samples must be positive")
+        if omega[-1] > _MAX_FREQUENCY:
+            raise IngestionError(f"omega samples must be at most {_MAX_FREQUENCY:g} rad/s")
         if np.any(np.diff(omega) <= 0.0):
             raise IngestionError("omega samples must be strictly increasing")
         if np.any(eps_imag < 0.0):
@@ -546,7 +561,9 @@ def _kk_low_tail(table, xi):
     return out
 
 
-_HIGH_TAIL_T_EDGES = np.concatenate([[0.0], np.geomspace(2.0 ** -16, 1.0, 9)])
+# Terms of the generic power-law tail's two series: each has a ratio of at
+# most 1/4, so the first dropped term is below 4^-28 ~ 1.4e-17 of the sum.
+_TAIL_TERMS = np.arange(28.0)
 
 
 def _kk_high_tail(table, xi):
@@ -566,17 +583,37 @@ def _kk_high_tail(table, xi):
         out[small] = _atan_series(u[small] ** 2)
         out[big] = (wn / xi[big]) ** 3 * _x_minus_atan(u[big])
         return sn * out
-    # generic power law: sn * wn^2 * \int_0^1 t^{p-1} / (wn^2 + xi^2 t^2) dt
-    lo = _HIGH_TAIL_T_EDGES[:-1]
-    hi = _HIGH_TAIL_T_EDGES[1:]
-    mid = 0.5 * (lo + hi)
+    # generic power law: sn \int_0^1 t^{p-1} / (1 + z^2 t^2) dt, z = xi/wn,
+    # is sn z^-p \int_0^z u^{p-1} / (1 + u^2) du (u = z t), which turns at
+    # u = 1.  Below u = 1/2 it is the series in u^2, above u = 2 the series
+    # in 1/u^2, each term in closed form; between them one Kronrod panel in
+    # ln u, where the integrand is analytic within pi/2 of the real axis.
+    # each part a row sum, not a matrix product, which may round a row
+    # differently depending on how many rows come with it
+    z = xi / wn
+    k = _TAIL_TERMS
+    sign = (-1.0) ** k
+    # on [0, c], c = min(z, 1/2): (c / z)^p sum_k (-1)^k c^{2k} / (p + 2k)
+    c = np.minimum(z, 0.5)
+    below = (0.5 / np.maximum(z, 0.5)) ** p * (
+        sign * np.power.outer(c * c, k) / (p + 2.0 * k)).sum(axis=1)
+    # on [1/2, min(z, 2)]: z^-p u^p / (1 + u^2) d(ln u)
+    lo, hi = math.log(0.5), np.log(np.clip(z, 0.5, 2.0))
     half = 0.5 * (hi - lo)
-    t = (mid[:, None] + np.outer(half, _TAIL_NODES)).reshape(-1)
-    w = (np.outer(half, _TAIL_WEIGHTS)).reshape(-1)
-    integrand = t ** (p - 1.0) / (wn ** 2 + np.multiply.outer(xi ** 2, t ** 2))
-    # a row sum, not a matrix product, which may round a row differently
-    # depending on how many rows come with it
-    return sn * wn ** 2 * (integrand * w).sum(axis=1)
+    u = np.exp(0.5 * (lo + hi)[:, None] + np.outer(half, _TAIL_NODES))
+    middle = half * ((u / np.maximum(z, 0.5)[:, None]) ** p / (1.0 + u * u)
+                     * _TAIL_WEIGHTS).sum(axis=1)
+    # on [2, max(z, 2)], with m = p - 2 - 2k and L = ln(z / 2):
+    # z^-p sum_k (-1)^k \int_2^z u^{m-1} du, the integral being
+    # max(2^m, z^m) (1 - e^{-|m| L}) / |m|, or L where m = 0
+    ln_z = np.log(np.maximum(z, 2.0))
+    span = (ln_z - math.log(2.0))[:, None]
+    m = p - 2.0 - 2.0 * k
+    size = np.where(m == 0.0, 1.0, np.abs(m))
+    part = np.where(m == 0.0, span, -np.expm1(-span * size) / size)
+    scale = np.exp(np.maximum(m * math.log(2.0), np.outer(ln_z, m)) - p * ln_z[:, None])
+    above = (sign * scale * part).sum(axis=1)
+    return sn * ((below + middle) + above)
 
 
 # The near/far split of the sampled part.  Intervals go in blocks of

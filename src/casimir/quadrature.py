@@ -244,13 +244,17 @@ def integrate_adaptive(f, edges, rel_tol, abs_floor=0.0, max_subdivisions=1000,
 
 
 def geometric_panels(starts, stop, first_width):
-    """``geometric_edges(start, stop, first_width)`` for every start at once.
+    """Panels from each start to ``stop`` with geometrically growing widths.
 
-    ``first_width`` is a float or one width per start.  Returns the panels
-    flattened as ``(lo, hi, owner)`` for ``integrate_panels``, ``owner``
-    being the index into ``starts``; each owner's panels are contiguous and
-    in increasing order.  Starts at or beyond ``stop`` get no panel.  The
-    edges are the same floating-point numbers ``geometric_edges`` gives.
+    The first panel of each start is ``first_width`` wide (a float, or one
+    width per start) and each next one twice as wide; each edge is the
+    previous edge plus its width, and the last panel ends at ``stop``.
+    Suits integrands that decay on a scale comparable to ``first_width``
+    near the start and ever more slowly (in relative terms) beyond.
+    Returns the panels flattened as ``(lo, hi, owner)`` for
+    ``integrate_panels``, ``owner`` being the index into ``starts``; each
+    owner's panels are contiguous and in increasing order.  Starts at or
+    beyond ``stop`` get no panel.
     """
     starts = np.asarray(starts, dtype=float)
     span = (stop - starts.min()) / np.min(first_width) if starts.size else 0.0
@@ -265,15 +269,3 @@ def geometric_panels(starts, stop, first_width):
     nxt = np.column_stack([nxt, np.full(starts.size, float(stop))])
     owner = np.nonzero(inside)[0]
     return edges[inside], nxt[inside], owner
-
-
-def geometric_edges(start, stop, first_width):
-    """Panel edges from ``start`` to ``stop`` with geometrically growing widths.
-
-    Suits integrands that decay on a scale comparable to ``first_width``
-    near ``start`` and ever more slowly (in relative terms) beyond.
-    """
-    if stop <= start:
-        return np.array([start, stop])
-    lo, _, _ = geometric_panels([start], stop, first_width)
-    return np.append(lo, float(stop))

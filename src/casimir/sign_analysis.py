@@ -153,7 +153,10 @@ def verdict_for(value, error, floor=VERDICT_FLOOR_PA, threshold=None):
 def _classify_all(configs, quad=None, threshold=None):
     """``classify`` of each configuration, in order, all refined in the
     batches of ``engine.integrate_gaps``.  The first configuration that
-    fails raises what its own ``classify`` call would."""
+    fails raises what its own ``classify`` call would.  A threshold that is
+    not finite and >= 0 raises DomainError before any quadrature."""
+    if threshold is not None and not 0.0 <= threshold < np.inf:
+        raise DomainError(f"threshold must be finite and >= 0, got {threshold!r}")
     quad = quad or QuadratureConfig()
     # a verdict reads no dominant frequency
     for res in _outcomes([(cfg, "pressure") for cfg in configs], quad, peaks=False):
@@ -174,8 +177,8 @@ def classify(cfg, quad=None, threshold=None):
     The verdict follows ``verdict_for`` on the pressure: with
     threshold=None the indeterminate band defaults to
     max(10 * quadrature error, 1e-12 Pa).  An explicit threshold (Pa)
-    below the achieved quadrature error raises
-    InconclusiveConfigurationError.
+    must be finite and >= 0 (else DomainError); one below the achieved
+    quadrature error raises InconclusiveConfigurationError.
     """
     return next(_classify_all([cfg], quad, threshold))
 

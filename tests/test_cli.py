@@ -84,6 +84,16 @@ def test_malformed_model_file_is_usage_error(capsys, tmp_path):
     assert "'Drude' has malformed parameters" in err
 
 
+def test_model_file_with_a_frequency_beyond_1e140_rad_s_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "fast.json"
+    path.write_text('{"kind": "Drude", "parameters": {"omega_p": 1e300, "gamma": 1e-300}}')
+    code, out, err = run(capsys, "energy", "--material1", str(path),
+                         "--material2", "pc", "--gap", "1e-6")
+    assert code == 2
+    assert out == ""
+    assert "omega_p must be at most 1e+140 rad/s" in err
+
+
 @pytest.mark.parametrize("name, content, args", [
     ("model.json", b"\xff{}", ("energy", "--material2", "pc", "--gap", "1e-6", "--material1")),
     ("table.csv", b"omega_rad_s,eps_imag\n1e14,0.5\xff\n", ("kk", "--table"))])
@@ -235,6 +245,16 @@ def test_signmap_command(capsys, tmp_path):
     assert summary["kind"] == "signmap"
     assert sum(summary["counts"].values()) == 4
     assert "manifest" in summary
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-1e-9"])
+def test_signmap_refuses_a_threshold_not_finite_and_nonnegative(capsys, threshold):
+    code, out, err = run(capsys, "signmap", "--eps1", "1", "100", "--mu1", "1",
+                         "--eps2", "1", "--mu2", "1", "--gap", "1e-6",
+                         f"--threshold={threshold}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: threshold must be finite")
 
 
 def test_uvlmap_command(capsys, tmp_path):

@@ -28,7 +28,7 @@ from casimir import (ConstantEpsMu, ContinuumModelWarning,
 from casimir import engine
 from casimir.engine import (_inner_integrals, _integrate_batch, _li4, _ln_one_minus,
                             _reflection_at_limits, _reflection_by_owner, integrate_gaps)
-from casimir.quadrature import _EVAL_ROWS, geometric_edges, kronrod_nodes
+from casimir.quadrature import _EVAL_ROWS, geometric_panels
 
 HBAR = 1.054571817e-34
 C_LIGHT = 2.99792458e8
@@ -501,6 +501,19 @@ def test_gap_validation():
         GapConfig(2e-9, PC, PC)  # above the warning threshold: silent
 
 
+def test_gaps_beyond_1e60_m_are_refused_and_the_widest_gap_is_finite():
+    for pair in ((PC, PC), (GOLD, GOLD)):
+        for a in (1e100, 1e103, 1e155, 1e300, math.nextafter(1e60, math.inf)):
+            for f in (energy_per_area, pressure):
+                with pytest.raises(DomainError, match="at most"):
+                    f(GapConfig(a, *pair))
+        cfg = GapConfig(1e60, *pair)
+        e, p = energy_per_area(cfg), pressure(cfg)
+        assert -math.inf < e.value < 0.0 and -math.inf < p.value < 0.0
+    assert pressure(GapConfig(1e60, PC, PC)).value == pytest.approx(ideal_pressure(1e60),
+                                                                  rel=1e-8)
+
+
 def test_quadrature_config_validation():
     with pytest.raises(DomainError):
         QuadratureConfig(rel_tol=0.0)
@@ -670,7 +683,7 @@ def test_outer_seed_edges_are_the_geometric_edges():
         s = 1e-4 * C_LIGHT / cfg.a
         cut = engine._xi_cutoff(cfg)
         # 0, then s 2^k for k = 0 .. 18, then the cutoff
-        full = np.append(0.0, geometric_edges(s, cut, s))
+        full = np.concatenate([[0.0], geometric_panels([s], cut, s)[0], [cut]])
         assert full.size == 21 and full[-1] == cut
         for rel_tol, k in ((1e-8, fine_k), (1e-7, coarse_k), (1e-3, coarse_k)):
             want = np.concatenate([[0.0], full[1:-1][k], [cut]])
@@ -1131,35 +1144,3 @@ def test_dominant_frequency_of_constant_pairs_matches_a_tight_2d_scan(index):
     # pairs 24 and 25 hold eps mu = 1e-300, where r varies as sqrt(1 - t) at t = 1
     cfg = GapConfig(1e-6, *constant_pairs()[index])
     assert dominant_frequency(cfg) == pytest.approx(scan_at_rel_tol_1e_12(cfg), rel=1e-11)
-
-
-def every_weight(kind, pair, y0):
-    """y0 |F(y0)| at every node, as ``_peak_weights`` weighs one."""
-    rf1, rf2 = (_reflection_by_owner(m, y0, 1.0, y0) for m in pair)
-    each = np.arange(y0.size)
-    vals, _ = engine._inner_block(1.0, kind, rf1, rf2, each, each, y0, 1e-10,
-                                  engine._INNER_BUDGET)
-    return y0 * np.abs(vals)
-
-
-@pytest.mark.parametrize("grid", ["fine seed", "coarse seed", "scan"])
-@pytest.mark.parametrize("kind", ["energy", "pressure"])
-def test_peak_search_weighs_below_its_bound_and_finds_the_full_argmax(grid, kind):
-    if grid == "scan":
-        y0 = 2.0 * engine._SCAN
-    else:
-        edges = engine._outer_edges(None, 1e-3 if grid == "coarse seed" else 1e-8)
-        y0 = kronrod_nodes(edges[:-1], edges[1:])[0].reshape(-1)
-    for pair in constant_pairs() + [(PC, PC), (PC, InfinitelyPermeable()), (vacuum(), PC)]:
-        full = every_weight(kind, pair, y0)
-        r1, r2 = (engine._angular_reflection(m, np.array([0.0, 1.0])) for m in pair)
-        rho = np.array([[np.abs(r1[p]).max() * np.abs(r2[p]).max()] for p in (0, 1)])
-        bound = y0 * engine._weight_bound(kind, y0, rho * np.exp(-y0))
-        assert np.all(full <= bound * (1.0 + 1e-14))
-        pruned = engine._peak_weights(kind, pair, y0)
-        weighed = pruned > 0.0
-        assert np.array_equal(pruned[weighed], full[weighed])
-        if full.max() > 0.0:
-            assert np.argmax(pruned) == np.argmax(full)
-        else:
-            assert not weighed.any()

@@ -135,6 +135,21 @@ def test_generic_power_tail_agrees_with_closed_form_at_p3():
     assert np.max(np.abs(v3 - vg) / (v3 - 1.0)) < 1e-5
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 4.0, 7.0])
+def test_generic_power_tail_against_40_digit_reference(p):
+    # sn \int_0^1 t^{p-1} / (1 + z^2 t^2) dt = sn 2F1(1, p/2; 1 + p/2; -z^2) / p,
+    # z = xi / wn, across the tail's turn at t = 1/z
+    wn, sn = 1e16, 0.37
+    table = TabulatedAbsorption([1e14, wn], [1.0, sn], high_tail=HighTail("power", p))
+    z = np.concatenate([np.geomspace(1e-3, 1e12, 61), [0.5, 1.0, 2.0]])
+    got = materials._kk_high_tail(table, z * wn)
+    with mp.workdps(40):
+        worst = max(abs(mp.mpf(g) / (sn * mp.hyp2f1(1, mp.mpf(p) / 2, 1 + mp.mpf(p) / 2,
+                                                    -mp.mpf(x) ** 2) / p) - 1)
+                    for g, x in zip(got, z))
+    assert worst <= 1e-12
+
+
 def test_tabulated_model_zero_frequency():
     table_const = TabulatedAbsorption([1e14, 1e15], [0.5, 0.1])  # default constant tail
     assert Tabulated(table_const).eps(0.0) == np.inf

@@ -1,5 +1,6 @@
 """Dispersion model behaviour on the imaginary axis."""
 
+import math
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir import (ConstantEpsMu, DebyeMagnetic, DomainError, Drude,
-                     InfinitelyPermeable, InvalidModelError,
+                     InfinitelyPermeable, IngestionError, InvalidModelError,
                      LorentzOscillators, LowTail, PerfectConductor, Plasma,
                      Tabulated, TabulatedAbsorption, vacuum)
 
@@ -140,6 +141,23 @@ def test_invalid_parameters_rejected():
         LorentzOscillators([(-0.1, 1e16, 5e15, 1e13)])
     with pytest.raises(InvalidModelError):
         DebyeMagnetic(10.0, -1e9)
+
+
+def test_model_frequencies_reach_1e140_rad_s_and_no_further():
+    makers = [lambda w: Drude(w, 1e14), lambda w: Drude(1e16, w), Plasma,
+              lambda w: LorentzOscillators([(1.0, w, 5e15, 1e13)]),
+              lambda w: LorentzOscillators([(1.0, 1e16, w, 1e13)]),
+              lambda w: LorentzOscillators([(1.0, 1e16, 5e15, w)]),
+              lambda w: DebyeMagnetic(10.0, w), lambda w: DebyeMagnetic(10.0, 1e9, omega_e=w),
+              lambda w: Tabulated(TabulatedAbsorption([1e13, w], [1.0, 0.5]))]
+    xi = np.array([0.0, 1e-300, 1.0, 1e15, 1e140, 1e150, 1e300])
+    past = math.nextafter(1e140, math.inf)
+    for make in makers:
+        model = make(1e140)
+        for response in (model.eps(xi), model.mu(xi), model.xi2_susceptibility(xi)):
+            assert not np.isnan(response).any()
+        with pytest.raises((InvalidModelError, IngestionError), match="at most 1e\\+140"):
+            make(past)
 
 
 def test_negative_frequency_rejected():

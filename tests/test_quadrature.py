@@ -7,12 +7,22 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 
 from casimir import quadrature
-from casimir.quadrature import (_EVAL_ROWS, _GK_NODES, _eval_panels, geometric_edges,
-                                geometric_panels, integrate_adaptive, integrate_panels)
+from casimir.quadrature import (_EVAL_ROWS, _GK_NODES, _eval_panels, geometric_panels,
+                                integrate_adaptive, integrate_panels)
 
 
 def hexes(a):
     return [float(v).hex() for v in np.ravel(a)]
+
+
+def geometric_edges(start, stop, first_width):
+    """Reference edges, one at a time: each edge below ``stop`` is the
+    previous one plus the next width, the widths doubling, then ``stop``."""
+    edges, width = [float(start)], float(first_width)
+    while edges[-1] + width < stop:
+        edges.append(edges[-1] + width)
+        width *= 2.0
+    return np.array(edges + [float(stop)])
 
 
 @pytest.mark.parametrize("f, lo, hi, exact", [
@@ -75,7 +85,10 @@ def test_foreign_errors_propagate():
 
 
 def test_geometric_edges():
-    edges = geometric_edges(2.0, 80.0, 0.25)
+    lo, hi, owner = geometric_panels([2.0], 80.0, 0.25)
+    assert owner.tolist() == [0] * lo.size
+    assert hexes(hi[:-1]) == hexes(lo[1:])
+    edges = np.append(lo, hi[-1])
     assert edges[0] == 2.0 and edges[-1] == 80.0
     assert np.all(np.diff(edges) > 0)
     widths = np.diff(edges)[:-1]

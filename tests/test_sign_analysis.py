@@ -12,6 +12,7 @@ from casimir import (ConstantEpsMu, ConvergenceError, DebyeMagnetic, DomainError
                      QuadratureConfig, Verdict, boundary_points, classify,
                      dispersion_restores_attraction, find_sign_boundary,
                      sign_map, uvl_map, vacuum)
+from casimir import engine
 
 PC = PerfectConductor()
 GOLD = Drude(1.37e16, 5.3e13)
@@ -45,6 +46,22 @@ def test_classify_attaches_numbers(quad_fast):
 def test_threshold_below_error_is_inconclusive(quad_fast):
     with pytest.raises(InconclusiveConfigurationError):
         classify(GapConfig(A, PC, PC), quad_fast, threshold=1e-30)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), -1e-9, float("inf")])
+def test_a_threshold_not_finite_and_nonnegative_is_refused_before_quadrature(
+        monkeypatch, threshold):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quadrature ran")
+
+    monkeypatch.setattr(engine, "integrate_panels", refuse)
+    calls = [lambda: classify(GapConfig(A, PC, PC), threshold=threshold),
+             lambda: sign_map([1.0, 4.0], [1.0], [1.0], [2.0], A, threshold=threshold),
+             lambda: uvl_map([0.5], [2.0], A, threshold=threshold),
+             lambda: dispersion_restores_attraction([GOLD], [A], threshold=threshold)]
+    for call in calls:
+        with pytest.raises(DomainError, match="threshold"):
+            call()
 
 
 def test_mirror_pairs_attract(quad_fast):
