@@ -22,14 +22,16 @@ def rng():
 
 @pytest.fixture
 def kk_nodes(monkeypatch):
-    """Frequency arrays of every Kramers-Kronig transform call, in order."""
+    """Frequency arrays of every direct Kramers-Kronig transform, in order:
+    the Chebyshev points of each decade panel a table builds, and the nodes
+    of a decade that keeps the direct transform."""
     from casimir import materials
     seen = []
-    original = materials._kk_value
+    original = materials._kk_integral
 
     def counted(table, xi):
         seen.append(np.array(xi))
         return original(table, xi)
 
-    monkeypatch.setattr(materials, "_kk_value", counted)
+    monkeypatch.setattr(materials, "_kk_integral", counted)
     return seen

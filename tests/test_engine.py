@@ -25,7 +25,7 @@ from casimir import (ConstantEpsMu, ContinuumModelWarning,
                      TabulatedAbsorption, dispersion_restores_attraction,
                      dominant_frequency, energy_per_area, pressure, reflection,
                      vacuum)
-from casimir import engine
+from casimir import engine, materials
 from casimir.engine import (_inner_integrals, _integrate_batch, _li4, _ln_one_minus,
                             _reflection_at_limits, _reflection_by_owner, integrate_gaps)
 from casimir.quadrature import _EVAL_ROWS, geometric_panels
@@ -552,15 +552,19 @@ def test_one_model_on_both_sides_gives_the_bits_of_two_equal_models(fn):
 
 
 def test_one_model_on_both_sides_is_transformed_once_per_node(kk_nodes):
+    # a table transforms the Chebyshev points of each decade panel it needs
+    # once; fresh tables, since a table keeps its panels
     quad = QuadratureConfig(rel_tol=1e-6)
-    pressure(GapConfig(4e-7, TABLE, TABLE), quad)
+    table = small_table()
+    pressure(GapConfig(4e-7, table, table), quad)
     nodes = np.concatenate(kk_nodes)
     assert nodes.size > 0
     assert np.unique(nodes).size == nodes.size
-    calls = len(kk_nodes)
+    assert {x.size for x in kk_nodes} == {materials._PANEL_POINTS}
+    builds = len(kk_nodes)
     kk_nodes.clear()
-    pressure(GapConfig(4e-7, TABLE, small_table()), quad)
-    assert len(kk_nodes) == 2 * calls
+    pressure(GapConfig(4e-7, small_table(), small_table()), quad)
+    assert len(kk_nodes) == 2 * builds
     assert sum(x.size for x in kk_nodes) == 2 * nodes.size
 
 
@@ -628,17 +632,22 @@ def test_mixed_material_pairs_batched_give_the_bits_of_one_configuration_calls(g
 
 def test_attraction_check_transforms_each_node_once(kk_nodes):
     gaps = (1e-7, 2e-6)
-    dispersion_restores_attraction([LORENTZ, TABLE], gaps)
+    table = small_table()
+    dispersion_restores_attraction([LORENTZ, table], gaps)
     nodes = np.concatenate(kk_nodes)
     assert nodes.size > 0
     assert np.unique(nodes).size == nodes.size
     kk_nodes.clear()
+    # the table keeps its decade panels: a second check transforms nothing
+    dispersion_restores_attraction([LORENTZ, table], gaps)
+    assert kk_nodes == []
     # one configuration at a time, (Lorentz, table) and (table, table)
-    # transform the table at the same nodes twice
+    # build the same panels of an equal table once
+    fresh = small_table()
     for a in gaps:
-        for m1 in (LORENTZ, TABLE):
-            pressure(GapConfig(a, m1, TABLE))
-    assert sum(x.size for x in kk_nodes) == 2 * nodes.size
+        for m1 in (LORENTZ, fresh):
+            pressure(GapConfig(a, m1, fresh))
+    np.testing.assert_array_equal(np.sort(np.concatenate(kk_nodes)), np.sort(nodes))
 
 
 @pytest.mark.parametrize("rel_tol, nodes", [(1e-8, 225), (1e-6, 150)])

@@ -7,7 +7,11 @@ closed imaginary-axis form.  scipy integrates the same piecewise-linear
 absorption model independently to check the closed-form interval sums.
 """
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -376,3 +380,96 @@ def test_moment_rule_is_numpys_gauss_legendre():
     nodes, weights = np.polynomial.legendre.leggauss(15)
     np.testing.assert_array_equal(_GL_NODES, nodes)
     np.testing.assert_array_equal(_GL_WEIGHTS, weights)
+
+
+# ---------------------------------------------------------------------------
+# Tabulated.eps from per-decade Chebyshev panels
+# ---------------------------------------------------------------------------
+
+# from below the tables' samples to past _XI_FLAT, and tiny xi
+PANEL_XI = np.concatenate([np.geomspace(1e-30, 1e149, 2001), [1e-300, 3e-299, 1e151]])
+
+
+@pytest.mark.parametrize("low", ["constant", "linear", "zero"])
+@pytest.mark.parametrize("high", [HighTail("power", 3.0), HighTail("power", 2.0),
+                                  HighTail("zero")], ids=["power3", "power2", "zero"])
+def test_panels_match_the_direct_transform(low, high):
+    w = np.geomspace(W0 * 1e-3, W0 * 1e3, 700)
+    table = TabulatedAbsorption(w, lorentz_eps_imag(w, F, WP, W0, G), LowTail(low), high)
+    got = materials._kk_from_panels(table, PANEL_XI)
+    np.testing.assert_allclose(got, _kk_value(table, PANEL_XI), rtol=1e-12, atol=0.0)
+
+
+def test_panels_match_the_direct_transform_on_random_coarse_tables():
+    rng = np.random.default_rng(2022)
+    tails = [HighTail("power", 3.0), HighTail("power", 1.5), HighTail("zero")]
+    for k in range(30):
+        w = np.unique(10.0 ** rng.uniform(8.0, 18.0, int(rng.integers(2, 40))))
+        s = rng.exponential(1.0, w.size) * 10.0 ** rng.uniform(-3.0, 3.0)
+        table = TabulatedAbsorption(w, s, LowTail(("constant", "linear", "zero")[k % 3]),
+                                    tails[k // 3 % 3])
+        xi = 10.0 ** rng.uniform(-20.0, 40.0, 200)
+        np.testing.assert_allclose(materials._kk_from_panels(table, xi), _kk_value(table, xi),
+                                   rtol=1e-12, atol=0.0)
+
+
+def test_panel_value_at_a_node_does_not_depend_on_the_other_nodes():
+    xi = np.geomspace(W0 * 1e-6, W0 * 1e6, 301)
+    together = Tabulated(lorentz_table(2500)).eps(xi)
+    model = Tabulated(lorentz_table(2500))
+    alone = np.array([model.eps(xi[i:i + 1])[0] for i in reversed(range(xi.size))])[::-1]
+    np.testing.assert_array_equal(together, alone)
+
+
+def test_panels_at_their_chebyshev_points_and_at_powers_of_ten():
+    table = lorentz_table(800)
+    decades = range(8, 22)
+    points = np.concatenate([10.0 ** (j + 0.5 + 0.5 * materials._CHEB_POINTS) for j in decades])
+    tens = np.array([10.0 ** j for j in decades])
+    for xi in (points, tens):
+        np.testing.assert_allclose(materials._kk_from_panels(table, xi), _kk_value(table, xi),
+                                   rtol=1e-13, atol=0.0)
+    # a t on a point takes the point's value, bit for bit
+    f = np.log(np.arange(1.0, materials._PANEL_POINTS + 1.0))
+    rows = np.tile(f, (materials._PANEL_POINTS, 1))
+    np.testing.assert_array_equal(materials._barycentric(materials._CHEB_POINTS, rows), f)
+
+
+def test_all_zero_table_gives_exactly_one():
+    model = Tabulated(TabulatedAbsorption([1e14, 5e14, 1e15], [0.0, 0.0, 0.0]))
+    assert np.all(model.eps(PANEL_XI) == 1.0)
+    assert model.eps(0.0) == 1.0
+    assert all(np.isnan(logs).all() for logs in model.table._panels.values())
+
+
+def test_underflowing_decades_keep_the_direct_transform_without_warning():
+    # subnormal Chebyshev points below ~1e-308, and a weak line whose
+    # integral underflows near _XI_FLAT
+    table = TabulatedAbsorption([1e9, 1e10], [1e-30, 1e-30], LowTail("linear"))
+    xi = np.array([5e-324, 1e-315, 3e-310, 1e120, 1e149, 1e150, 1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = Tabulated(table).eps(xi)
+    np.testing.assert_array_equal(got, _kk_value(table, xi))
+    direct = {j for j, logs in table._panels.items() if np.isnan(logs).all()}
+    assert set(np.floor(np.log10(xi[:3])).astype(int)) | {149, 150} <= direct
+    assert 120 not in direct
+
+
+def test_table_evaluation_never_imports_numpy_polynomial():
+    # numpy.polynomial (~0.8 MB) would raise every process's peak memory
+    script = """
+import sys
+import numpy as np
+from casimir import GapConfig, LowTail, HighTail, Tabulated, TabulatedAbsorption, pressure
+w = np.geomspace(1e12, 1e18, 500)
+model = Tabulated(TabulatedAbsorption(w, 1e31 * w / ((1e31 - w * w) ** 2 + (1e14 * w) ** 2),
+                                      LowTail("linear"), HighTail("power", 3.0)))
+model.eps(np.geomspace(1e9, 1e17, 50))
+pressure(GapConfig(1e-6, model, model))
+assert "numpy.polynomial" not in sys.modules, "numpy.polynomial was imported"
+"""
+    src = str(Path(materials.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimir import (ConstantEpsMu, DebyeMagnetic, DomainError, Drude,
+from casimir import (ConstantEpsMu, DebyeMagnetic, DomainError, Drude, HighTail,
                      InfinitelyPermeable, IngestionError, InvalidModelError,
                      LorentzOscillators, LowTail, PerfectConductor, Plasma,
                      Tabulated, TabulatedAbsorption, vacuum)
@@ -158,6 +158,43 @@ def test_model_frequencies_reach_1e140_rad_s_and_no_further():
             assert not np.isnan(response).any()
         with pytest.raises((InvalidModelError, IngestionError), match="at most 1e\\+140"):
             make(past)
+
+
+def test_model_frequencies_reach_1e_minus_10_rad_s_and_no_further():
+    # with every frequency from 1e-10 to 1e140 rad/s, (omega_p / omega0)^2
+    # of a static Lorentz eps stays finite
+    makers = [lambda w: Drude(w, 1e14), lambda w: Drude(1e16, w), Plasma,
+              lambda w: LorentzOscillators([(1.0, w, 5e15, 1e13)]),
+              lambda w: LorentzOscillators([(1.0, 1e140, w, 1e13)]),
+              lambda w: LorentzOscillators([(1.0, 1e16, 5e15, w)]),
+              lambda w: DebyeMagnetic(10.0, w), lambda w: DebyeMagnetic(10.0, 1e9, omega_e=w),
+              lambda w: Tabulated(TabulatedAbsorption([w, 1e13], [1.0, 0.5]))]
+    xi = np.array([0.0, 1e-300, 1.0, 1e15, 1e140, 1e150, 1e300])
+    short = math.nextafter(1e-10, 0.0)
+    for make in makers:
+        model = make(1e-10)
+        for response in (model.eps(xi), model.mu(xi), model.xi2_susceptibility(xi)):
+            assert not np.isnan(response).any()
+        with pytest.raises((InvalidModelError, IngestionError), match="at least 1e-10"):
+            make(short)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DebyeMagnetic(10.0, 1e-300).mu(1e9),
+    lambda: DebyeMagnetic(10.0, 1e9, omega_e=1e-200).eps(0.0),
+    lambda: LorentzOscillators([(1.0, 1e140, 1e-20, 1e13)]).eps(0.0),
+] + [lambda low=low, high=high: Tabulated(TabulatedAbsorption(
+        np.geomspace(1e-170, 1e-160, 20), np.full(20, 0.5), LowTail(low),
+        HighTail(*high))).eps(1e9)
+     for low in ("constant", "linear", "zero") for high in (("power", 3.0), ("power", 2.0),
+                                                            ("zero",))],
+    ids=["debye-omega_m", "debye-omega_e", "lorentz-omega0"]
+        + [f"table-{low}-{high}" for low in ("constant", "linear", "zero")
+           for high in ("power3", "power2", "zero")])
+def test_frequencies_below_1e_minus_10_rad_s_are_refused(make):
+    # each overflowed or gave nan, with a warning, when it was accepted
+    with pytest.raises((InvalidModelError, IngestionError), match="at least 1e-10"):
+        make()
 
 
 def test_negative_frequency_rejected():

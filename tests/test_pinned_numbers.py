@@ -13,7 +13,10 @@ inner y-axis came to start from panels graded toward y0 below rel_tol
 1e-7, their values moving by at most 5.8e-14 relative, and again when the
 outer xi-seed below rel_tol 1e-7 came to halve only the panels of the
 coarse seed where a metal's integral lives, their values and dominant
-frequencies holding to their pins.  The engine must reproduce them:
+frequencies holding to their pins.  Three of lorentz-table's were
+re-recorded when tabulated eps came to be read from per-decade Chebyshev
+panels, its values moving by at most 1.9e-14 relative.  The engine must
+reproduce them:
 values to rel 1e-13, error estimates to rel 1e-6 (the
 Kronrod-Gauss differences that make them up amplify last-bit changes of
 the integrand) and dominant frequencies to rel 1e-12.
@@ -88,11 +91,11 @@ PINNED = {
     ("plasma", 1e-06, "pressure"):
         (-0.0010999530678712476, 1.1573240248415543e-13, 296416395705023.0),
     ("lorentz-table", 1e-07, "energy"):
-        (-4.1253675264691965e-08, 1.3609482830038061e-18, 1714350103762458.2),
+        (-4.1253675264691965e-08, 1.3609409508612052e-18, 1714350103762458.2),
     ("lorentz-table", 1e-07, "pressure"):
-        (-1.1345188641777189, 1.2965801406717864e-10, 2201767745378885.5),
+        (-1.1345188641777189, 1.2965785134168585e-10, 2201767745378885.5),
     ("lorentz-table", 1e-06, "energy"):
-        (-4.9296800018725277e-11, 3.268714896019306e-21, 209110362009356.72),
+        (-4.9296800018725277e-11, 3.268719424436638e-21, 209110362009356.72),
     ("lorentz-table", 1e-06, "pressure"):
         (-0.0001475819878850194, 1.4875206358439463e-14, 296416395705023.0),
 }
