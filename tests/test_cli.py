@@ -99,7 +99,7 @@ def test_model_file_with_a_frequency_beyond_1e140_rad_s_is_usage_error(capsys, t
      ("energy", "--material2", "pc", "--gap", "1e-6", "--material1"),
      "omega_m must be at least 1e-10 rad/s"),
     ("slow.csv", "omega_rad_s,eps_imag\n1e-170,0.5\n1e-160,0.5\n", ("kk", "--table"),
-     "omega samples must be at least 1e-10 rad/s")])
+     "omega samples must be at least 1e-10 rad/s")], ids=["model-file", "table-csv"])
 def test_input_with_a_frequency_below_1e_minus_10_rad_s_is_usage_error(capsys, tmp_path,
                                                                         name, content,
                                                                         args, message):
