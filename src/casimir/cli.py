@@ -102,12 +102,12 @@ def _load_materials(*specs):
     return [loaded[spec] for spec in specs]
 
 
-def _cmd_point(args, kind):
+def _cmd_point(args):
     m1, m2 = _load_materials(args.material1, args.material2)
     cfg = GapConfig(args.gap, m1, m2)
     quad = _quad_config(args)
-    manifest = _manifest(kind, {"gap_m": args.gap}, [m1, m2], quad)
-    if kind == "energy":
+    manifest = _manifest(args.command, {"gap_m": args.gap}, [m1, m2], quad)
+    if args.command == "energy":
         compute, units, floor = energy_per_area, "J/m^2", VERDICT_FLOOR_PA * args.gap
     else:
         compute, units, floor = pressure, "Pa", VERDICT_FLOOR_PA
@@ -243,9 +243,18 @@ def build_parser():
                        help="JSON model file or builtin: pc, vacuum, permeable")
         p.add_argument("--material2", required=True)
 
+    def add_map_flags(p):
+        p.add_argument("--gap", type=float, default=1e-6)
+        p.add_argument("--threshold", type=float, default=None)
+        p.add_argument("--summary", default=None, help="write JSON summary to this file")
+        p.add_argument("--no-refine-boundaries", dest="refine_boundaries",
+                       action="store_false", default=True)
+        add_quad_flags(p)
+
     for name, help_text in (("energy", "Casimir energy per unit area (J/m^2)"),
                             ("pressure", "Casimir pressure (Pa)")):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=_cmd_point)
         add_materials(p)
         p.add_argument("--gap", type=float, required=True, help="separation in m")
         add_quad_flags(p)
@@ -256,6 +265,7 @@ def build_parser():
                          help="CSV on stdout, manifest on stderr")
 
     p = sub.add_parser("sweep", help="energy/pressure over a separation range (CSV)")
+    p.set_defaults(run=_cmd_sweep)
     add_materials(p)
     p.add_argument("--gap-min", type=float, default=1e-7)
     p.add_argument("--gap-max", type=float, default=5e-6)
@@ -265,38 +275,30 @@ def build_parser():
     p = sub.add_parser("signmap",
                        help="force sign over a constant-(eps, mu) grid "
                             "(flagged non-dispersive mode)")
-    p.add_argument("--eps1", type=float, nargs="+", default=[1.0, 10.0, 100.0, 1000.0])
-    p.add_argument("--mu1", type=float, nargs="+", default=[1.0, 10.0, 100.0, 1000.0])
-    p.add_argument("--eps2", type=float, nargs="+", default=[1.0, 10.0, 100.0, 1000.0])
-    p.add_argument("--mu2", type=float, nargs="+", default=[1.0, 10.0, 100.0, 1000.0])
-    p.add_argument("--gap", type=float, default=1e-6)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--summary", default=None, help="write JSON summary to this file")
-    p.add_argument("--no-refine-boundaries", dest="refine_boundaries",
-                   action="store_false", default=True)
-    add_quad_flags(p)
+    p.set_defaults(run=_cmd_signmap)
+    for name in ("--eps1", "--mu1", "--eps2", "--mu2"):
+        p.add_argument(name, type=float, nargs="+", default=[1.0, 10.0, 100.0, 1000.0])
+    add_map_flags(p)
 
     p = sub.add_parser("uvlmap", help="force sign on uniform-light-speed slices")
+    p.set_defaults(run=_cmd_uvlmap)
     p.add_argument("--mu1", type=float, nargs="+", default=[0.5, 0.8, 1.25, 2.0])
     p.add_argument("--mu2", type=float, nargs="+", default=[0.5, 0.8, 1.25, 2.0])
-    p.add_argument("--gap", type=float, default=1e-6)
     p.add_argument("--mode", choices=["vacuum-matched", "equal-eps-mu"],
                    default="vacuum-matched")
     p.add_argument("--product", type=float, default=1.0,
                    help="shared eps*mu product (vacuum-matched mode)")
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--summary", default=None)
-    p.add_argument("--no-refine-boundaries", dest="refine_boundaries",
-                   action="store_false", default=True)
-    add_quad_flags(p)
+    add_map_flags(p)
 
     p = sub.add_parser("kk", help="absorption CSV -> material model JSON")
+    p.set_defaults(run=_cmd_kk)
     p.add_argument("--table", required=True,
                    help="CSV with header omega_rad_s,eps_imag; tail config in "
                         "the adjacent <stem>.json sidecar")
     p.add_argument("--label", default=None)
 
     p = sub.add_parser("pfa", help="sphere-plate force via the proximity rule")
+    p.set_defaults(run=_cmd_pfa)
     p.add_argument("--radius", type=float, required=True, help="sphere radius, m")
     p.add_argument("--gap", type=float, required=True, help="closest approach, m")
     p.add_argument("--sphere", required=True, help="sphere material (file or builtin)")
@@ -307,22 +309,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command in ("energy", "pressure"):
-            return _cmd_point(args, args.command)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "signmap":
-            return _cmd_signmap(args)
-        if args.command == "uvlmap":
-            return _cmd_uvlmap(args)
-        if args.command == "kk":
-            return _cmd_kk(args)
-        if args.command == "pfa":
-            return _cmd_pfa(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except ConvergenceError as exc:
         # commands that did not handle it themselves have no partial output
         print(f"error: {exc}", file=sys.stderr)

@@ -13,17 +13,19 @@ from ``xi2_susceptibility``: finite for the metals, and inf, an infinite
 decay constant, for the perfect conductor.
 
 Tabulated absorption data reach the imaginary axis through the
-Kramers-Kronig integral of a piecewise-linear eps''.  Its sampled part is
-split per node xi into a near and a far field, as in a fast multipole
-method (Greengard & Rokhlin, J. Comput. Phys. 73, 325 (1987)): the
-intervals go in blocks of 64, the blocks that meet rho xi < w < xi/rho
+Kramers-Kronig integral of a piecewise-linear eps'', extended below the
+first sample and above the last by power laws whose parts are one integral,
+``_power_tail`` (Lambrecht & Reynaud, Eur. Phys. J. D 8, 309 (2000)).  The
+sampled part is split per node xi into a near and a far field, as in a fast
+multipole method (Greengard & Rokhlin, J. Comput. Phys. 73, 325 (1987)):
+the intervals go in blocks of 64, the blocks that meet rho xi < w < xi/rho
 (rho = 1/4) are summed interval by interval in closed form, and every other
 block adds a 14-term series in (w/xi)^2 or (xi/w)^2 from moments the table
 builds once, at its first transform.  The series is exact to 1.4e-17 of a
-block's part and its moments have non-negative integrands, so the far
-field is more accurate than the direct sum it replaces.  A ``Tabulated``
-model interpolates the log of the integral on per-decade Chebyshev panels
-that each table builds once.
+block's part and its moments have non-negative integrands, so the far field
+is more accurate than the direct sum it replaces.  A ``Tabulated`` model
+interpolates the log of the integral on per-decade Chebyshev panels that
+each table builds once.
 """
 
 import math
@@ -34,7 +36,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DomainError, IngestionError, InvalidModelError
-from .quadrature import _GK_NODES as _TAIL_NODES, _GK_WEIGHTS as _TAIL_WEIGHTS
+from .quadrature import _GK_WEIGHTS as _TAIL_WEIGHTS, kronrod_nodes
 
 
 # eps is taken at min(xi, _XI_FLAT), where xi^2 is finite and eps = 1 to
@@ -287,21 +289,25 @@ class LorentzOscillators(MaterialResponse):
     eps(i xi) = 1 + sum_j f_j wp_j^2 / (w0_j^2 + xi^2 + g_j xi)
 
     ``oscillators`` is an iterable of (f, omega_p, omega0, gamma) tuples;
-    strengths f_j >= 0, the three frequencies positive.
+    strengths f_j >= 0, the three frequencies positive, and the static
+    eps(0) = 1 + sum_j f_j wp_j^2 / w0_j^2, the largest eps, finite.
     """
 
     def __init__(self, oscillators, label=None):
-        terms = []
+        terms, static = [], 1.0
         for j, osc in enumerate(oscillators):
             try:
                 f, wp, w0, g = osc
             except (TypeError, ValueError):
                 raise InvalidModelError(
                     f"oscillator {j}: expected (f, omega_p, omega0, gamma)")
-            terms.append((_nonnegative(f"f[{j}]", f),
-                          _frequency(f"omega_p[{j}]", wp),
-                          _frequency(f"omega0[{j}]", w0),
-                          _frequency(f"gamma[{j}]", g)))
+            f, wp, w0, g = (_nonnegative(f"f[{j}]", f), _frequency(f"omega_p[{j}]", wp),
+                            _frequency(f"omega0[{j}]", w0), _frequency(f"gamma[{j}]", g))
+            static += f * wp ** 2 / w0 ** 2
+            if not math.isfinite(static):
+                raise InvalidModelError(f"oscillator {j}: the static eps "
+                                        "1 + sum f omega_p^2 / omega0^2 is not finite")
+            terms.append((f, wp, w0, g))
         if not terms:
             raise InvalidModelError("at least one oscillator is required")
         self.oscillators = tuple(terms)
@@ -382,7 +388,8 @@ _LOW_TAIL_MODELS = ("constant", "linear", "zero")
 
 @dataclass(frozen=True)
 class LowTail:
-    """Extrapolation of eps''(w) from the first sample down to w=0."""
+    """Extrapolation of eps''(w) from the first sample (w1, s1) down to w = 0:
+    s1 ("constant", eps(0) infinite), s1 w/w1 ("linear") or 0 ("zero")."""
 
     model: str = "constant"
 
@@ -394,7 +401,8 @@ class LowTail:
 
 @dataclass(frozen=True)
 class HighTail:
-    """Extrapolation eps''(w) ~ (w_n/w)^exponent above the last sample.
+    """Extrapolation of eps''(w) above the last sample (wn, sn):
+    sn (wn/w)^exponent ("power") or 0 ("zero").
 
     exponent >= 1 keeps the transform integrand decaying at least as
     1/w^2; anything slower is rejected as divergent for this purpose.
@@ -502,10 +510,11 @@ def _atan_series(x2):
 
 
 def _x_minus_atan(x):
-    """x - arctan(x), stable for small x (series) and exact for large.
+    """x - arctan(x): the series below 0.05, arctan at or above it.
 
-    Each element takes one branch only: the series below 0.05, where
-    x - arctan(x) cancels, and arctan at or above it.  When no element
+    Each element takes one branch only.  Above the switch x - arctan(x)
+    still cancels: its relative error is up to 8e-14 up to x = 0.2, 5e-15
+    up to 1 and 3e-16 beyond.  When no element
     reaches 0.05 (the common case inside the transform) the series is the
     whole result and no arctan or mask scatter runs.
     """
@@ -549,86 +558,70 @@ def _kk_sampled(table, xi):
     return _kk_interval_sums(xi[:, None], table._factors)
 
 
-# Below xi = w1 * _FAR the low tails take their xi -> 0 forms: (w1/xi)^2
-# would overflow, and the terms they drop are below rounding.
-_FAR = 1e-150
+# Terms of the power-law tails' two series: each has a ratio of at most 1/4,
+# so the first dropped term is below 4^-28 ~ 1.4e-17 of the sum.
+_TAIL_TERMS = np.arange(28.0)
+_LN_HALF, _LN_TWO = math.log(0.5), math.log(2.0)
+_TINY = np.finfo(float).tiny
 
 
-def _kk_low_tail(table, xi):
-    s1 = table.eps_imag[0]
-    w1 = table.omega[0]
-    kind = table.low_tail.model
-    if kind == "zero" or s1 == 0.0:
-        return np.zeros_like(xi)
-    out = np.empty_like(xi)
-    far = xi < w1 * _FAR
-    near = ~far
-    if kind == "constant":
-        # 0.5 log1p((w1/xi)^2), which is log(w1/xi) far below w1
-        out[near] = 0.5 * np.log1p((w1 / xi[near]) ** 2)
-        out[far] = np.log(w1) - np.log(xi[far])
-        return s1 * out
-    # linear: eps'' = s1 * w/w1 below w1, integrating to
-    # s1 * (1 - u atan(1/u)), u = xi/w1, which tends to s1
-    out[near] = (s1 / w1) * xi[near] * _x_minus_atan(w1 / xi[near])
-    u = xi[far] / w1
-    out[far] = s1 * (1.0 - u * (0.5 * np.pi - np.arctan(u)))
+def _log_ratio(a, b):
+    """ln(a / b) for a, b > 0; ln a - ln b where a / b is not a normal float."""
+    with np.errstate(over="ignore", under="ignore"):
+        r = a / b
+    return np.log(r, out=np.log(a) - np.log(b), where=(r >= _TINY) & (r < np.inf))
+
+
+def _power_tail(p, s, ln_z):
+    r"""z^-s \int_0^z u^(p-1) / (1 + u^2) du at z = exp(ln_z), for p > 0 and
+    s <= p: the transform beyond either end of a table.
+
+    Below u = 1/2 the series in u^2, above u = 2 the series in 1/u^2, each
+    term in closed form; between them one Kronrod panel in ln u, where the
+    integrand is analytic within pi/2 of the real axis.  Every power of z
+    comes from ln_z, and each part is a row sum, not a matrix product, which
+    may round a row differently depending on how many rows come with it.
+    """
+    k = _TAIL_TERMS
+    sign = (-1.0) ** k
+    # on [0, c], c = min(z, 1/2): c^p z^-s sum_k (-1)^k c^{2k} / (p + 2k)
+    ln_c = np.minimum(ln_z, _LN_HALF)
+    out = np.exp((p - s) * ln_c + s * (ln_c - ln_z)) * (
+        sign * np.power.outer(np.exp(2.0 * ln_c), k) / (p + 2.0 * k)).sum(axis=1)
+    if (ln_z > _LN_HALF).any():
+        # on [1/2, min(z, 2)]: z^-s u^p / (1 + u^2) d(ln u)
+        ln_u, half = kronrod_nodes(_LN_HALF, np.clip(ln_z, _LN_HALF, _LN_TWO))
+        f = np.exp(p * ln_u - s * np.maximum(ln_z, _LN_HALF)[:, None])
+        out = out + half * (f / (1.0 + np.exp(2.0 * ln_u)) * _TAIL_WEIGHTS).sum(axis=1)
+    if (ln_z > _LN_TWO).any():
+        # on [2, max(z, 2)], with m = p - 2 - 2k and L = ln(z / 2):
+        # z^-s sum_k (-1)^k \int_2^z u^{m-1} du, the integral being
+        # max(2^m, z^m) (1 - e^{-|m| L}) / |m|, or L where m = 0
+        ln_zc = np.maximum(ln_z, _LN_TWO)[:, None]
+        span = ln_zc - _LN_TWO
+        m = p - 2.0 - 2.0 * k
+        size = np.where(m == 0.0, 1.0, np.abs(m))
+        part = np.where(m == 0.0, span, -np.expm1(-span * size) / size)
+        scale = np.exp(np.maximum(m * _LN_TWO - s * ln_zc, (m - s) * ln_zc))
+        out = out + (sign * scale * part).sum(axis=1)
     return out
 
 
-# Terms of the generic power-law tail's two series: each has a ratio of at
-# most 1/4, so the first dropped term is below 4^-28 ~ 1.4e-17 of the sum.
-_TAIL_TERMS = np.arange(28.0)
+def _kk_low_tail(table, xi):
+    """eps'' = s1 (w/w1)^q below w1: q = 0 "constant", 1 "linear", z = w1/xi."""
+    s1, kind = table.eps_imag[0], table.low_tail.model
+    if kind == "zero" or s1 == 0.0:
+        return np.zeros_like(xi)
+    q = 0.0 if kind == "constant" else 1.0
+    return s1 * _power_tail(q + 2.0, q, _log_ratio(table.omega[0], xi))
 
 
 def _kk_high_tail(table, xi):
-    sn = table.eps_imag[-1]
-    wn = table.omega[-1]
-    tail = table.high_tail
+    """eps'' = sn (wn/w)^p above wn, z = xi/wn."""
+    sn, tail = table.eps_imag[-1], table.high_tail
     if tail.model == "zero" or sn == 0.0:
         return np.zeros_like(xi)
-    p = tail.exponent
-    if p == 3.0:
-        # sn * (u - atan u) / u^3, u = xi/wn; the series below u = 0.05
-        # never forms (wn/xi)^3, which overflows at tiny xi
-        u = xi / wn
-        small = u < 0.05
-        big = ~small
-        out = np.empty_like(xi)
-        out[small] = _atan_series(u[small] ** 2)
-        out[big] = (wn / xi[big]) ** 3 * _x_minus_atan(u[big])
-        return sn * out
-    # generic power law: sn \int_0^1 t^{p-1} / (1 + z^2 t^2) dt, z = xi/wn,
-    # is sn z^-p \int_0^z u^{p-1} / (1 + u^2) du (u = z t), which turns at
-    # u = 1.  Below u = 1/2 it is the series in u^2, above u = 2 the series
-    # in 1/u^2, each term in closed form; between them one Kronrod panel in
-    # ln u, where the integrand is analytic within pi/2 of the real axis.
-    # each part a row sum, not a matrix product, which may round a row
-    # differently depending on how many rows come with it
-    z = xi / wn
-    k = _TAIL_TERMS
-    sign = (-1.0) ** k
-    # on [0, c], c = min(z, 1/2): (c / z)^p sum_k (-1)^k c^{2k} / (p + 2k)
-    c = np.minimum(z, 0.5)
-    below = (0.5 / np.maximum(z, 0.5)) ** p * (
-        sign * np.power.outer(c * c, k) / (p + 2.0 * k)).sum(axis=1)
-    # on [1/2, min(z, 2)]: z^-p u^p / (1 + u^2) d(ln u)
-    lo, hi = math.log(0.5), np.log(np.clip(z, 0.5, 2.0))
-    half = 0.5 * (hi - lo)
-    u = np.exp(0.5 * (lo + hi)[:, None] + np.outer(half, _TAIL_NODES))
-    middle = half * ((u / np.maximum(z, 0.5)[:, None]) ** p / (1.0 + u * u)
-                     * _TAIL_WEIGHTS).sum(axis=1)
-    # on [2, max(z, 2)], with m = p - 2 - 2k and L = ln(z / 2):
-    # z^-p sum_k (-1)^k \int_2^z u^{m-1} du, the integral being
-    # max(2^m, z^m) (1 - e^{-|m| L}) / |m|, or L where m = 0
-    ln_z = np.log(np.maximum(z, 2.0))
-    span = (ln_z - math.log(2.0))[:, None]
-    m = p - 2.0 - 2.0 * k
-    size = np.where(m == 0.0, 1.0, np.abs(m))
-    part = np.where(m == 0.0, span, -np.expm1(-span * size) / size)
-    scale = np.exp(np.maximum(m * math.log(2.0), np.outer(ln_z, m)) - p * ln_z[:, None])
-    above = (sign * scale * part).sum(axis=1)
-    return sn * ((below + middle) + above)
+    return sn * _power_tail(tail.exponent, tail.exponent, _log_ratio(xi, table.omega[-1]))
 
 
 # The near/far split of the sampled part.  Intervals go in blocks of
@@ -848,7 +841,6 @@ _PANEL_POINTS = 32
 _CHEB_ANGLES = (2.0 * np.arange(_PANEL_POINTS) + 1.0) * np.pi / (2 * _PANEL_POINTS)
 _CHEB_POINTS = np.cos(_CHEB_ANGLES)
 _CHEB_WEIGHTS = (-1.0) ** np.arange(_PANEL_POINTS) * np.sin(_CHEB_ANGLES)
-_TINY = np.finfo(float).tiny
 
 
 def _kk_panel(table, j):

@@ -19,10 +19,9 @@ from typing import Optional
 import numpy as np
 
 # pressure stays bound here for the benchmark's tracer to patch
-from .engine import GapConfig, QuadratureConfig, _outcomes, pressure
+from .engine import _CONSTANT_MEDIA, GapConfig, QuadratureConfig, _outcomes, pressure
 from .errors import ConvergenceError, DomainError, InconclusiveConfigurationError
-from .materials import (ConstantEpsMu, DebyeMagnetic, InfinitelyPermeable,
-                        MaterialResponse, PerfectConductor)
+from .materials import ConstantEpsMu, DebyeMagnetic, MaterialResponse
 
 
 class Verdict(str, Enum):
@@ -419,7 +418,7 @@ def dispersion_restores_attraction(models, separations=None, quad=None,
     recorded but excluded from the assertion and the counterexample list.
     """
     for m in models:
-        if isinstance(m, (ConstantEpsMu, PerfectConductor, InfinitelyPermeable)):
+        if type(m) in _CONSTANT_MEDIA:
             raise DomainError(f"{m.label!r} is not dispersive; "
                               "use sign_map for the non-dispersive regime")
         if not isinstance(m, MaterialResponse):

@@ -84,6 +84,17 @@ def test_malformed_model_file_is_usage_error(capsys, tmp_path):
     assert "'Drude' has malformed parameters" in err
 
 
+def test_model_file_with_an_infinite_static_lorentz_eps_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "strong.json"
+    path.write_text('{"kind": "LorentzOscillators", "parameters": {"oscillators": '
+                    '[{"f": 1e300, "omega_p": 1e16, "omega0": 5e15, "gamma": 1e13}]}}')
+    code, out, err = run(capsys, "energy", "--material1", str(path),
+                         "--material2", "pc", "--gap", "1e-6")
+    assert code == 2
+    assert out == ""
+    assert "static eps" in err and "not finite" in err
+
+
 def test_model_file_with_a_frequency_beyond_1e140_rad_s_is_usage_error(capsys, tmp_path):
     path = tmp_path / "fast.json"
     path.write_text('{"kind": "Drude", "parameters": {"omega_p": 1e300, "gamma": 1e-300}}')
@@ -158,6 +169,17 @@ def test_nonconvergence_exits_3_with_best_estimate(capsys, tmp_path):
     assert doc["converged"] is False
     assert doc["value"] == pytest.approx(IDEAL_E, rel=1e-2)
     assert "converge" in err
+
+
+def test_sweep_that_does_not_converge_exits_3_without_rows(capsys, tmp_path):
+    # a sweep prints no partial table: main reports the error itself
+    path = tmp_path / "stiff-metal.json"
+    save_material(Drude(1e18, 5.3e13, label="stiff metal"), path)
+    code, out, err = run(capsys, "sweep", "--material1", str(path), "--material2", "pc",
+                         "--points", "2", "--rel-tol", "1e-13", "--max-subdivisions", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "converge" in err
 
 
 def test_csv_output_mode(capsys):
@@ -272,6 +294,16 @@ def test_signmap_refuses_a_threshold_not_finite_and_nonnegative(capsys, threshol
     assert code == 2
     assert out == ""
     assert err.startswith("error: threshold must be finite")
+
+
+def test_signmap_summary_that_cannot_be_written_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "nonexistent" / "s.json"
+    code, out, err = run(capsys, "signmap", "--eps1", "1", "100", "--mu1", "1",
+                         "--eps2", "1", "--mu2", "1", "--no-refine-boundaries",
+                         "--summary", str(path))
+    assert code == 2
+    assert out.startswith("eps1,mu1,eps2,mu2")  # the map went out before the summary
+    assert err.startswith("error: ") and str(path) in err
 
 
 def test_uvlmap_command(capsys, tmp_path):

@@ -127,31 +127,58 @@ def test_divergent_tail_rejected():
         LowTail("quadratic")
 
 
-def test_generic_power_tail_agrees_with_closed_form_at_p3():
-    w = np.geomspace(1e14, 1e16, 500)
-    s = (1e15 / w) ** 2
-    xi = np.geomspace(3e13, 3e17, 17)
-    t3 = TabulatedAbsorption(w, s, high_tail=HighTail("power", 3.0))
-    # p passing through the generic quadrature path, arbitrarily close to 3
-    tg = TabulatedAbsorption(w, s, high_tail=HighTail("power", 3.0000001))
-    v3 = _kk_value(t3, xi)
-    vg = _kk_value(tg, xi)
-    assert np.max(np.abs(v3 - vg) / (v3 - 1.0)) < 1e-5
+# the tails' ratios xi / w over which they are held to a 40-digit reference
+TAIL_RATIOS = np.concatenate([np.geomspace(1e-12, 1e12, 97), [0.5, 1.0, 2.0]])
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 4.0, 7.0])
+def worst_relative_error(got, ref):
+    with mp.workdps(40):
+        return max(abs(mp.mpf(g) / r - 1) for g, r in zip(got, ref))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 7.0])
 def test_generic_power_tail_against_40_digit_reference(p):
     # sn \int_0^1 t^{p-1} / (1 + z^2 t^2) dt = sn 2F1(1, p/2; 1 + p/2; -z^2) / p,
     # z = xi / wn, across the tail's turn at t = 1/z
     wn, sn = 1e16, 0.37
     table = TabulatedAbsorption([1e14, wn], [1.0, sn], high_tail=HighTail("power", p))
-    z = np.concatenate([np.geomspace(1e-3, 1e12, 61), [0.5, 1.0, 2.0]])
-    got = materials._kk_high_tail(table, z * wn)
+    got = materials._kk_high_tail(table, TAIL_RATIOS * wn)
     with mp.workdps(40):
-        worst = max(abs(mp.mpf(g) / (sn * mp.hyp2f1(1, mp.mpf(p) / 2, 1 + mp.mpf(p) / 2,
-                                                    -mp.mpf(x) ** 2) / p) - 1)
-                    for g, x in zip(got, z))
-    assert worst <= 1e-12
+        ref = [sn * mp.hyp2f1(1, mp.mpf(p) / 2, 1 + mp.mpf(p) / 2, -mp.mpf(z) ** 2) / p
+               for z in TAIL_RATIOS]
+    assert worst_relative_error(got, ref) <= 3e-14
+
+
+@pytest.mark.parametrize("low", ["constant", "linear"])
+def test_low_tails_against_40_digit_reference(low):
+    # s1 \int_0^w1 (w/w1)^q w / (w^2 + xi^2) dw at u = xi / w1: for q = 0,
+    # s1 log1p(1/u^2) / 2, and for q = 1, s1 (1 - u atan(1/u))
+    w1, s1 = 1e14, 0.37
+    table = TabulatedAbsorption([w1, 1e16], [s1, 1.0], LowTail(low))
+    got = materials._kk_low_tail(table, TAIL_RATIOS * w1)
+    with mp.workdps(40):
+        u = [mp.mpf(x) for x in TAIL_RATIOS]
+        ref = [s1 * (mp.log1p(1 / v ** 2) / 2 if low == "constant" else 1 - v * mp.atan(1 / v))
+               for v in u]
+    assert worst_relative_error(got, ref) <= 3e-14
+
+
+def test_exponent_3_tail_and_panels_stay_on_the_transform_far_above_the_table():
+    # sn (wn/xi)^2 to rounding, where the tail once underflowed to 0 from
+    # xi / wn ~ 1e108 on and the panel across the jump was off by 21 %
+    w = np.geomspace(1e6, 1e10, 200)
+    table = TabulatedAbsorption(w, lorentz_eps_imag(w, F, WP * 1e-6, W0 * 1e-6, G * 1e-6),
+                                LowTail("linear"), HighTail("power", 3.0))
+    z = np.geomspace(1e100, 1e140, 161)
+    xi = z * w[-1]
+    np.testing.assert_allclose(materials._kk_high_tail(table, xi) * z ** 2 / table.eps_imag[-1],
+                               1.0, rtol=1e-13, atol=0.0)
+    direct = materials._kk_integral(table, xi)
+    y = np.log10(xi)
+    j = np.floor(y)
+    logs = np.array([materials._kk_panel(table, int(d)) for d in j])
+    panels = np.exp(materials._barycentric(2.0 * (y - j) - 1.0, logs))
+    np.testing.assert_allclose(panels, direct, rtol=1e-12, atol=0.0)
 
 
 def test_tabulated_model_zero_frequency():

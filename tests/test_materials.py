@@ -197,6 +197,23 @@ def test_frequencies_below_1e_minus_10_rad_s_are_refused(make):
         make()
 
 
+@pytest.mark.parametrize("oscillator", [(1e300, 1e16, 5e15, 1e13), (1e9, 1e140, 1e-10, 1e13)],
+                         ids=["f-wp2-overflows", "ratio-overflows"])
+def test_lorentz_oscillator_with_an_infinite_static_eps_is_refused(oscillator):
+    # each was accepted with eps = inf at every xi, a dielectric reflecting
+    # like a perfect conductor
+    with pytest.raises(InvalidModelError, match="static eps .* not finite"):
+        LorentzOscillators([oscillator])
+
+
+def test_lorentz_strengths_whose_sum_overflows_are_refused():
+    strong = (1e300, 1e4, 1.0, 1.0)  # static eps 1e308, the float maximum's order
+    model = LorentzOscillators([strong])
+    assert model.eps(0.0) == 1e308 and np.isfinite(model.xi2_susceptibility(1e3))
+    with pytest.raises(InvalidModelError, match="oscillator 1: the static eps"):
+        LorentzOscillators([strong, strong])
+
+
 def test_negative_frequency_rejected():
     with pytest.raises(DomainError):
         Drude(1e16, 1e14).eps(-1.0)

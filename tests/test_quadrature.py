@@ -84,6 +84,25 @@ def test_foreign_errors_propagate():
     assert res.error > clean.error
 
 
+def test_foreign_errors_alone_split_the_owners_worst_panel(monkeypatch):
+    # a constant integrand: no panel's own error reaches its share of the
+    # tolerance, but the foreign errors do until the panels are narrow
+    bare = []
+
+    def worst_first(owner, errs, sel, inner=quadrature._worst_first):
+        bare.append(int(sel.sum()))
+        return inner(owner, errs, sel)
+
+    monkeypatch.setattr(quadrature, "_worst_first", worst_first)
+    res = integrate_panels(lambda x, o: (np.ones_like(x), np.full(x.shape, 1e-3)),
+                           [0.0], [1.0], [0], 1, rel_tol=1e-4, with_errors=True)
+    assert res.converged[0] and res.value[0] == pytest.approx(1.0, rel=1e-14)
+    assert 0.0 < res.error[0] <= 1e-4 * res.value[0]
+    # eight rounds, each splitting the worst of the owner's panels in two
+    assert bare == list(range(1, 9))
+    assert res.n_evals == 15 + 8 * 30
+
+
 def test_geometric_edges():
     lo, hi, owner = geometric_panels([2.0], 80.0, 0.25)
     assert owner.tolist() == [0] * lo.size

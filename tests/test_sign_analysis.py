@@ -230,8 +230,11 @@ def test_constant_models_rejected_from_dispersive_report(quad_fast):
     with pytest.raises(DomainError, match="sign_map"):
         dispersion_restores_attraction([GOLD, ConstantEpsMu(4.0, 1.0)],
                                        quad=quad_fast)
-    with pytest.raises(DomainError):
-        dispersion_restores_attraction([GOLD, PC], quad=quad_fast)
+    # every medium the engine solves as frequency-independent, and no other
+    for m in (PC, InfinitelyPermeable(), ConstantEpsMu(4.0, 1.0)):
+        assert engine._frequency_independent(GapConfig(A, m, m))
+        with pytest.raises(DomainError, match="not dispersive"):
+            dispersion_restores_attraction([GOLD, m], quad=quad_fast)
 
 
 @pytest.mark.parametrize("models, separations", [([], None), ([GOLD, Plasma(9e15)], []),
