@@ -164,8 +164,9 @@ def test_low_tails_against_40_digit_reference(low):
 
 
 def test_exponent_3_tail_and_panels_stay_on_the_transform_far_above_the_table():
-    # sn (wn/xi)^2 to rounding, where the tail once underflowed to 0 from
-    # xi / wn ~ 1e108 on and the panel across the jump was off by 21 %
+    # sn (wn/xi)^2, up to the rounding of ln(xi/wn) in its powers, where a
+    # tail formed from (wn/xi)^3 underflows to 0 from xi / wn ~ 1e108 on
+    # and the decade panel across that jump errs by up to 21 %
     w = np.geomspace(1e6, 1e10, 200)
     table = TabulatedAbsorption(w, lorentz_eps_imag(w, F, WP * 1e-6, W0 * 1e-6, G * 1e-6),
                                 LowTail("linear"), HighTail("power", 3.0))
