@@ -13,7 +13,10 @@ mean attraction (the plates bind).
 Numerics: the inner integral is rewritten over the dimensionless variable
 y = 2 kappa0 a (so k dk -> y dy / (2a)^2 with lower limit y0 = 2 a xi / c),
 which makes the exponential kernel separation-independent.  Both axes use
-vectorized adaptive Gauss-Kronrod panels.  The outer axis refines the
+vectorized adaptive Gauss-Kronrod panels.  The inner integrand works in
+place, skips the mu u product where a model's mu is 1 at every node, and
+forms the pressure's r1 r2 e^{-y} / (1 - r1 r2 e^{-y}) as
+r1 r2 / (expm1(y) + 1 - r1 r2), within 1 ulp.  The outer axis refines the
 (gap, kind) integrals of any material pairs together, one owner each
 (``integrate_gaps``), from a seed that follows the tolerance: 10 geometric
 panels in xi from rel_tol 1e-7 up, 15 below it, where the panels that hold
@@ -237,11 +240,22 @@ def _reflection_by_owner(material, xi, c_unit, v, s=None):
         r = ratio(m), ratio(e)
         return lambda u, owner: (r[0][owner], r[1][owner])
 
+    unit_mu = bool((m == 1.0).all())  # every model but DebyeMagnetic
+
     def rf(u, owner):
-        kappa = np.sqrt(np.maximum(u * u + w[owner], 0.0))
-        mu_u = m[owner] * u
+        # in place on arrays of its own: the caller may overwrite them
+        kappa = u * u
+        kappa += w[owner]
+        np.sqrt(np.maximum(kappa, 0.0, out=kappa), out=kappa)
         eps_u = e[owner] * u
-        return (mu_u - kappa) / (mu_u + kappa), (eps_u - kappa) / (eps_u + kappa)
+        r_tm = eps_u - kappa
+        eps_u += kappa
+        r_tm /= eps_u
+        mu_u = u if unit_mu else m[owner] * u
+        r_te = mu_u - kappa
+        kappa += mu_u
+        r_te /= kappa
+        return r_te, r_tm
 
     return rf
 
@@ -336,20 +350,25 @@ def reflection(material, point):
 # Integrand kernels
 # ---------------------------------------------------------------------------
 
-def _stable_q(p, emy, omy):
-    """1 - p e^{-y} = omy + (1-p) e^{-y}, exact to rounding for p <= 1; omy = -expm1(-y)."""
-    return omy + (1.0 - p) * emy
-
-
 def _ln_one_minus(p, emy, omy):
-    """ln(1 - p e^{-y}): log1p where |p e^{-y}| < 0.5, and the log of the
-    stable q, computed only there, elsewhere."""
+    """ln(1 - p e^{-y}): log1p where |p e^{-y}| < 0.5, elsewhere the log of
+    1 - p e^{-y} = omy + (1-p) e^{-y}, exact to rounding for p <= 1 and
+    formed only there; emy = e^{-y}, omy = -expm1(-y)."""
     x = p * emy
     out = np.log1p(-x)
     far = np.abs(x) >= 0.5
     if far.any():
-        out[far] = np.log(_stable_q(p[far], emy[far], omy[far]))
+        out[far] = np.log(omy[far] + (1.0 - p[far]) * emy[far])
     return out
+
+
+def _occupation(p, em1):
+    """p e^{-y} / (1 - p e^{-y}) = p / (expm1(y) + (1 - p)), written over p;
+    em1 = expm1(y).  Within 1 ulp for y > 0 and |p| <= 1."""
+    q = 1.0 - p
+    q += em1
+    p /= q
+    return p
 
 
 def _xi_cutoff(cfg):
@@ -425,26 +444,34 @@ def _inner_integrals(cfgs, kinds, rel_tol, budget):
 
 
 def _inner_block(two_a, kind, rf1, rf2, node1, node2, y0, rel_tol, budget):
-    """One owner's inner integrals; ``node1``/``node2`` index ``rf1``/``rf2``."""
+    """One owner's inner integrals; ``node1``/``node2`` index ``rf1``/``rf2``.
 
-    # a function of its own so that the four coefficient arrays are freed
-    # before the kernel below makes its temporaries
+    The integrand overwrites what ``rf1`` returns with p = r1 r2 (r1 squared
+    where both sides are one model), then sums y ln(1 - p e^{-y}) or, with one
+    expm1 per point, y^2 p / (expm1(y) + 1 - p) over the polarizations."""
+
+    # a function of its own so that the second side's coefficient arrays
+    # are freed before the kernel below makes its temporaries
     def products(kappa0, owner):
         r1te, r1tm = rf1(kappa0, node1[owner])
         r2te, r2tm = (r1te, r1tm) if rf2 is rf1 else rf2(kappa0, node2[owner])
-        return r1te * r2te, r1tm * r2tm
-
-    def term(p, emy, omy):
-        if kind == "energy":
-            return _ln_one_minus(p, emy, omy)
-        return p * emy / _stable_q(p, emy, omy)
+        r1te *= r2te
+        r1tm *= r2tm
+        return r1te, r1tm
 
     def g(y, owner):
         pte, ptm = products(y / two_a, owner)
-        emy = np.exp(-y)
-        omy = -np.expm1(-y)
-        terms = term(pte, emy, omy) + term(ptm, emy, omy)
-        return y * terms if kind == "energy" else y * y * terms
+        if kind == "energy":
+            emy, omy = np.exp(-y), -np.expm1(-y)
+            terms = _ln_one_minus(pte, emy, omy)
+            terms += _ln_one_minus(ptm, emy, omy)
+            terms *= y
+        else:
+            em1 = np.expm1(y)
+            terms = _occupation(pte, em1)
+            terms += _occupation(ptm, em1)
+            terms *= y * y
+        return terms
 
     width = np.clip(4.0 * y0, 1e-5, 0.25) if rel_tol < 0.1 * _COARSE_SEED_TOL else 0.25
     lo, hi, owner = geometric_panels(y0, _Y_CUTOFF, width)

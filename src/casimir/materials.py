@@ -471,14 +471,19 @@ class TabulatedAbsorption:
         w1, w2 = omega[:-1], omega[1:]
         s1, s2 = eps_imag[:-1], eps_imag[1:]
         dw = w2 - w1
-        slope = (s2 - s1) / dw
-        offset = s1 - slope * w1
-        w1w2 = w1 * w2
-        self._factors = np.array([slope, dw, dw * w1w2, w1w2, 0.5 * offset,
-                                  dw * (w2 + w1), w1 * w1])
+        with np.errstate(over="ignore"):  # refused below
+            slope = (s2 - s1) / dw
+            offset = s1 - slope * w1
+            w1w2 = w1 * w2
+            self._factors = np.array([slope, dw, dw * w1w2, w1w2, 0.5 * offset,
+                                      dw * (w2 + w1), w1 * w1])
+        if not np.isfinite(self._factors).all():
+            # dw w1 w2 passes float range from samples at ~1e102 rad/s
+            raise IngestionError("the table's transform overflows: samples too high "
+                                 "or too steep")
         self._halved = None
-        # decade -> _kk_panel, built at its first node; threads that build one
-        # decade together store equal arrays
+        # decade -> its row of _kk_panels, built at its first node; threads
+        # that build one decade together store equal arrays
         self._panels = {}
 
     @cached_property
@@ -843,18 +848,27 @@ _CHEB_POINTS = np.cos(_CHEB_ANGLES)
 _CHEB_WEIGHTS = (-1.0) ** np.arange(_PANEL_POINTS) * np.sin(_CHEB_ANGLES)
 
 
+def _kk_panels(table, decades):
+    """The log of the transform integral at the Chebyshev points of each
+    decade 10^j <= xi < 10^(j+1) of ``decades``, one row each, the decades
+    the table lacks built in one transform; nan where a point or an integral
+    is not a positive normal float, and the decade keeps the direct transform."""
+    missing = [j for j in decades if j not in table._panels]
+    if missing:
+        xi = 10.0 ** (np.array(missing, dtype=float)[:, None] + 0.5 + 0.5 * _CHEB_POINTS)
+        logs = np.full(xi.shape, np.nan)
+        normal = np.flatnonzero(xi.min(axis=1) >= _TINY)
+        if normal.size:
+            integral = _kk_integral(table, xi[normal].reshape(-1)).reshape(normal.size, -1)
+            good = integral.min(axis=1) >= _TINY
+            logs[normal[good]] = np.log(integral[good])
+        table._panels.update(zip(missing, logs))
+    return np.reshape([table._panels[j] for j in decades], (-1, _PANEL_POINTS))
+
+
 def _kk_panel(table, j):
-    """The log of the transform integral at the Chebyshev points of decade
-    10^j <= xi < 10^(j+1); nan where a point or an integral is not a
-    positive normal float, and the decade keeps the direct transform."""
-    if j not in table._panels:
-        xi = 10.0 ** (j + 0.5 + 0.5 * _CHEB_POINTS)
-        logs = np.full(_PANEL_POINTS, np.nan)
-        if xi.min() >= _TINY:
-            integral = _kk_integral(table, xi)
-            logs = np.log(integral) if integral.min() >= _TINY else logs
-        table._panels[j] = logs
-    return table._panels[j]
+    """The row of ``_kk_panels`` of decade j alone."""
+    return _kk_panels(table, [j])[0]
 
 
 def _barycentric(t, f):
@@ -874,7 +888,7 @@ def _kk_from_panels(table, xi):
     y = np.log10(xi)
     j = np.floor(y)
     decades, row = np.unique(j, return_inverse=True)
-    logs = np.reshape([_kk_panel(table, int(d)) for d in decades], (-1, _PANEL_POINTS))
+    logs = _kk_panels(table, decades.astype(int).tolist())
     core = np.exp(_barycentric(2.0 * (y - j) - 1.0, logs[row]))
     direct = np.isnan(core)
     if direct.any():
@@ -932,7 +946,7 @@ def kramers_kronig(table, xi, tol=1e-6):
 
 class Tabulated(MaterialResponse):
     """Material whose eps(i xi) comes from a measured absorption table,
-    read from its decade panels (``_kk_panel``), each built once."""
+    read from its decade panels (``_kk_panels``), each built once."""
 
     def __init__(self, table, label=None):
         if not isinstance(table, TabulatedAbsorption):

@@ -78,7 +78,9 @@ def kronrod_nodes(lo, hi):
     """The 15 Kronrod nodes of each panel [lo_i, hi_i], one row per panel,
     and the panels' half-widths: the points ``integrate_panels`` samples."""
     half = 0.5 * (hi - lo)
-    return 0.5 * (lo + hi)[:, None] + np.outer(half, _GK_NODES), half
+    x = np.multiply.outer(half, _GK_NODES)
+    x += (0.5 * (lo + hi))[:, None]
+    return x, half
 
 
 def _eval_panels(f, lo, hi, owner, with_errors):

@@ -123,6 +123,20 @@ def test_input_with_a_frequency_below_1e_minus_10_rad_s_is_usage_error(capsys, t
 
 
 @pytest.mark.parametrize("name, content, args", [
+    ("high.json", '{"kind": "Tabulated", "parameters": {"omega_rad_s": [1e103, 2e103], '
+     '"eps_imag": [1.0, 2.0]}}', ("energy", "--material2", "pc", "--gap", "1e-6", "--material1")),
+    ("high.csv", "omega_rad_s,eps_imag\n1e103,1.0\n2e103,2.0\n", ("kk", "--table"))],
+    ids=["model-file", "table-csv"])
+def test_input_whose_transform_overflows_is_usage_error(capsys, tmp_path, name, content, args):
+    path = tmp_path / name
+    path.write_text(content)
+    code, out, err = run(capsys, *args, str(path))
+    assert code == 2
+    assert out == ""
+    assert "transform overflows" in err
+
+
+@pytest.mark.parametrize("name, content, args", [
     ("model.json", b"\xff{}", ("energy", "--material2", "pc", "--gap", "1e-6", "--material1")),
     ("table.csv", b"omega_rad_s,eps_imag\n1e14,0.5\xff\n", ("kk", "--table"))])
 def test_undecodable_input_file_is_usage_error(capsys, tmp_path, name, content, args):

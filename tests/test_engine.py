@@ -557,14 +557,15 @@ def test_one_model_on_both_sides_is_transformed_once_per_node(kk_nodes):
     quad = QuadratureConfig(rel_tol=1e-6)
     table = small_table()
     pressure(GapConfig(4e-7, table, table), quad)
+    # each call builds the panels of whole decades, each decade once
     nodes = np.concatenate(kk_nodes)
     assert nodes.size > 0
     assert np.unique(nodes).size == nodes.size
-    assert {x.size for x in kk_nodes} == {materials._PANEL_POINTS}
-    builds = len(kk_nodes)
+    assert all(x.size % materials._PANEL_POINTS == 0 for x in kk_nodes)
+    _, per_decade = np.unique(np.floor(np.log10(nodes)), return_counts=True)
+    assert set(per_decade) == {materials._PANEL_POINTS}
     kk_nodes.clear()
     pressure(GapConfig(4e-7, small_table(), small_table()), quad)
-    assert len(kk_nodes) == 2 * builds
     assert sum(x.size for x in kk_nodes) == 2 * nodes.size
 
 
@@ -943,6 +944,79 @@ def test_ln_one_minus_takes_each_elements_own_branch_bit_for_bit():
                                 np.log(omy[part] + (1.0 - pp) * emy[part]))
             got = _ln_one_minus(pp, emy[part], omy[part])
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected.tolist()]
+
+
+def test_pressure_occupation_is_within_one_ulp_of_a_40_digit_reference():
+    # p e^{-y} / (1 - p e^{-y}) as p / (expm1(y) + (1 - p)), over the inner axis
+    y = np.geomspace(1e-12, 80.0, 2000)
+    p = np.random.default_rng(24).uniform(-1.0, 1.0, y.size)
+    p[:9] = p[-9:] = [1.0, -1.0, 1.0 - 1e-16, 0.0, 0.5, -0.5, 1e-300, 0.999, -0.999]
+    got = engine._occupation(p.copy(), np.expm1(y))
+    with mp.workdps(40):
+        want = np.array([float(mp.mpf(pk) * mp.exp(-mp.mpf(yk))
+                               / (1 - mp.mpf(pk) * mp.exp(-mp.mpf(yk))))
+                         for pk, yk in zip(p.tolist(), y.tolist())])
+    assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+
+def textbook_reflection(model, xi, kappa0, owner):
+    """(x u - kappa) / (x u + kappa), x = mu for TE and eps for TM, u = kappa0."""
+    e, m = model.eps(xi), model.mu(xi)
+    w = (e * m - 1.0) * ((xi / C_LIGHT) * (xi / C_LIGHT))
+    kappa = np.sqrt(np.maximum(kappa0 * kappa0 + w[owner], 0.0))
+    return tuple((x[owner] * kappa0 - kappa) / (x[owner] * kappa0 + kappa) for x in (m, e))
+
+
+@pytest.mark.parametrize("model, unit_mu", [
+    (GOLD, True), (Plasma(9e15), True), (LORENTZ, True), (TABLE, True), (FERRITE, False),
+    (ConstantEpsMu(2.0, 50.0), False)], ids=repr)
+def test_integrand_coefficients_are_the_textbook_ones_bit_for_bit(model, unit_mu):
+    # mu = 1 at every node skips the mu u product, which is u to the bit
+    xi = np.geomspace(1e10, 1e18, 9)
+    assert bool(np.all(model.mu(xi) == 1.0)) == unit_mu
+    kappa0 = np.hypot(np.outer(xi / C_LIGHT, [0.0, 0.1, 1.0, 30.0, 1e3]),
+                      (xi / C_LIGHT)[:, None])
+    owner = np.arange(xi.size)[:, None]
+    got = _reflection_by_owner(model, xi, C_LIGHT, xi / C_LIGHT)(kappa0, owner)
+    for r, want in zip(got, textbook_reflection(model, xi, kappa0, owner)):
+        assert r.tobytes() == want.tobytes()
+
+
+def test_coefficient_arrays_are_the_callers_to_overwrite():
+    # the integrand squares and multiplies what each call returns in place
+    xi = np.array([0.0, 1e12, 1e15, 1e17])
+    kappa0 = np.hypot(np.outer(xi / C_LIGHT, [0.0, 1.0, 30.0]) + 1.0, (xi / C_LIGHT)[:, None])
+    owner = np.arange(xi.size)[:, None]
+    t = np.array([0.0, 0.3, 0.9, 1.0])
+    s_path = _reflection_by_owner(GOLD, xi + 1.0, 1.0, t, np.sqrt(1.0 - t * t))
+    calls = [(_reflection_by_owner(m, xi, C_LIGHT, xi / C_LIGHT), kappa0, owner)
+             for m in (PC, IPP, GOLD, FERRITE)]  # ideal, ideal, at limits (xi = 0), plain
+    calls += [(_reflection_by_owner(GOLD, xi[1:], C_LIGHT, xi[1:] / C_LIGHT),
+               kappa0[1:], owner[:-1]), (s_path, 1.0, np.arange(xi.size))]
+    for rf, u, own in calls:
+        first = rf(u, own)
+        want = [r.tobytes() for r in first]
+        for r in first:
+            r *= r
+        assert [r.tobytes() for r in rf(u, own)] == want
+
+
+def test_inner_integrand_of_a_mirror_and_a_metal_keeps_its_bits(monkeypatch):
+    integrands = []
+    real = engine.integrate_panels
+
+    def recorded(f, *args, **kwargs):
+        integrands.append(f)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "integrate_panels", recorded)
+    for kind in ("energy", "pressure"):
+        _inner_integrals([GapConfig(1e-6, PC, GOLD)], [kind], 1e-8, 300)(
+            np.array([[1e13, 1e14, 1e15]]), 0)
+    y = np.linspace(0.5, 70.0, 45).reshape(3, 15)
+    owner = np.array([[0], [1], [2]])
+    for g in integrands:
+        assert g(y, owner).tobytes() == g(y, owner).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,18 @@ def test_lorentz_strengths_whose_sum_overflows_are_refused():
         LorentzOscillators([strong, strong])
 
 
+def test_table_whose_transform_overflows_is_refused():
+    # dw w1 w2 of the transform overflowed with a warning, and eps was inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IngestionError, match="transform overflows"):
+            TabulatedAbsorption([1e103, 2e103], [1.0, 2.0], LowTail("zero"), HighTail("zero"))
+        table = TabulatedAbsorption([1e100, 2e100], [1.0, 2.0], LowTail("zero"),
+                                    HighTail("zero"))
+        eps = Tabulated(table).eps(np.array([1e99, 1.5e100, 1e101]))
+    assert np.isfinite(eps).all() and (eps > 1.0).all()
+
+
 def test_negative_frequency_rejected():
     with pytest.raises(DomainError):
         Drude(1e16, 1e14).eps(-1.0)

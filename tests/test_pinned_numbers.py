@@ -15,8 +15,10 @@ outer xi-seed below rel_tol 1e-7 came to halve only the panels of the
 coarse seed where a metal's integral lives, their values and dominant
 frequencies holding to their pins.  Three of lorentz-table's were
 re-recorded when tabulated eps came to be read from per-decade Chebyshev
-panels, its values moving by at most 1.9e-14 relative.  The engine must
-reproduce them:
+panels, its values moving by at most 1.9e-14 relative.  plasma's 1e-7 m
+pressure error was re-recorded when the pressure's inner integrand came to
+form p e^{-y} / (1 - p e^{-y}) as p / (expm1(y) + 1 - p), its value holding
+to its pin.  The engine must reproduce them:
 values to rel 1e-13, error estimates to rel 1e-6 (the
 Kronrod-Gauss differences that make them up amplify last-bit changes of
 the integrand) and dominant frequencies to rel 1e-12.
@@ -85,7 +87,7 @@ PINNED = {
     ("plasma", 1e-07, "energy"):
         (-1.8315289874837984e-07, 1.0060668561443478e-17, 1386643286395911.0),
     ("plasma", 1e-07, "pressure"):
-        (-4.459355652505521, 1.703680247009675e-10, 1841924861952000.0),
+        (-4.459355652505521, 1.7036768560393346e-10, 1841924861952000.0),
     ("plasma", 1e-06, "energy"):
         (-3.819111130647368e-10, 2.6261968074715466e-20, 220176774537888.56),
     ("plasma", 1e-06, "pressure"):
