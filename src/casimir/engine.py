@@ -22,11 +22,13 @@ r1 r2 / (expm1(y) + 1 - r1 r2), within 1 ulp.  The outer axis refines the
 panels in xi from rel_tol 1e-7 up, 15 below it, where the panels that hold
 a metal's integral are halved.  Each round hands their xi nodes to the
 inner axis: each model's eps and mu are evaluated once per distinct
-frequency of the owners that use it, as arrays, and the inner integrals of
-each owner's nodes refine in one ``integrate_panels`` call per owner per
-round, each node to its own tolerance and budget from geometric panels in
-y, graded toward y0 below rel_tol 1e-7.  Inner-integral error estimates
-are propagated into the outer total in quadrature sum.
+frequency of the owners that use it, as arrays.  Owners whose nodes are the
+same frequencies at one gap (an attraction check's pairings, a sweep's
+energy and pressure) share one seed round of geometric panels in y, graded
+toward y0 below rel_tol 1e-7, and its reflection calls; then each owner's
+nodes refine in one ``integrate_panels`` call per round, each node to its
+own tolerance and budget.  Inner-integral error estimates are propagated
+into the outer total in quadrature sum.
 
 Frequency-independent media (``PerfectConductor``, ``InfinitelyPermeable``
 and ``ConstantEpsMu``, the vacuum included) skip that double quadrature.
@@ -57,8 +59,8 @@ from .errors import (ContinuumModelWarning, ConvergenceError,
 from .materials import (ConstantEpsMu, InfinitelyPermeable, MaterialResponse,
                         PerfectConductor)
 # integrate_adaptive stays bound here for the benchmark's tracer to patch
-from .quadrature import (_EVAL_ROWS, geometric_panels,
-                         integrate_adaptive, integrate_panels, kronrod_nodes)
+from .quadrature import (_EVAL_ROWS, geometric_panels, integrate_adaptive,
+                         integrate_panels, kronrod_nodes, panel_sums)
 
 
 @dataclass(frozen=True)
@@ -403,10 +405,11 @@ def _inner_integrals(cfgs, kinds, rel_tol, budget):
     distinct frequency of the nodes of the owners that use it.  Nodes whose
     lower limit y0 = 2 a xi / c reaches ``_Y_CUTOFF`` give exactly zero;
     the others refine from the seed panels ``geometric_panels(y0,
-    _Y_CUTOFF, w)`` to ``rel_tol`` within ``budget`` splits, the nodes of
-    one owner per ``integrate_panels`` call.  w = 0.25, or clip(4 y0, 1e-5,
-    0.25) below rel_tol 1e-8: where y0 << 1 and r1 r2 -> 1 the integrand
-    goes as y ln y, which a first panel graded toward y0 resolves at once.
+    _Y_CUTOFF, w)`` to ``rel_tol`` within ``budget`` splits, with one seed
+    round per group of owners at one gap: those whose live nodes are the
+    same frequencies at one 2a.  w = 0.25, or clip(4 y0, 1e-5, 0.25) below
+    rel_tol 1e-8: where y0 << 1 and r1 r2 -> 1 the integrand goes as y ln y,
+    which a first panel graded toward y0 resolves at once.
     """
     two_a = 2.0 * np.array([cfg.a for cfg in cfgs])
     sides = [(id(cfg.material1), id(cfg.material2)) for cfg in cfgs]
@@ -432,52 +435,86 @@ def _inner_integrals(cfgs, kinds, rel_tol, budget):
             nodes[key], distinct = maps[group]
             # lengths in metres: u = kappa0 (1/m), v = xi / c
             rfs[key] = _reflection_by_owner(model, distinct, C, distinct / C)
-        for k, ((i, j), kind) in enumerate(zip(sides, kinds)):
+        groups = {}
+        for k in range(len(cfgs)):
             idx = live[own[live] == k]
             if idx.size:
-                vals[idx], errs[idx] = _inner_block(
-                    two_a[k], kind, rfs[i], rfs[j], nodes[i][idx], nodes[j][idx],
-                    y0[idx], rel_tol, budget)
+                groups.setdefault((two_a[k], xi[idx].tobytes()), []).append((k, idx))
+        for (gap, _), group in groups.items():
+            # each side's node map is filled at the nodes of the owners using it
+            coeffs = {key: (rfs[key], nodes[key][idx]) for k, idx in group for key in sides[k]}
+            results = _inner_group(gap, [(kinds[k], sides[k]) for k, _ in group], coeffs,
+                                   y0[group[0][1]], rel_tol, budget)
+            for (_, idx), (v, e) in zip(group, results):
+                vals[idx], errs[idx] = v, e
         return vals.reshape(x.shape), errs.reshape(x.shape)
 
     return integrals
 
 
-def _inner_block(two_a, kind, rf1, rf2, node1, node2, y0, rel_tol, budget):
-    """One owner's inner integrals; ``node1``/``node2`` index ``rf1``/``rf2``.
-
-    The integrand overwrites what ``rf1`` returns with p = r1 r2 (r1 squared
-    where both sides are one model), then sums y ln(1 - p e^{-y}) or, with one
-    expm1 per point, y^2 p / (expm1(y) + 1 - p) over the polarizations."""
-
-    # a function of its own so that the second side's coefficient arrays
-    # are freed before the kernel below makes its temporaries
-    def products(kappa0, owner):
-        r1te, r1tm = rf1(kappa0, node1[owner])
-        r2te, r2tm = (r1te, r1tm) if rf2 is rf1 else rf2(kappa0, node2[owner])
-        r1te *= r2te
-        r1tm *= r2tm
-        return r1te, r1tm
-
-    def g(y, owner):
-        pte, ptm = products(y / two_a, owner)
-        if kind == "energy":
-            emy, omy = np.exp(-y), -np.expm1(-y)
-            terms = _ln_one_minus(pte, emy, omy)
-            terms += _ln_one_minus(ptm, emy, omy)
-            terms *= y
-        else:
-            em1 = np.expm1(y)
-            terms = _occupation(pte, em1)
-            terms += _occupation(ptm, em1)
-            terms *= y * y
-        return terms
-
+def _inner_group(two_a, members, coeffs, y0, rel_tol, budget):
+    """Yields the inner integrals (values, errors) of ``members``, (kind,
+    (key1, key2)) owners whose nodes are the lower limits ``y0`` at one gap
+    2a, each key's closure and node index in ``coeffs``.  In the seed round
+    each closure runs once per call, of ``_EVAL_ROWS`` panels over the
+    models of a group, whose arrays outlive a product; then each refines."""
     width = np.clip(4.0 * y0, 1e-5, 0.25) if rel_tol < 0.1 * _COARSE_SEED_TOL else 0.25
     lo, hi, owner = geometric_panels(y0, _Y_CUTOFF, width)
-    res = integrate_panels(g, lo, hi, owner, y0.size, rel_tol=rel_tol,
-                           max_subdivisions=budget)
-    return res.value, res.error
+    # the sides no later member reads, whose arrays a member may overwrite
+    drops = [{key for key in pair if all(key not in p for _, p in members[k + 1:])}
+             for k, (_, pair) in enumerate(members)]
+    seeds = np.zeros((len(members), 3, lo.size))
+    step = _EVAL_ROWS // min(len(members), len(coeffs))
+    for start in range(0, lo.size, step):
+        rows = slice(start, start + step)
+        y, half = kronrod_nodes(lo[rows], hi[rows])
+        held, factors = _coefficients(y, owner[rows, None], two_a, coeffs), {}
+        for seed, (kind, pair), drop in zip(seeds, members, drops):
+            seed[0, rows], seed[1, rows] = panel_sums(
+                _member_terms(kind, pair, held, drop, y, factors), half)
+        del factors
+    for (kind, pair), seed in zip(members, seeds):
+        def g(y, own, kind=kind, pair=pair, mine={key: coeffs[key] for key in pair}):
+            return _member_terms(kind, pair, _coefficients(y, own, two_a, mine), set(pair),
+                                 y, {})
+
+        res = integrate_panels(g, lo, hi, owner, y0.size, rel_tol=rel_tol,
+                               max_subdivisions=budget, seed=seed)
+        yield res.value, res.error
+
+
+def _coefficients(y, owner, two_a, coeffs):
+    """Each model's (r_te, r_tm) at the points ``y`` of the inner owners ``owner``."""
+    kappa0 = y / two_a
+    return {key: rf(kappa0, node[owner]) for key, (rf, node) in coeffs.items()}
+
+
+def _member_terms(kind, pair, held, drop, y, factors):
+    """One member's sum over polarizations of y ln(1 - p e^{-y}) or, with
+    one expm1 per point, y^2 p / (expm1(y) + 1 - p), each kind's y factors
+    kept in ``factors``.  p = r1 r2 overwrites a side in ``drop``, which
+    leaves ``held``, so that a lone member works in place and lets the other
+    side go before its kernel's temporaries."""
+    r1, r2 = held[pair[0]], held[pair[1]]
+    for key in drop:
+        del held[key]
+    if pair[0] not in drop:
+        r1, r2 = r2, r1
+    pte, ptm = r1 if drop else (r1[0].copy(), r1[1].copy())
+    pte *= r2[0]
+    ptm *= r2[1]
+    del r1, r2
+    if kind not in factors:
+        factors[kind] = (np.exp(-y), -np.expm1(-y)) if kind == "energy" else np.expm1(y)
+    if kind == "energy":
+        terms = _ln_one_minus(pte, *factors[kind])
+        terms += _ln_one_minus(ptm, *factors[kind])
+        terms *= y
+    else:
+        terms = _occupation(pte, factors[kind])
+        terms += _occupation(ptm, factors[kind])
+        terms *= y * y
+    return terms
 
 
 def _outer_edges(cfg, rel_tol):
@@ -716,14 +753,15 @@ def _dominant_xi(cfg, kind, key, rel_tol):
 def _peak_weights(kind, pair, y0):
     """y0 |F(y0)| at the nodes of ``y0`` (values of 2 a xi / c), F being the
     inner integral of a frequency-independent pair; the peak is where xi |F|
-    peaks at any gap.  One ``_inner_block`` call (unit c = 2 a = 1, xi = y0,
+    peaks at any gap.  One ``_inner_group`` call (unit c = 2 a = 1, xi = y0,
     rel_tol 1e-10) weighs every node, each to the bits of its solo
     integration.  Its y-axis refines where r varies as sqrt(1 - t) at t = 1
     (eps mu << 1).
     """
-    rf1, rf2 = (_reflection_by_owner(m, y0, 1.0, y0) for m in pair)
     each = np.arange(y0.size)
-    vals, _ = _inner_block(1.0, kind, rf1, rf2, each, each, y0, 1e-10, _INNER_BUDGET)
+    coeffs = {id(m): (_reflection_by_owner(m, y0, 1.0, y0), each) for m in pair}
+    [(vals, _)] = _inner_group(1.0, [(kind, tuple(map(id, pair)))], coeffs, y0, 1e-10,
+                               _INNER_BUDGET)
     return y0 * np.abs(vals)
 
 

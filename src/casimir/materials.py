@@ -441,7 +441,7 @@ class TabulatedAbsorption:
     linear; outside, the configured tails apply.
     """
 
-    def __init__(self, omega, eps_imag, low_tail=None, high_tail=None):
+    def __init__(self, omega, eps_imag, low_tail=None, high_tail=None, _halving=True):
         omega = np.asarray(omega, dtype=float)
         eps_imag = np.asarray(eps_imag, dtype=float)
         if omega.ndim != 1 or omega.shape != eps_imag.shape:
@@ -467,20 +467,23 @@ class TabulatedAbsorption:
         self.low_tail = low_tail or LowTail()
         self.high_tail = high_tail or HighTail()
         # per-interval linear coefficients eps'' = slope*w + offset and the
-        # xi-independent factors of _kk_sampled, formed once per table
-        w1, w2 = omega[:-1], omega[1:]
-        s1, s2 = eps_imag[:-1], eps_imag[1:]
-        dw = w2 - w1
-        with np.errstate(over="ignore"):  # refused below
-            slope = (s2 - s1) / dw
-            offset = s1 - slope * w1
-            w1w2 = w1 * w2
-            self._factors = np.array([slope, dw, dw * w1w2, w1w2, 0.5 * offset,
-                                      dw * (w2 + w1), w1 * w1])
-        if not np.isfinite(self._factors).all():
-            # dw w1 w2 passes float range from samples at ~1e102 rad/s
-            raise IngestionError("the table's transform overflows: samples too high "
-                                 "or too steep")
+        # xi-independent factors of _kk_sampled, formed once per table, after
+        # those of the copy ``halved`` makes, which checks no copy of its own
+        every_other = np.r_[0:omega.size - 1:2, omega.size - 1]
+        for idx in ([every_other] if _halving else []) + [slice(None)]:
+            w1, w2 = omega[idx][:-1], omega[idx][1:]
+            s1, s2 = eps_imag[idx][:-1], eps_imag[idx][1:]
+            dw = w2 - w1
+            with np.errstate(over="ignore"):  # refused below
+                slope = (s2 - s1) / dw
+                offset = s1 - slope * w1
+                w1w2 = w1 * w2
+                self._factors = np.array([slope, dw, dw * w1w2, w1w2, 0.5 * offset,
+                                          dw * (w2 + w1), w1 * w1])
+            if not np.isfinite(self._factors).all():
+                # dw w1 w2 passes float range from samples at ~1e102 rad/s
+                raise IngestionError("the table's transform overflows: samples too "
+                                     "high or too steep")
         self._halved = None
         # decade -> its row of _kk_panels, built at its first node; threads
         # that build one decade together store equal arrays
@@ -500,9 +503,9 @@ class TabulatedAbsorption:
         """Every-other-sample copy (endpoints kept) for error estimation,
         made once per table."""
         if self._halved is None:
-            idx = np.unique(np.r_[np.arange(0, self.omega.size, 2), self.omega.size - 1])
+            idx = np.r_[0:self.omega.size - 1:2, self.omega.size - 1]
             self._halved = TabulatedAbsorption(self.omega[idx], self.eps_imag[idx],
-                                               self.low_tail, self.high_tail)
+                                               self.low_tail, self.high_tail, _halving=False)
         return self._halved
 
 

@@ -24,7 +24,9 @@ convergence flags, and the evaluation count.
 An integrand may also return a per-point error array (``with_errors``);
 those foreign errors are propagated into the total in quadrature sum.
 This is how inner-integral uncertainties reach the outer result in the
-nested double integrals of the engine.
+nested double integrals of the engine.  A caller may also sum the seed
+panels itself (``panel_sums``), say for integrands that share their points
+and much of their arithmetic: the loop refines from them to the same bits.
 """
 
 import numpy as np
@@ -83,6 +85,14 @@ def kronrod_nodes(lo, hi):
     return x, half
 
 
+def panel_sums(fx, half):
+    """Kronrod sums and errors |Kronrod - Gauss| of panels of half-widths
+    ``half`` from their values ``fx`` at ``kronrod_nodes``, one row each."""
+    # einsum, not a matrix product: a row's sums keep their bits in any block
+    kronrod = np.einsum("ij,j->i", fx, _GK_WEIGHTS) * half
+    return kronrod, np.abs(kronrod - np.einsum("ij,j->i", fx[:, 1::2], _G_WEIGHTS) * half)
+
+
 def _eval_panels(f, lo, hi, owner, with_errors):
     """Kronrod sums, errors and foreign squared errors of every [lo_i, hi_i]
     panel by the GK15 rule, ``_EVAL_ROWS`` panels per integrand call."""
@@ -95,11 +105,8 @@ def _eval_panels(f, lo, hi, owner, with_errors):
             fx, fe = fx
             fe = np.asarray(fe, dtype=float).reshape(x.shape)
             out[2, rows] = ((fe * _GK_WEIGHTS) ** 2).sum(axis=1) * half * half
-        fx = np.asarray(fx, dtype=float).reshape(x.shape)
-        # einsum, not a matrix product: a row's sums keep their bits in any block
-        out[0, rows] = np.einsum("ij,j->i", fx, _GK_WEIGHTS) * half
-        out[1, rows] = np.abs(out[0, rows]
-                              - np.einsum("ij,j->i", fx[:, 1::2], _G_WEIGHTS) * half)
+        out[0, rows], out[1, rows] = panel_sums(np.asarray(fx, dtype=float).reshape(x.shape),
+                                                half)
     return out
 
 
@@ -115,7 +122,7 @@ def _worst_first(owner, errs, sel):
 
 
 def integrate_panels(f, lo, hi, owner, n_owners, rel_tol, abs_floor=0.0,
-                     max_subdivisions=1000, with_errors=False):
+                     max_subdivisions=1000, with_errors=False, seed=None):
     """Integrate ``n_owners`` functions at once, each over its own panels.
 
     Parameters
@@ -139,6 +146,9 @@ def integrate_panels(f, lo, hi, owner, n_owners, rel_tol, abs_floor=0.0,
         Panel-split budget of each owner.  On exhaustion that owner keeps
         its best estimate with ``converged`` False (no exception: the
         caller decides whether that is fatal); the others go on.
+    seed : array_like, optional
+        The seed panels' sums, shaped (3, n_panels) as ``_eval_panels``
+        returns them, from the caller; ``f`` then sees refined panels alone.
 
     Returns
     -------
@@ -147,7 +157,7 @@ def integrate_panels(f, lo, hi, owner, n_owners, rel_tol, abs_floor=0.0,
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     owner = np.asarray(owner, dtype=np.intp)
-    vals, errs, fsq = _eval_panels(f, lo, hi, owner, with_errors)
+    vals, errs, fsq = _eval_panels(f, lo, hi, owner, with_errors) if seed is None else seed
     n_panels = owner.size
     splits = np.zeros(n_owners, dtype=np.intp)
     active = np.ones(n_owners, dtype=bool)

@@ -125,8 +125,11 @@ def test_input_with_a_frequency_below_1e_minus_10_rad_s_is_usage_error(capsys, t
 @pytest.mark.parametrize("name, content, args", [
     ("high.json", '{"kind": "Tabulated", "parameters": {"omega_rad_s": [1e103, 2e103], '
      '"eps_imag": [1.0, 2.0]}}', ("energy", "--material2", "pc", "--gap", "1e-6", "--material1")),
-    ("high.csv", "omega_rad_s,eps_imag\n1e103,1.0\n2e103,2.0\n", ("kk", "--table"))],
-    ids=["model-file", "table-csv"])
+    ("high.csv", "omega_rad_s,eps_imag\n1e103,1.0\n2e103,2.0\n", ("kk", "--table")),
+    # only the every-other-sample copy of the transform's error estimate overflows
+    ("wide.csv", "omega_rad_s,eps_imag\n4.6e102,1.0\n6.9e102,2.0\n9.2e102,3.0\n",
+     ("kk", "--table"))],
+    ids=["model-file", "table-csv", "halved-table-csv"])
 def test_input_whose_transform_overflows_is_usage_error(capsys, tmp_path, name, content, args):
     path = tmp_path / name
     path.write_text(content)

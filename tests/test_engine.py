@@ -737,11 +737,12 @@ def test_inner_seed_is_graded_toward_y0_below_rel_tol_1e_7(inner_seeds):
 @pytest.mark.parametrize("pair", [(GOLD, GOLD), (Plasma(9e15), Plasma(9e15))],
                          ids=["drude", "plasma"])
 def test_metals_converge_every_inner_integral_in_its_seed_round(monkeypatch, pair, fn):
-    # per inner quadrature: its integrand calls and the calls its seed takes
+    # per inner quadrature: whether the seed round's sums of all its seed
+    # panels came with it, and the integrand calls it made to refine
     calls = []
     real = engine.integrate_panels
 
-    def counted(f, lo, *args, with_errors=False, **kwargs):
+    def counted(f, lo, *args, with_errors=False, seed=None, **kwargs):
         if with_errors:
             return real(f, lo, *args, with_errors=True, **kwargs)
         n = [0]
@@ -749,14 +750,14 @@ def test_metals_converge_every_inner_integral_in_its_seed_round(monkeypatch, pai
         def g(x, owner):
             n[0] += 1
             return f(x, owner)
-        result = real(g, lo, *args, **kwargs)
-        calls.append((n[0], -(-lo.size // _EVAL_ROWS)))
+        result = real(g, lo, *args, seed=seed, **kwargs)
+        calls.append((seed.shape == (3, lo.size), n[0]))
         return result
 
     monkeypatch.setattr(engine, "integrate_panels", counted)
     fn(GapConfig(1e-6, *pair))
     assert calls
-    assert [n for n, _ in calls] == [seed for _, seed in calls]
+    assert calls == [(True, 0)] * len(calls)
 
 
 @pytest.mark.parametrize("fn", [energy_per_area, pressure])
@@ -826,12 +827,13 @@ def test_a_full_batch_takes_one_inner_quadrature_per_owner_in_its_seed_round(mon
     for a in gaps:
         assert engine._outer_edges(GapConfig(a, PC, PC), 1e-8).size == \
             engine._OUTER_SEED_PANELS + 1
-    rounds = []  # per outer integrand call, the gap of each inner quadrature
-    inner_block = engine._inner_block
+    rounds = []  # per outer integrand call, the gap of each inner seed round
+    inner_group = engine._inner_group
 
-    def counted(two_a, *args):
+    def counted(two_a, members, *args):
         rounds[-1].append(two_a / 2.0)
-        return inner_block(two_a, *args)
+        assert len(members) == 1  # one owner per gap
+        return inner_group(two_a, members, *args)
 
     def recorded(*args):
         integrals = _inner_integrals(*args)
@@ -841,13 +843,76 @@ def test_a_full_batch_takes_one_inner_quadrature_per_owner_in_its_seed_round(mon
             return integrals(x, owners)
         return f
 
-    monkeypatch.setattr(engine, "_inner_block", counted)
+    monkeypatch.setattr(engine, "_inner_group", counted)
     monkeypatch.setattr(engine, "_inner_integrals", recorded)
     integrate_gaps([(GapConfig(a, GOLD, GOLD), "pressure") for a in gaps])
     # a full batch and the rest, each converging on its seed panels
     assert sorted(rounds[0]) == sorted(gaps[:engine._CONFIGS])
     assert sorted(rounds[1]) == sorted(gaps[engine._CONFIGS:])
     assert len(rounds) == 2
+
+
+def test_each_model_reflects_once_per_seed_chunk_whatever_the_owners(monkeypatch):
+    # (Lorentz, Lorentz), (Lorentz, table) and (table, table) at one gap: in
+    # the seed round one group of three owners and two models
+    groups = []  # per seed round: owners, seed chunks, each model's calls
+    refining = []
+    real_group, real_nodes, real_quad = (engine._inner_group, engine.kronrod_nodes,
+                                         engine.integrate_panels)
+
+    def group(two_a, members, coeffs, *args):
+        calls = dict.fromkeys(coeffs, 0)
+
+        def counted(key, rf):
+            def call(u, owner):
+                calls[key] += not refining
+                return rf(u, owner)
+            return call
+        groups.append((len(members), [0], calls))
+        yield from real_group(two_a, members, {key: (counted(key, rf), node)
+                                               for key, (rf, node) in coeffs.items()}, *args)
+
+    def nodes(lo, hi):
+        groups[-1][1][0] += 1
+        return real_nodes(lo, hi)
+
+    def quad(f, *args, with_errors=False, **kwargs):
+        if with_errors:
+            return real_quad(f, *args, with_errors=True, **kwargs)
+        refining.append(1)
+        try:
+            return real_quad(f, *args, **kwargs)
+        finally:
+            refining.pop()
+
+    monkeypatch.setattr(engine, "_inner_group", group)
+    monkeypatch.setattr(engine, "kronrod_nodes", nodes)
+    monkeypatch.setattr(engine, "integrate_panels", quad)
+    dispersion_restores_attraction([LORENTZ, small_table()], [4e-7])
+    assert (3, 2) in [(owners, len(calls)) for owners, _, calls in groups]
+    for owners, (chunks,), calls in groups:
+        assert chunks >= 1
+        assert all(n == chunks for n in calls.values())
+
+
+@pytest.mark.parametrize("pair", [(GOLD, TABLE), (TABLE, TABLE), (PC, LORENTZ),
+                                  (FERRITE, GOLD)], ids=repr)
+def test_energy_and_pressure_at_one_gap_keep_their_solo_bits(monkeypatch, pair):
+    # the sweep's items: one seed round serves both kinds at one gap
+    quad = QuadratureConfig(rel_tol=1e-6)
+    cfg = GapConfig(3e-7, *pair)
+    alone = [energy_per_area(cfg, quad), pressure(cfg, quad)]
+    kinds = []
+    real = engine._inner_group
+
+    def recorded(two_a, members, *args):
+        kinds.append([kind for kind, _ in members])
+        return real(two_a, members, *args)
+
+    monkeypatch.setattr(engine, "_inner_group", recorded)
+    batched = integrate_gaps([(cfg, "energy"), (cfg, "pressure")], quad)
+    assert [bits(r) for r in batched] == [bits(r) for r in alone]
+    assert kinds[0] == ["energy", "pressure"]
 
 
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-12], ids=["seed-panels", "outer-refines"])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from casimir import (ConstantEpsMu, DebyeMagnetic, DomainError, Drude, HighTail,
                      InfinitelyPermeable, IngestionError, InvalidModelError,
                      LorentzOscillators, LowTail, PerfectConductor, Plasma,
-                     Tabulated, TabulatedAbsorption, vacuum)
+                     Tabulated, TabulatedAbsorption, kramers_kronig, vacuum)
 
 
 def test_constant_model_is_constant():
@@ -224,6 +224,29 @@ def test_table_whose_transform_overflows_is_refused():
                                     HighTail("zero"))
         eps = Tabulated(table).eps(np.array([1e99, 1.5e100, 1e101]))
     assert np.isfinite(eps).all() and (eps > 1.0).all()
+
+
+def test_table_whose_every_other_sample_transform_overflows_is_refused():
+    # the error estimate's copy spans two intervals at a time: its dw w1 w2
+    # overflowed in kramers_kronig for a table the constructor accepted
+    w = np.array([1.0, 1.5, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IngestionError, match="transform overflows"):
+            TabulatedAbsorption(4.6e102 * w, [1.0, 2.0, 3.0], LowTail("zero"), HighTail("zero"))
+        table = TabulatedAbsorption(4.2e102 * w, [1.0, 2.0, 3.0], LowTail("zero"),
+                                    HighTail("zero"))
+        assert np.isfinite(kramers_kronig(table, 5.5e102).value)
+        # the copy's own copy, of wider intervals still, is never checked:
+        # here its dw w1 w2 alone leaves float range
+        scale = (np.finfo(float).max / 2.06) ** (1.0 / 3.0)
+        w = scale * np.array([1.0, 2.0, 2.01, 2.02, 2.03])
+        table = TabulatedAbsorption(w, [1.0, 2.0, 3.0, 2.0, 1.0], LowTail("zero"),
+                                    HighTail("zero"))
+        first, last = float(w[0]), float(w[-1])
+        assert (last - first) * first * last == math.inf
+        estimate = kramers_kronig(table, np.array([0.5, 1.0, 3.0]) * scale)
+    assert np.isfinite(estimate.value).all() and np.isfinite(estimate.error_estimate).all()
 
 
 def test_negative_frequency_rejected():

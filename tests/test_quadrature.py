@@ -211,6 +211,34 @@ def test_each_panels_sums_have_the_same_bits_alone_as_in_a_block():
         assert [hexes(block[:, i]) for i in range(n)] == alone[:n]
 
 
+@pytest.mark.parametrize("with_errors", [False, True])
+@pytest.mark.parametrize("rel_tol", [1e-3, 1e-12], ids=["seed-round", "refines"])
+def test_seed_sums_given_by_the_caller_keep_every_bit(with_errors, rel_tol):
+    rng = np.random.default_rng(25)
+    lo = rng.uniform(0.0, 10.0, 30)
+    hi = lo + rng.uniform(1e-2, 3.0, 30)
+    owner = np.sort(rng.integers(0, 6, 30))
+    calls = []
+
+    def f(x, own):
+        calls.append(x.shape[0])
+        vals = np.exp(-x / (1.0 + own)) * np.cos(3.0 * x)
+        return (vals, 1e-14 * vals * np.sin(x)) if with_errors else vals
+
+    evaluated = integrate_panels(f, lo, hi, owner, 7, rel_tol, 1e-30, 200, with_errors)
+    n_evaluated = len(calls)
+    seed = _eval_panels(f, lo, hi, owner, with_errors)
+    calls.clear()
+    given = integrate_panels(f, lo, hi, owner, 7, rel_tol, 1e-30, 200, with_errors,
+                             seed=seed)
+    for field in ("value", "error", "converged"):
+        assert hexes(getattr(given, field)) == hexes(getattr(evaluated, field))
+    assert given.n_evals == evaluated.n_evals
+    # the integrand sees the refined panels alone
+    assert len(calls) == n_evaluated - 1
+    assert given.converged.all() and (rel_tol == 1e-3) == (calls == [])
+
+
 def test_owner_without_panels_is_an_exact_zero():
     res = integrate_panels(lambda x, owner: np.exp(-x), [0.0], [1.0], [2], 3,
                            rel_tol=1e-10)
