@@ -896,7 +896,8 @@ def test_each_model_reflects_once_per_seed_chunk_whatever_the_owners(monkeypatch
 
 
 @pytest.mark.parametrize("pair", [(GOLD, TABLE), (TABLE, TABLE), (PC, LORENTZ),
-                                  (FERRITE, GOLD)], ids=repr)
+                                  (FERRITE, GOLD)],
+                         ids=["drude-table", "table-table", "pc-lorentz", "ferrite-drude"])
 def test_energy_and_pressure_at_one_gap_keep_their_solo_bits(monkeypatch, pair):
     # the sweep's items: one seed round serves both kinds at one gap
     quad = QuadratureConfig(rel_tol=1e-6)
