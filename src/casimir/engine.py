@@ -16,19 +16,25 @@ which makes the exponential kernel separation-independent.  Both axes use
 vectorized adaptive Gauss-Kronrod panels.  The inner integrand works in
 place, skips the mu u product where a model's mu is 1 at every node, and
 forms the pressure's r1 r2 e^{-y} / (1 - r1 r2 e^{-y}) as
-r1 r2 / (expm1(y) + 1 - r1 r2), within 1 ulp.  The outer axis refines the
-(gap, kind) integrals of any material pairs together, one owner each
+r1 r2 / (expm1(y) + 1 - r1 r2), within 1 ulp.  The outer axis runs in y0
+(dxi = c / (2a) dy0), so its nodes are the same at every gap, and refines
+the (gap, kind) integrals of any material pairs together, one owner each
 (``integrate_gaps``), from a seed that follows the tolerance: 10 geometric
-panels in xi from rel_tol 1e-7 up, 15 below it, where the panels that hold
-a metal's integral are halved.  Each round hands their xi nodes to the
-inner axis: each model's eps and mu are evaluated once per distinct
-frequency of the owners that use it, as arrays.  Owners whose nodes are the
-same frequencies at one gap (an attraction check's pairings, a sweep's
-energy and pressure) share one seed round of geometric panels in y, graded
-toward y0 below rel_tol 1e-7, and its reflection calls; then each owner's
-nodes refine in one ``integrate_panels`` call per round, each node to its
-own tolerance and budget.  Inner-integral error estimates are propagated
-into the outer total in quadrature sum.
+panels in y0 from rel_tol 1e-7 up, 15 below it, where the panels that hold
+a metal's integral are halved.  Each round hands its y0 nodes to the inner
+axis: each model's eps and mu are evaluated once per distinct frequency
+xi = y0 c / (2a) of the owners that use it, as arrays.  Owners whose nodes
+are the same at one gap (an attraction check's pairings, a sweep's energy
+and pressure) share one seed round of geometric panels in y, graded toward
+y0 below rel_tol 1e-7, and its reflection calls; then each owner's nodes
+refine in one ``integrate_panels`` call per round, each node to its own
+tolerance and budget.  A seed round's panels, Kronrod points and kernel
+factors in y depend on its y0 nodes alone, so those of a seed definition
+(either outer seed, or the scan of ``dominant_frequency``) are built once
+per process, at first use, and shared read-only (``_inner_grid``): with
+both kinds' factors, 0.8 MB for the coarse seed and 1.5 MB for the fine one
+graded toward y0.  Inner-integral error estimates are propagated into the
+outer total in quadrature sum.
 
 Frequency-independent media (``PerfectConductor``, ``InfinitelyPermeable``
 and ``ConstantEpsMu``, the vacuum included) skip that double quadrature.
@@ -45,6 +51,7 @@ c/a, from the inner integrals of every node (``_peak_weights``); each gap
 rescales them and checks its own tolerance.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -96,12 +103,16 @@ class ReflectionPair(NamedTuple):
 # the normal floats from ~1e70 m, and the prefactors' a^3 overflow from
 # ~1e103 m.
 _MAX_GAP = 1e60
+# Narrowest gap, m.  Below ~3e-23 m a Drude pair's pressure is an exact -0.0,
+# the ideal mirrors' overflows to -inf by 1e-100 m, and the prefactors' a^3
+# underflow to 0 by 1e-150 m; down to here a^3 P holds to 5 digits.
+_MIN_GAP = 1e-18
 
 
 @dataclass(frozen=True)
 class GapConfig:
     """Two material half-spaces separated by a vacuum gap of width a (m),
-    0 < a <= 1e60."""
+    1e-18 <= a <= 1e60."""
 
     a: float
     material1: MaterialResponse
@@ -115,6 +126,8 @@ class GapConfig:
             raise DomainError("gap must be positive")
         if self.a > _MAX_GAP:
             raise DomainError(f"gap must be at most {_MAX_GAP:g} m, got {self.a!r}")
+        if self.a < _MIN_GAP:
+            raise DomainError(f"gap must be at least {_MIN_GAP:g} m, got {self.a!r}")
         if self.a < 1e-9:
             warnings.warn("separation below 1 nm: continuum material response "
                           "is questionable at this scale", ContinuumModelWarning,
@@ -142,12 +155,14 @@ class QuadratureConfig:
     min(max_subdivisions, 300) splits and its own tolerance, so one that
     exhausts its budget stops alone; each starts from geometric panels in y,
     the first 0.25 wide, or 4 y0 within [1e-5, 0.25] when rel_tol < 1e-7.
-    The outer axis starts from 10 geometric panels in xi,
-    [0, 2e-4, 8e-4, 3.2e-3, ..., 13.1072, 40] c/a, when rel_tol >= 1e-7, and
-    refinement splits the panels it needs; below that, from 15: the same
-    with [0, 2e-4] and the four panels from 0.0512 to 13.1072 c/a halved.
-    The truncation is fixed: the inner axis ends at y = 80, so the outer
-    axis ends where y0 = 2 a xi / c reaches 80, at xi = 40 c/a.  A pair of
+    The outer axis runs in y0 = 2 a xi / c and starts from 10 geometric
+    panels, [0, 4e-4, 1.6e-3, 6.4e-3, ..., 26.2144, 80] at every gap, when
+    rel_tol >= 1e-7, and refinement splits the panels it needs; below that,
+    from 15: the same with [0, 4e-4] and the four panels from 0.1024 to
+    26.2144 halved.  The inner seed panels of either outer seed are built
+    once per process and shared by every gap.  The truncation is fixed: the
+    inner axis ends at y = 80, and the outer axis where y0 reaches 80, at
+    xi = 40 c/a.  A pair of
     frequency-independent media takes one adaptive axis instead, t = xi /
     (c kappa0) in [0, 1], from 4 panels, to the same tolerance within the
     same max_subdivisions.
@@ -373,19 +388,18 @@ def _occupation(p, em1):
     return p
 
 
-def _xi_cutoff(cfg):
-    """Outer truncation: beyond it the inner lower limit y0 = 2 a xi / c
-    exceeds ``_Y_CUTOFF`` and the integrand is exactly zero."""
-    return _Y_CUTOFF * C / (2.0 * cfg.a)
+def _xi_per_y0(a):
+    """c / (2a): the frequency xi, in rad/s, of the outer node y0 = 1 at the gap a."""
+    return C / (2.0 * a)
 
 
 _INNER_BUDGET = 300
-# Outer seed edges, the same at every gap in the unit c/a: 0, 1e-4 2^k for
-# these k, and the cutoff 40.  From rel_tol 1e-7 up the odd k alone make 10
-# panels, [0, 2e-4, 8e-4, ..., 13.1072, 40] c/a, split where the tolerance
-# asks (``_outer_edges``); below it k = 0 and 10, 12, 14, 16 halve the first,
-# where a conductor is not analytic in xi, and the four from 0.0512 to 13.1
-# c/a, which hold ~97 % of a metal's integral: 15 panels.
+# Outer seed edges in y0 = 2 a xi / c, the same at every gap: 0, 2e-4 2^k for
+# these k, and the cutoff 80.  From rel_tol 1e-7 up the odd k alone make 10
+# panels, [0, 4e-4, 1.6e-3, ..., 26.2144, 80], split where the tolerance
+# asks; below it k = 0 and 10, 12, 14, 16 halve the first, where a conductor
+# is not analytic in xi, and the four from 0.1024 to 26.2144, which hold ~97 %
+# of a metal's integral: 15 panels.
 _SEED_EXPONENTS = np.r_[0, 1:9:2, 9:18]
 _SEED_POWERS = 2.0 ** _SEED_EXPONENTS
 _OUTER_SEED_PANELS = _SEED_POWERS.size + 1
@@ -397,38 +411,118 @@ _COARSE_SEED_TOL = 1e-7
 _CONFIGS = _EVAL_ROWS // _OUTER_SEED_PANELS
 
 
+def _outer_edges(coarse):
+    """Seed edges in y0 of the outer axis, as ``_SEED_EXPONENTS`` says: 0,
+    2e-4 2^k and the cutoff, the coarse seed's or the fine one's; the edges
+    2e-4 2^k are exact in floating point, so they are formed as such."""
+    powers = _SEED_POWERS[_SEED_EXPONENTS % 2 == 1] if coarse else _SEED_POWERS
+    return np.concatenate([[0.0], 2e-4 * powers, [_Y_CUTOFF]])
+
+
+def _read_only(*arrays):
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+@functools.cache
+def _outer_nodes(coarse):
+    """The Kronrod nodes of the outer seed, in y0: the outer integrand's first
+    round at every gap."""
+    edges = _outer_edges(coarse)
+    return _read_only(kronrod_nodes(edges[:-1], edges[1:])[0].reshape(-1))[0]
+
+
+def _kernel_factors(kind, y):
+    """A kernel's factors at the points y: e^{-y}, -expm1(-y) and y for the
+    energy, expm1(y) and y^2 for the pressure, each formed in place."""
+    if kind != "energy":
+        return np.expm1(y), np.multiply(y, y)
+    emy, omy = np.negative(y), np.negative(y)
+    np.exp(emy, out=emy)
+    np.expm1(omy, out=omy)
+    return emy, np.negative(omy, out=omy), y
+
+
+class _InnerGrid:
+    """The inner seed round's points for the outer nodes ``y0``: the seed
+    panels ``geometric_panels(y0, _Y_CUTOFF, w)`` with their Kronrod points
+    ``y`` and half-widths, and each kind's ``_kernel_factors`` there, formed
+    at the kind's first use.  w = 0.25, or clip(4 y0, 1e-5, 0.25) when
+    ``graded``: where y0 << 1 and r1 r2 -> 1 the integrand goes as y ln y,
+    which a first panel graded toward y0 resolves at once.  A node at or
+    beyond the cutoff has no panel.  Every array is read-only, so that the
+    callers of a seed definition share one grid (``_inner_grid``)."""
+
+    def __init__(self, y0, graded):
+        width = np.clip(4.0 * y0, 1e-5, 0.25) if graded else 0.25
+        self.lo, self.hi, self.owner = geometric_panels(y0, _Y_CUTOFF, width)
+        self.y, self.half = kronrod_nodes(self.lo, self.hi)
+        self.y0 = np.array(y0)
+        _read_only(self.y0, self.lo, self.hi, self.owner, self.y, self.half)
+        self._factors = {}
+
+    def factors(self, kind):
+        if kind not in self._factors:
+            self._factors[kind] = _read_only(*_kernel_factors(kind, self.y))
+        return self._factors[kind]
+
+
+# The inner seed grid of each seed definition, by its nodes' bytes and
+# grading, built at first use and kept for the process: at most six grids.
+_GRIDS = {}
+
+
+@functools.cache
+def _seed_definitions():
+    """The bytes of the node sets whose inner grids are kept: either outer
+    seed and the scan of ``dominant_frequency``, 2 _SCAN in y0."""
+    return frozenset(y0.tobytes() for y0 in (_outer_nodes(True), _outer_nodes(False),
+                                             2.0 * _SCAN))
+
+
+def _inner_grid(y0, graded):
+    """The ``_InnerGrid`` of the nodes ``y0``: a seed definition's built once
+    per process, any other's, a refinement round's, afresh."""
+    key = (y0.tobytes(), graded)
+    grid = _GRIDS.get(key)
+    if grid is None:
+        grid = _InnerGrid(y0, graded)
+        if key[0] in _seed_definitions():
+            _GRIDS[key] = grid
+    return grid
+
+
 def _inner_integrals(cfgs, kinds, rel_tol, budget):
     """Inner y-integrals of the owners ``cfgs``, of kinds ``kinds``, as a
-    function of outer nodes ``x`` and their owners (broadcast against
-    ``x``); it returns (values, errors) shaped like ``x``, summed over
-    polarizations.  Each distinct model (by identity) is evaluated once per
-    distinct frequency of the nodes of the owners that use it.  Nodes whose
-    lower limit y0 = 2 a xi / c reaches ``_Y_CUTOFF`` give exactly zero;
-    the others refine from the seed panels ``geometric_panels(y0,
-    _Y_CUTOFF, w)`` to ``rel_tol`` within ``budget`` splits, with one seed
-    round per group of owners at one gap: those whose live nodes are the
-    same frequencies at one 2a.  w = 0.25, or clip(4 y0, 1e-5, 0.25) below
-    rel_tol 1e-8: where y0 << 1 and r1 r2 -> 1 the integrand goes as y ln y,
-    which a first panel graded toward y0 resolves at once.
+    function of outer nodes ``x``, values of y0 = 2 a xi / c, and their
+    owners (broadcast against ``x``); it returns (values, errors) shaped like
+    ``x``, summed over polarizations.  Each distinct model (by identity) is
+    evaluated once per distinct frequency xi = y0 c / (2a) of the nodes of
+    the owners that use it.  The integrals refine from ``_inner_grid`` (graded
+    below rel_tol 1e-8) to ``rel_tol`` within ``budget`` splits, with one
+    seed round per group of owners at one gap: those whose nodes are the
+    same at one 2a.  Nodes at or beyond ``_Y_CUTOFF`` give exactly zero.
     """
     two_a = 2.0 * np.array([cfg.a for cfg in cfgs])
+    xi_per_y0 = np.array([_xi_per_y0(cfg.a) for cfg in cfgs])
+    graded = rel_tol < 0.1 * _COARSE_SEED_TOL
     sides = [(id(cfg.material1), id(cfg.material2)) for cfg in cfgs]
     models = {id(m): m for cfg in cfgs for m in (cfg.material1, cfg.material2)}
     uses = {key: np.array([key in pair for pair in sides]) for key in models}
 
     def integrals(x, owners):
-        xi = x.reshape(-1)
+        y0 = x.reshape(-1)
         own = np.broadcast_to(owners, x.shape).reshape(-1)
-        y0 = two_a[own] * xi / C
-        vals = np.zeros(xi.shape)
-        errs = np.zeros(xi.shape)
-        live = np.flatnonzero(y0 < _Y_CUTOFF)
+        xi = y0 * xi_per_y0[own]
+        vals = np.zeros(y0.shape)
+        errs = np.zeros(y0.shape)
         # models used by the same owners share one map from node to frequency
         maps, rfs, nodes = {}, {}, {}
         for key, model in models.items():
             group = uses[key].tobytes()
             if group not in maps:
-                used = live[uses[key][own[live]]]
+                used = np.flatnonzero(uses[key][own])
                 node = np.empty(xi.size, dtype=np.intp)
                 distinct, node[used] = np.unique(xi[used], return_inverse=True)
                 maps[group] = node, distinct
@@ -437,14 +531,14 @@ def _inner_integrals(cfgs, kinds, rel_tol, budget):
             rfs[key] = _reflection_by_owner(model, distinct, C, distinct / C)
         groups = {}
         for k in range(len(cfgs)):
-            idx = live[own[live] == k]
+            idx = np.flatnonzero(own == k)
             if idx.size:
-                groups.setdefault((two_a[k], xi[idx].tobytes()), []).append((k, idx))
+                groups.setdefault((two_a[k], y0[idx].tobytes()), []).append((k, idx))
         for (gap, _), group in groups.items():
             # each side's node map is filled at the nodes of the owners using it
             coeffs = {key: (rfs[key], nodes[key][idx]) for k, idx in group for key in sides[k]}
             results = _inner_group(gap, [(kinds[k], sides[k]) for k, _ in group], coeffs,
-                                   y0[group[0][1]], rel_tol, budget)
+                                   _inner_grid(y0[group[0][1]], graded), rel_tol, budget)
             for (_, idx), (v, e) in zip(group, results):
                 vals[idx], errs[idx] = v, e
         return vals.reshape(x.shape), errs.reshape(x.shape)
@@ -452,34 +546,39 @@ def _inner_integrals(cfgs, kinds, rel_tol, budget):
     return integrals
 
 
-def _inner_group(two_a, members, coeffs, y0, rel_tol, budget):
+def _inner_group(two_a, members, coeffs, grid, rel_tol, budget, peak_floor=False):
     """Yields the inner integrals (values, errors) of ``members``, (kind,
-    (key1, key2)) owners whose nodes are the lower limits ``y0`` at one gap
-    2a, each key's closure and node index in ``coeffs``.  In the seed round
+    (key1, key2)) owners whose nodes are those of ``grid`` at one gap 2a,
+    each key's closure and node index in ``coeffs``.  In the seed round
     each closure runs once per call, of ``_EVAL_ROWS`` panels over the
-    models of a group, whose arrays outlive a product; then each refines."""
-    width = np.clip(4.0 * y0, 1e-5, 0.25) if rel_tol < 0.1 * _COARSE_SEED_TOL else 0.25
-    lo, hi, owner = geometric_panels(y0, _Y_CUTOFF, width)
+    models of a group, whose arrays outlive a product; then each refines.
+    With ``peak_floor`` each node's absolute floor is rel_tol max_k(y0_k
+    |F_k|) / y0, F being the seed round's sums: what a search for the node
+    where y0 |F| peaks needs."""
     # the sides no later member reads, whose arrays a member may overwrite
     drops = [{key for key in pair if all(key not in p for _, p in members[k + 1:])}
              for k, (_, pair) in enumerate(members)]
-    seeds = np.zeros((len(members), 3, lo.size))
+    factors = {kind: grid.factors(kind) for kind, _ in members}
+    seeds = np.zeros((len(members), 3, grid.half.size))
     step = _EVAL_ROWS // min(len(members), len(coeffs))
-    for start in range(0, lo.size, step):
+    for start in range(0, grid.half.size, step):
         rows = slice(start, start + step)
-        y, half = kronrod_nodes(lo[rows], hi[rows])
-        held, factors = _coefficients(y, owner[rows, None], two_a, coeffs), {}
+        held = _coefficients(grid.y[rows], grid.owner[rows, None], two_a, coeffs)
         for seed, (kind, pair), drop in zip(seeds, members, drops):
             seed[0, rows], seed[1, rows] = panel_sums(
-                _member_terms(kind, pair, held, drop, y, factors), half)
-        del factors
+                _member_terms(kind, pair, held, drop, [f[rows] for f in factors[kind]]),
+                grid.half[rows])
     for (kind, pair), seed in zip(members, seeds):
         def g(y, own, kind=kind, pair=pair, mine={key: coeffs[key] for key in pair}):
             return _member_terms(kind, pair, _coefficients(y, own, two_a, mine), set(pair),
-                                 y, {})
+                                 _kernel_factors(kind, y))
 
-        res = integrate_panels(g, lo, hi, owner, y0.size, rel_tol=rel_tol,
-                               max_subdivisions=budget, seed=seed)
+        floor = 0.0
+        if peak_floor:
+            weight = grid.y0 * np.abs(np.bincount(grid.owner, seed[0], grid.y0.size))
+            floor = rel_tol * weight.max() / grid.y0
+        res = integrate_panels(g, grid.lo, grid.hi, grid.owner, grid.y0.size, rel_tol,
+                               floor, budget, seed=seed)
         yield res.value, res.error
 
 
@@ -489,10 +588,10 @@ def _coefficients(y, owner, two_a, coeffs):
     return {key: rf(kappa0, node[owner]) for key, (rf, node) in coeffs.items()}
 
 
-def _member_terms(kind, pair, held, drop, y, factors):
+def _member_terms(kind, pair, held, drop, factors):
     """One member's sum over polarizations of y ln(1 - p e^{-y}) or, with
-    one expm1 per point, y^2 p / (expm1(y) + 1 - p), each kind's y factors
-    kept in ``factors``.  p = r1 r2 overwrites a side in ``drop``, which
+    one expm1 per point, y^2 p / (expm1(y) + 1 - p), from its kind's
+    ``_kernel_factors``.  p = r1 r2 overwrites a side in ``drop``, which
     leaves ``held``, so that a lone member works in place and lets the other
     side go before its kernel's temporaries."""
     r1, r2 = held[pair[0]], held[pair[1]]
@@ -504,62 +603,54 @@ def _member_terms(kind, pair, held, drop, y, factors):
     pte *= r2[0]
     ptm *= r2[1]
     del r1, r2
-    if kind not in factors:
-        factors[kind] = (np.exp(-y), -np.expm1(-y)) if kind == "energy" else np.expm1(y)
     if kind == "energy":
-        terms = _ln_one_minus(pte, *factors[kind])
-        terms += _ln_one_minus(ptm, *factors[kind])
+        emy, omy, y = factors
+        terms = _ln_one_minus(pte, emy, omy)
+        terms += _ln_one_minus(ptm, emy, omy)
         terms *= y
     else:
-        terms = _occupation(pte, factors[kind])
-        terms += _occupation(ptm, factors[kind])
-        terms *= y * y
+        em1, y2 = factors
+        terms = _occupation(pte, em1)
+        terms += _occupation(ptm, em1)
+        terms *= y2
     return terms
 
 
-def _outer_edges(cfg, rel_tol):
-    """Seed edges of one owner's outer axis, as ``_SEED_EXPONENTS`` says:
-    0, s 2^k and the cutoff, with s = 1e-4 c/a; the edges s 2^k are exact in
-    floating point, so they are formed as such; with ``cfg`` None, in y0."""
-    s, cut = (2e-4, _Y_CUTOFF) if cfg is None else (1e-4 * C / cfg.a, _xi_cutoff(cfg))
-    coarse = rel_tol >= _COARSE_SEED_TOL
-    powers = _SEED_POWERS[_SEED_EXPONENTS % 2 == 1] if coarse else _SEED_POWERS
-    return np.concatenate([[0.0], s * powers, [cut]])
-
-
 def _integrate_batch(items, quad):
-    """One batch of ``_outcomes``: up to ``_CONFIGS`` items, one outer owner each."""
+    """One batch of ``_outcomes``: up to ``_CONFIGS`` items, one outer owner
+    each, every one integrated in y0 = 2 a xi / c from the same seed edges."""
     cfgs, kinds = zip(*items)
-    edges = [_outer_edges(cfg, quad.rel_tol) for cfg in cfgs]
-    prefs = np.array([HBAR / (16.0 * np.pi ** 2 * c.a ** (2 if k == "energy" else 3))
-                      for c, k in items])
+    n = len(items)
+    edges = _outer_edges(quad.rel_tol >= _COARSE_SEED_TOL)
+    units = np.array([_xi_per_y0(cfg.a) for cfg in cfgs])
+    # dxi = c / (2a) dy0
+    prefs = units * np.array([HBAR / (16.0 * np.pi ** 2 * c.a ** (2 if k == "energy" else 3))
+                              for c, k in items])
     inner = _inner_integrals(cfgs, kinds, 0.1 * quad.rel_tol,
                              min(quad.max_subdivisions, _INNER_BUDGET))
-    # each owner's largest xi |F(xi)| so far and the first node reaching it
-    peak = np.zeros(len(items))
-    peak_xi = np.zeros(len(items))
+    # each owner's largest y0 |F(y0)| so far and the first node reaching it
+    peak = np.zeros(n)
+    peak_y0 = np.zeros(n)
 
     def outer(x, owners):
         vals, errs = inner(x, owners)
-        xi = x.reshape(-1)
+        y0 = x.reshape(-1)
         own = np.broadcast_to(owners, x.shape).reshape(-1)
-        weight = xi * np.abs(vals.reshape(-1))
-        top = np.zeros(len(items))
+        weight = y0 * np.abs(vals.reshape(-1))
+        top = np.zeros(n)
         np.maximum.at(top, own, weight)
         hits = np.flatnonzero(weight == top[own])
         k, first = np.unique(own[hits], return_index=True)
         rise = top[k] > peak[k]
         peak[k[rise]] = top[k[rise]]
-        peak_xi[k[rise]] = xi[hits[first[rise]]]
+        peak_y0[k[rise]] = y0[hits[first[rise]]]
         return vals, errs
 
-    res = integrate_panels(outer, np.concatenate([e[:-1] for e in edges]),
-                           np.concatenate([e[1:] for e in edges]),
-                           np.repeat(range(len(edges)), [e.size - 1 for e in edges]),
-                           len(items), quad.rel_tol, _ABS_FLOOR / prefs,
-                           quad.max_subdivisions, with_errors=True)
+    res = integrate_panels(outer, np.tile(edges[:-1], n), np.tile(edges[1:], n),
+                           np.repeat(np.arange(n), edges.size - 1), n, quad.rel_tol,
+                           _ABS_FLOOR / prefs, quad.max_subdivisions, with_errors=True)
     for k, kind in enumerate(kinds):
-        dominant = float(peak_xi[k]) if peak[k] > 0.0 else None
+        dominant = float(peak_y0[k] * units[k]) if peak[k] > 0.0 else None
         pref = prefs[k] if kind == "energy" else -prefs[k]
         yield _outcome(kind, pref * res.value[k], prefs[k] * res.error[k], dominant,
                        res.converged[k], quad)
@@ -736,32 +827,33 @@ def _pair_key(cfg):
 
 
 def _dominant_xi(cfg, kind, key, rel_tol):
-    """The node of this gap's outer seed at the index where the seed's
-    ``_peak_weights`` in the unit of y0 peak, found once, the same at every gap."""
-    def seed(at):
-        edges = _outer_edges(at, rel_tol)
-        return kronrod_nodes(edges[:-1], edges[1:])[0].reshape(-1)
+    """The outer seed's node at the index where its ``_peak_weights`` peak,
+    found once, the same at every gap, in rad/s at this gap as the 2-D engine
+    reports it: y0 c / (2a)."""
+    coarse = rel_tol >= _COARSE_SEED_TOL
 
     def peak():
-        weight = _peak_weights(kind, (cfg.material1, cfg.material2), seed(None))
+        weight = _peak_weights(kind, (cfg.material1, cfg.material2), _outer_nodes(coarse),
+                               peak_floor=True)
         return int(np.argmax(weight)) if weight.max() > 0.0 else None
 
-    index = _cached((key, kind, rel_tol >= _COARSE_SEED_TOL), peak)
-    return None if index is None else float(seed(cfg)[index])
+    index = _cached((key, kind, coarse), peak)
+    return None if index is None else float(_outer_nodes(coarse)[index] * _xi_per_y0(cfg.a))
 
 
-def _peak_weights(kind, pair, y0):
+def _peak_weights(kind, pair, y0, peak_floor=False):
     """y0 |F(y0)| at the nodes of ``y0`` (values of 2 a xi / c), F being the
     inner integral of a frequency-independent pair; the peak is where xi |F|
     peaks at any gap.  One ``_inner_group`` call (unit c = 2 a = 1, xi = y0,
-    rel_tol 1e-10) weighs every node, each to the bits of its solo
-    integration.  Its y-axis refines where r varies as sqrt(1 - t) at t = 1
-    (eps mu << 1).
+    rel_tol 1e-10) weighs every node, each to 1e-10 of its own weight or,
+    with ``peak_floor``, for a caller that reads only where they peak, of
+    the largest: then a node where TE and TM cancel stops early.  Its
+    y-axis refines where r varies as sqrt(1 - t) at t = 1 (eps mu << 1).
     """
     each = np.arange(y0.size)
     coeffs = {id(m): (_reflection_by_owner(m, y0, 1.0, y0), each) for m in pair}
-    [(vals, _)] = _inner_group(1.0, [(kind, tuple(map(id, pair)))], coeffs, y0, 1e-10,
-                               _INNER_BUDGET)
+    [(vals, _)] = _inner_group(1.0, [(kind, tuple(map(id, pair)))], coeffs,
+                               _inner_grid(y0, True), 1e-10, _INNER_BUDGET, peak_floor)
     return y0 * np.abs(vals)
 
 
@@ -848,7 +940,7 @@ def dominant_frequency(cfg):
         weight = _cached((_pair_key(cfg),), lambda: 0.5 * _peak_weights(
             "energy", (cfg.material1, cfg.material2), 2.0 * _SCAN))
     else:
-        vals, _ = _inner_integrals([cfg], ["energy"], 1e-6, _INNER_BUDGET)(unit * _SCAN, 0)
+        vals, _ = _inner_integrals([cfg], ["energy"], 1e-6, _INNER_BUDGET)(2.0 * _SCAN, 0)
         weight = _SCAN * np.abs(vals)
     if not np.any(weight > 0.0):
         raise DegenerateIntegrandError("outer integrand vanishes everywhere; "

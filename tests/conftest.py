@@ -35,3 +35,19 @@ def kk_nodes(monkeypatch):
 
     monkeypatch.setattr(materials, "_kk_integral", counted)
     return seen
+
+
+@pytest.fixture
+def fresh_engine_caches():
+    """Starts the test with the engine's scale-free solves and inner seed
+    grids forgotten.  The fixture's value, ``cold(call)``, forgets them
+    again and returns ``call()``."""
+    from casimir import engine
+
+    def cold(call):
+        engine._SOLVED.clear()
+        engine._GRIDS.clear()
+        return call()
+
+    cold(lambda: None)
+    return cold

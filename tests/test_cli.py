@@ -68,6 +68,15 @@ def test_zero_gap_is_usage_error(capsys):
     assert "gap must be positive" in err
 
 
+@pytest.mark.parametrize("command", [["energy", "--gap", "1e-19"],
+                                     ["sweep", "--gap-min", "1e-19", "--gap-max", "1e-6"]],
+                         ids=["energy", "sweep"])
+def test_gap_below_1e_18_m_is_usage_error(capsys, command):
+    code, _, err = run(capsys, *command, "--material1", "pc", "--material2", "pc")
+    assert code == 2
+    assert "gap must be at least 1e-18 m" in err
+
+
 def test_unknown_material_is_usage_error(capsys):
     code, _, err = run(capsys, "energy", "--material1", "unobtainium",
                        "--material2", "pc", "--gap", "1e-6")

@@ -28,7 +28,7 @@ from casimir import (ConstantEpsMu, ContinuumModelWarning,
 from casimir import engine, materials
 from casimir.engine import (_inner_integrals, _integrate_batch, _li4, _ln_one_minus,
                             _reflection_at_limits, _reflection_by_owner, integrate_gaps)
-from casimir.quadrature import _EVAL_ROWS, geometric_panels
+from casimir.quadrature import _EVAL_ROWS, geometric_panels, kronrod_nodes
 
 HBAR = 1.054571817e-34
 C_LIGHT = 2.99792458e8
@@ -390,10 +390,10 @@ def test_a_mixed_batch_keeps_its_vacuum_items_in_order(monkeypatch):
         assert (r.value == 0.0) == (side in (cfg.material1, cfg.material2))
 
 
-def test_dominant_frequency_of_a_vacuum_pair_raises_without_a_scan(monkeypatch):
+def test_dominant_frequency_of_a_vacuum_pair_raises_without_a_scan(monkeypatch,
+                                                                   fresh_engine_caches):
     for name in ("_inner_integrals", "_peak_weights"):
         monkeypatch.setattr(engine, name, refuse)
-    engine._SOLVED.clear()
     for m in VACUUM_PARTNERS:
         for pair in ((vacuum(), m), (m, vacuum())):
             with pytest.raises(DegenerateIntegrandError):
@@ -512,6 +512,25 @@ def test_gaps_beyond_1e60_m_are_refused_and_the_widest_gap_is_finite():
         assert -math.inf < e.value < 0.0 and -math.inf < p.value < 0.0
     assert pressure(GapConfig(1e60, PC, PC)).value == pytest.approx(ideal_pressure(1e60),
                                                                   rel=1e-8)
+
+
+def test_gaps_below_1e_18_m_are_refused_and_the_narrowest_gap_keeps_its_scale_law():
+    # below the bound a Drude pair's pressure rounds to -0.0 from ~3e-23 m, the
+    # ideal mirrors' overflows by 1e-100 m and the prefactors underflow by
+    # 1e-150 m
+    for pair in ((PC, PC), (GOLD, GOLD)):
+        for a in (1e-150, 1e-100, 1e-22, math.nextafter(1e-18, 0.0)):
+            with pytest.raises(DomainError, match="at least"):
+                GapConfig(a, *pair)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ContinuumModelWarning)
+        # non-retarded metals keep a^3 P, the ideal mirrors a^4 P
+        for pair, power in (((GOLD, GOLD), 3), ((PC, LORENTZ), 3), ((PC, PC), 4)):
+            near, far = (pressure(GapConfig(a, *pair)).value * a ** power
+                         for a in (1e-18, 1e-14))
+            assert near == pytest.approx(far, rel=1e-5)
+        assert pressure(GapConfig(1e-18, PC, PC)).value == \
+            pytest.approx(ideal_pressure(1e-18), rel=1e-8)
 
 
 def test_quadrature_config_validation():
@@ -656,17 +675,17 @@ def test_outer_seed_keeps_every_other_edge_from_rel_tol_1e_7(monkeypatch, rel_to
     # Drude-Drude converges on its seed panels, 15 Kronrod nodes each: from
     # rel_tol 1e-7 up every other geometric edge, 10 panels; below it 15
     # panels, those 10 with the first one and the four from 0.0512 to
-    # 13.1072 c/a halved
+    # 13.1072 c/a halved, edges in y0 = 2 a xi / c
     cfg = GapConfig(1e-6, GOLD, GOLD)
-    fine = engine._outer_edges(cfg, 1e-8)
-    coarse = engine._outer_edges(cfg, 1e-7)
+    fine = engine._outer_edges(False)
+    coarse = engine._outer_edges(True)
     assert fine.size == engine._OUTER_SEED_PANELS + 1 == 16
     assert coarse.size == 11
     assert set(coarse.tolist()) <= set(fine.tolist())
     halved = [k for k in range(coarse.size - 1)
               if np.any((fine > coarse[k]) & (fine < coarse[k + 1]))]
     assert halved == [0, 5, 6, 7, 8]
-    assert fine[np.isin(fine, coarse, invert=True)] / (C_LIGHT / cfg.a) == \
+    assert fine[np.isin(fine, coarse, invert=True)] / 2.0 == \
         pytest.approx([1e-4, 0.1024, 0.4096, 1.6384, 6.5536], rel=1e-15)
     sampled = []
 
@@ -684,25 +703,22 @@ def test_outer_seed_keeps_every_other_edge_from_rel_tol_1e_7(monkeypatch, rel_to
 
 
 def test_outer_seed_edges_are_the_geometric_edges():
-    # 0, s 2^k for these k and the cutoff, s = 1e-4 c/a: the odd k from
-    # rel_tol 1e-7 up, and k = 0 and 10, 12, 14, 16 with them below it
+    # 0, s 2^k for these k and the cutoff 80, in y0 = 2 a xi / c at every gap,
+    # s = 2e-4 (1e-4 c/a): the odd k from rel_tol 1e-7 up, and k = 0 and 10,
+    # 12, 14, 16 with them below it
     fine_k = [0, 1, 3, 5, 7, 9, 10, 11, 12, 13, 14, 15, 16, 17]
     coarse_k = [1, 3, 5, 7, 9, 11, 13, 15, 17]
-    for a in np.geomspace(1e-9, 1e-3, 61):
-        cfg = GapConfig(float(a), GOLD, GOLD)
-        s = 1e-4 * C_LIGHT / cfg.a
-        cut = engine._xi_cutoff(cfg)
-        # 0, then s 2^k for k = 0 .. 18, then the cutoff
-        full = np.concatenate([[0.0], geometric_panels([s], cut, s)[0], [cut]])
-        assert full.size == 21 and full[-1] == cut
-        for rel_tol, k in ((1e-8, fine_k), (1e-7, coarse_k), (1e-3, coarse_k)):
-            want = np.concatenate([[0.0], full[1:-1][k], [cut]])
-            assert engine._outer_edges(cfg, rel_tol).tolist() == want.tolist()
+    # 0, then s 2^k for k = 0 .. 18, then the cutoff
+    full = np.concatenate([[0.0], geometric_panels([2e-4], 80.0, 2e-4)[0], [80.0]])
+    assert full.size == 21
+    for coarse, k in ((False, fine_k), (True, coarse_k)):
+        want = np.concatenate([[0.0], full[1:-1][k], [80.0]])
+        assert engine._outer_edges(coarse).tolist() == want.tolist()
 
 
 @pytest.fixture
-def inner_seeds(monkeypatch):
-    """(y0, first width) of every inner seed ``_inner_block`` forms."""
+def inner_seeds(monkeypatch, fresh_engine_caches):
+    """(y0, first width) of every inner seed grid the engine builds."""
     seeds = []
     real = engine.geometric_panels
 
@@ -823,10 +839,8 @@ def test_a_full_batch_takes_one_inner_quadrature_per_owner_in_its_seed_round(mon
     # every owner seeds the same number of outer panels, and a full batch's
     # seed panels fit one integrand call, so none is split across two
     assert engine._CONFIGS * engine._OUTER_SEED_PANELS <= _EVAL_ROWS
+    assert engine._outer_edges(False).size == engine._OUTER_SEED_PANELS + 1
     gaps = np.geomspace(1e-7, 1e-5, engine._CONFIGS + 4)
-    for a in gaps:
-        assert engine._outer_edges(GapConfig(a, PC, PC), 1e-8).size == \
-            engine._OUTER_SEED_PANELS + 1
     rounds = []  # per outer integrand call, the gap of each inner seed round
     inner_group = engine._inner_group
 
@@ -855,10 +869,10 @@ def test_a_full_batch_takes_one_inner_quadrature_per_owner_in_its_seed_round(mon
 def test_each_model_reflects_once_per_seed_chunk_whatever_the_owners(monkeypatch):
     # (Lorentz, Lorentz), (Lorentz, table) and (table, table) at one gap: in
     # the seed round one group of three owners and two models
-    groups = []  # per seed round: owners, seed chunks, each model's calls
+    groups = []  # per seed round: owners, seed panel sums, each model's calls
     refining = []
-    real_group, real_nodes, real_quad = (engine._inner_group, engine.kronrod_nodes,
-                                         engine.integrate_panels)
+    real_group, real_sums, real_quad = (engine._inner_group, engine.panel_sums,
+                                        engine.integrate_panels)
 
     def group(two_a, members, coeffs, *args):
         calls = dict.fromkeys(coeffs, 0)
@@ -872,9 +886,9 @@ def test_each_model_reflects_once_per_seed_chunk_whatever_the_owners(monkeypatch
         yield from real_group(two_a, members, {key: (counted(key, rf), node)
                                                for key, (rf, node) in coeffs.items()}, *args)
 
-    def nodes(lo, hi):
+    def sums(fx, half):
         groups[-1][1][0] += 1
-        return real_nodes(lo, hi)
+        return real_sums(fx, half)
 
     def quad(f, *args, with_errors=False, **kwargs):
         if with_errors:
@@ -886,13 +900,14 @@ def test_each_model_reflects_once_per_seed_chunk_whatever_the_owners(monkeypatch
             refining.pop()
 
     monkeypatch.setattr(engine, "_inner_group", group)
-    monkeypatch.setattr(engine, "kronrod_nodes", nodes)
+    monkeypatch.setattr(engine, "panel_sums", sums)
     monkeypatch.setattr(engine, "integrate_panels", quad)
     dispersion_restores_attraction([LORENTZ, small_table()], [4e-7])
     assert (3, 2) in [(owners, len(calls)) for owners, _, calls in groups]
-    for owners, (chunks,), calls in groups:
-        assert chunks >= 1
-        assert all(n == chunks for n in calls.values())
+    # each owner sums each seed chunk once
+    for owners, (summed,), calls in groups:
+        assert summed >= owners
+        assert all(n * owners == summed for n in calls.values())
 
 
 @pytest.mark.parametrize("pair", [(GOLD, TABLE), (TABLE, TABLE), (PC, LORENTZ),
@@ -924,7 +939,7 @@ def test_batched_dominant_xi_is_each_owners_first_largest_sampled_weight(monkeyp
     items = [(GapConfig(a, m1, m2), kind)
              for m1, m2 in [(GOLD, IPP), (LORENTZ, TABLE), (PC, vacuum_side)]
              for a in BATCH_GAPS for kind in ("energy", "pressure")]
-    # every (node, owner, outer integrand value) the batched call samples,
+    # every (node y0, owner, outer integrand value) the batched call samples,
     # in evaluation order
     seen = []
 
@@ -946,8 +961,8 @@ def test_batched_dominant_xi_is_each_owners_first_largest_sampled_weight(monkeyp
     alone = [(energy_per_area if kind == "energy" else pressure)(cfg, quad)
              for cfg, kind in items]
     assert [bits(r) for r in batched] == [bits(r) for r in alone]
-    xi, owner, vals = (np.concatenate(a) for a in zip(*seen))
-    weight = xi * np.abs(vals)
+    y0, owner, vals = (np.concatenate(a) for a in zip(*seen))
+    weight = y0 * np.abs(vals)
     for k, ((cfg, _), result) in enumerate(zip(items, batched)):
         mine = owner == k
         if cfg.material2 is vacuum_side:
@@ -956,7 +971,8 @@ def test_batched_dominant_xi_is_each_owners_first_largest_sampled_weight(monkeyp
             assert not weight[mine].any()
         else:
             assert result.value != 0.0
-            assert result.dominant_xi == xi[mine][np.argmax(weight[mine])]
+            assert result.dominant_xi == \
+                y0[mine][np.argmax(weight[mine])] * (C_LIGHT / (2.0 * cfg.a))
 
 
 # ---------------------------------------------------------------------------
@@ -1077,12 +1093,106 @@ def test_inner_integrand_of_a_mirror_and_a_metal_keeps_its_bits(monkeypatch):
 
     monkeypatch.setattr(engine, "integrate_panels", recorded)
     for kind in ("energy", "pressure"):
+        # y0 of xi = 1e13, 1e14 and 1e15 rad/s at 1 um
         _inner_integrals([GapConfig(1e-6, PC, GOLD)], [kind], 1e-8, 300)(
-            np.array([[1e13, 1e14, 1e15]]), 0)
+            2e-6 / C_LIGHT * np.array([[1e13, 1e14, 1e15]]), 0)
     y = np.linspace(0.5, 70.0, 45).reshape(3, 15)
     owner = np.array([[0], [1], [2]])
     for g in integrands:
         assert g(y, owner).tobytes() == g(y, owner).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the inner seed grids kept for the process
+# ---------------------------------------------------------------------------
+
+def seed_node_sets():
+    """The y0 nodes of every seed definition: the Kronrod nodes of either
+    outer seed and the ``dominant_frequency`` scan's 2 a xi / c."""
+    sets = []
+    for coarse in (True, False):
+        edges = engine._outer_edges(coarse)
+        sets.append(kronrod_nodes(edges[:-1], edges[1:])[0].reshape(-1).tobytes())
+    return sets + [(2.0 * engine._SCAN).tobytes()]
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-8])
+@pytest.mark.parametrize("pair", [(GOLD, TABLE), (LORENTZ, PC)], ids=["drude-table", "lorentz-pc"])
+def test_a_warm_grid_gives_the_bits_of_a_cold_one(fresh_engine_caches, pair, rel_tol):
+    quad = QuadratureConfig(rel_tol=rel_tol)
+    for a in (1e-7, 1e-6):
+        for fn in (energy_per_area, pressure):
+            cfg = GapConfig(a, *pair)
+            cold = fresh_engine_caches(lambda: bits(fn(cfg, quad)))
+            assert bits(fn(cfg, quad)) == cold
+    cfg = GapConfig(1e-6, *pair)
+    cold = fresh_engine_caches(lambda: dominant_frequency(cfg))
+    assert dominant_frequency(cfg).hex() == cold.hex()
+
+
+def test_each_seed_grid_is_built_once_for_every_gap_and_kind(inner_seeds):
+    for rel_tol in (1e-6, 1e-8):
+        for a in np.geomspace(1e-7, 1e-5, 20):
+            for fn in (energy_per_area, pressure):
+                fn(GapConfig(float(a), GOLD, GOLD), QuadratureConfig(rel_tol=rel_tol))
+    seeds = seed_node_sets()
+    built = [y0.tobytes() for y0, _ in inner_seeds if y0.tobytes() in seeds]
+    # the coarse seed from rel_tol 1e-7 up, the fine one below it
+    assert built == seeds[:2]
+
+
+def test_every_kept_grid_array_is_read_only(fresh_engine_caches):
+    integrate_gaps([(GapConfig(3e-7, GOLD, TABLE), kind) for kind in ("energy", "pressure")])
+    dominant_frequency(GapConfig(1e-6, GOLD, GOLD))
+    dominant_frequency(GapConfig(1e-6, PC, IPP))
+    assert len(engine._GRIDS) == 3
+    for grid in engine._GRIDS.values():
+        arrays = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
+        arrays += [f for kind in ("energy", "pressure") for f in grid.factors(kind)]
+        assert len(arrays) == 11
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+
+def test_the_kept_grids_are_seed_definitions_alone(inner_seeds):
+    pairs = [(GOLD, IPP), (LORENTZ, TABLE), (PC, IPP), (ConstantEpsMu(6.0, 1.5), PC)]
+    for rel_tol in (1e-3, 1e-6, 1e-8, 1e-10, 1e-12):
+        integrate_gaps([(GapConfig(a, *pair), kind) for pair in pairs for a in (1e-7, 2e-6)
+                        for kind in ("energy", "pressure")], QuadratureConfig(rel_tol=rel_tol))
+    for pair in pairs:
+        dominant_frequency(GapConfig(1e-6, *pair))
+    seeds = seed_node_sets()
+    # the outer axis refined, and the grids of its rounds were built
+    assert any(y0.tobytes() not in seeds for y0, _ in inner_seeds)
+    assert {(y0, graded) for y0 in seeds for graded in (True, False)} >= set(engine._GRIDS)
+    assert len(engine._GRIDS) == 5  # all but the fine seed ungraded, which nothing asks for
+    for (y0, _), grid in engine._GRIDS.items():
+        assert grid.y0.tobytes() == y0
+
+
+def test_the_peak_search_holds_each_node_to_the_peaks_floor(monkeypatch, fresh_engine_caches):
+    # TE and TM cancel at some seed nodes of this pair: held to 1e-10 of its
+    # own weight each took up to 300 splits, 205,365 inner points in all
+    points = []
+    real = engine.integrate_panels
+
+    def counted(f, *args, with_errors=False, **kwargs):
+        res = real(f, *args, with_errors=with_errors, **kwargs)
+        points.append(0 if with_errors else res.n_evals)
+        return res
+
+    monkeypatch.setattr(engine, "integrate_panels", counted)
+    pair = (ConstantEpsMu(4.0, 1.0), ConstantEpsMu(1.0, 9.0))
+    cfg = GapConfig(1e-6, *pair)
+    result = pressure(cfg, QuadratureConfig(rel_tol=1e-10))
+    assert sum(points) < 40_000
+    monkeypatch.undo()
+    # the node of each node held to its own weight
+    nodes = engine._outer_nodes(False)
+    weight = engine._peak_weights("pressure", pair, nodes)
+    assert result.dominant_xi == nodes[np.argmax(weight)] * (C_LIGHT / (2.0 * cfg.a))
 
 
 # ---------------------------------------------------------------------------
@@ -1192,15 +1302,11 @@ def test_a_mixed_batch_hands_the_2d_engine_only_its_dispersive_items(monkeypatch
 SCALE_GAPS = 10.0 ** np.random.default_rng(16).uniform(-8.0, -4.0, 10)
 
 
-def cold(call):
-    """``call()`` with every scale-free solve forgotten first."""
-    engine._SOLVED.clear()
-    return call()
-
-
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-6])
-def test_constant_pairs_are_solved_once_for_every_gap_and_either_order(rel_tol):
+def test_constant_pairs_are_solved_once_for_every_gap_and_either_order(rel_tol,
+                                                                        fresh_engine_caches):
     quad = QuadratureConfig(rel_tol=rel_tol)
+    cold = fresh_engine_caches
     for m1, m2 in constant_pairs():
         for a in SCALE_GAPS:
             for kind in ("energy", "pressure"):
@@ -1213,7 +1319,9 @@ def test_constant_pairs_are_solved_once_for_every_gap_and_either_order(rel_tol):
                 assert cold(lambda: result(m2, m1)) == fresh
 
 
-def test_dominant_frequency_of_constant_pairs_is_solved_once_for_either_order():
+def test_dominant_frequency_of_constant_pairs_is_solved_once_for_either_order(
+        fresh_engine_caches):
+    cold = fresh_engine_caches
     for m1, m2 in constant_pairs():
         for a in SCALE_GAPS[:4]:
             fresh = cold(lambda: dominant_frequency(GapConfig(a, m1, m2)))
@@ -1222,7 +1330,9 @@ def test_dominant_frequency_of_constant_pairs_is_solved_once_for_either_order():
             assert cold(lambda: dominant_frequency(GapConfig(a, m2, m1))) == fresh
 
 
-def test_a_batch_of_repeated_and_swapped_pairs_gives_the_bits_of_its_solo_calls():
+def test_a_batch_of_repeated_and_swapped_pairs_gives_the_bits_of_its_solo_calls(
+        fresh_engine_caches):
+    cold = fresh_engine_caches
     pairs = constant_pairs()[::3]
     items = [(GapConfig(a, *(pair[::-1] if k % 2 else pair)), kind)
              for k, pair in enumerate(pairs + pairs + pairs) for a in (3e-8, 2e-6)
@@ -1232,10 +1342,9 @@ def test_a_batch_of_repeated_and_swapped_pairs_gives_the_bits_of_its_solo_calls(
                                         for it in items]
 
 
-def test_an_unconverged_solve_raises_again_when_warm():
+def test_an_unconverged_solve_raises_again_when_warm(fresh_engine_caches):
     quad = QuadratureConfig(rel_tol=1e-15)
     cfg = GapConfig(1e-6, PC, PC)
-    engine._SOLVED.clear()
     best = []
     for _ in range(2):
         with pytest.raises(ConvergenceError) as exc_info:
@@ -1244,8 +1353,7 @@ def test_an_unconverged_solve_raises_again_when_warm():
     assert best[0] == best[1]
 
 
-def test_vacuum_pairs_have_no_dominant_frequency_warm_or_cold():
-    engine._SOLVED.clear()
+def test_vacuum_pairs_have_no_dominant_frequency_warm_or_cold(fresh_engine_caches):
     for cfg in (GapConfig(1e-6, vacuum(), PC),
                 GapConfig(3e-7, ConstantEpsMu(5.0, 2.0), vacuum())):
         for _ in range(2):
@@ -1253,7 +1361,8 @@ def test_vacuum_pairs_have_no_dominant_frequency_warm_or_cold():
                 dominant_frequency(cfg)
 
 
-def test_a_changed_medium_is_solved_afresh():
+def test_a_changed_medium_is_solved_afresh(fresh_engine_caches):
+    cold = fresh_engine_caches
     medium = ConstantEpsMu(6.0, 1.5)
     cfg = GapConfig(1e-6, medium, PC)
     before = (bits(energy_per_area(cfg)), dominant_frequency(cfg))
@@ -1264,7 +1373,8 @@ def test_a_changed_medium_is_solved_afresh():
     assert after == cold(lambda: (bits(energy_per_area(fresh)), dominant_frequency(fresh)))
 
 
-def test_the_solves_stop_growing_at_their_bound(monkeypatch):
+def test_the_solves_stop_growing_at_their_bound(monkeypatch, fresh_engine_caches):
+    cold = fresh_engine_caches
     monkeypatch.setattr(engine, "_SOLVED_ENTRIES", 8)
     media = [ConstantEpsMu(2.0 + k, 1.0) for k in range(12)]
     items = [(GapConfig(1e-6, m, PC), "pressure") for m in media]
@@ -1280,7 +1390,8 @@ def test_the_solves_stop_growing_at_their_bound(monkeypatch):
 def scan_at_rel_tol_1e_12(cfg):
     """``dominant_frequency`` by the 2-D scan, inner integrals at rel_tol 1e-12."""
     grid = C_LIGHT / cfg.a * engine._SCAN
-    vals, _ = _inner_integrals([cfg], ["energy"], 1e-12, 4000)(grid, 0)
+    # at the nodes y0 = 2 a xi / c
+    vals, _ = _inner_integrals([cfg], ["energy"], 1e-12, 4000)(2.0 * engine._SCAN, 0)
     weight = grid * np.abs(vals)
     m = int(np.argmax(weight))
     s = weight[m - 1:m + 2]
