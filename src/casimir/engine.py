@@ -29,12 +29,13 @@ and pressure) share one seed round of geometric panels in y, graded toward
 y0 below rel_tol 1e-7, and its reflection calls; then each owner's nodes
 refine in one ``integrate_panels`` call per round, each node to its own
 tolerance and budget.  A seed round's panels, Kronrod points and kernel
-factors in y depend on its y0 nodes alone, so those of a seed definition
-(either outer seed, or the scan of ``dominant_frequency``) are built once
-per process, at first use, and shared read-only (``_inner_grid``): with
-both kinds' factors, 0.8 MB for the coarse seed and 1.5 MB for the fine one
-graded toward y0.  Inner-integral error estimates are propagated into the
-outer total in quadrature sum.
+factors in y depend on its y0 nodes alone, so three grids are built once
+per process, at first use, and shared read-only: each outer seed's
+(``_seed``), graded exactly when the seed is fine, and that of the
+dispersive scan of ``dominant_frequency`` (``_scan_grid``); with both
+kinds' factors, 0.8 MB for the coarse seed and 1.5 MB for the fine one.
+Refinement rounds build theirs afresh.  Inner-integral error estimates are
+propagated into the outer total in quadrature sum.
 
 Frequency-independent media (``PerfectConductor``, ``InfinitelyPermeable``
 and ``ConstantEpsMu``, the vacuum included) skip that double quadrature.
@@ -159,13 +160,12 @@ class QuadratureConfig:
     panels, [0, 4e-4, 1.6e-3, 6.4e-3, ..., 26.2144, 80] at every gap, when
     rel_tol >= 1e-7, and refinement splits the panels it needs; below that,
     from 15: the same with [0, 4e-4] and the four panels from 0.1024 to
-    26.2144 halved.  The inner seed panels of either outer seed are built
-    once per process and shared by every gap.  The truncation is fixed: the
-    inner axis ends at y = 80, and the outer axis where y0 reaches 80, at
-    xi = 40 c/a.  A pair of
-    frequency-independent media takes one adaptive axis instead, t = xi /
-    (c kappa0) in [0, 1], from 4 panels, to the same tolerance within the
-    same max_subdivisions.
+    26.2144 halved.  Each outer seed's inner seed grid, graded when the
+    seed is fine, is built once per process and shared by every gap.  The
+    truncation is fixed: the inner axis ends at y = 80, and the outer axis
+    where y0 reaches 80, at xi = 40 c/a.  A pair of frequency-independent
+    media takes one adaptive axis instead, t = xi / (c kappa0) in [0, 1],
+    from 4 panels, to the same tolerance within the same max_subdivisions.
     """
 
     rel_tol: float = 1e-8
@@ -411,26 +411,10 @@ _COARSE_SEED_TOL = 1e-7
 _CONFIGS = _EVAL_ROWS // _OUTER_SEED_PANELS
 
 
-def _outer_edges(coarse):
-    """Seed edges in y0 of the outer axis, as ``_SEED_EXPONENTS`` says: 0,
-    2e-4 2^k and the cutoff, the coarse seed's or the fine one's; the edges
-    2e-4 2^k are exact in floating point, so they are formed as such."""
-    powers = _SEED_POWERS[_SEED_EXPONENTS % 2 == 1] if coarse else _SEED_POWERS
-    return np.concatenate([[0.0], 2e-4 * powers, [_Y_CUTOFF]])
-
-
 def _read_only(*arrays):
     for array in arrays:
         array.flags.writeable = False
     return arrays
-
-
-@functools.cache
-def _outer_nodes(coarse):
-    """The Kronrod nodes of the outer seed, in y0: the outer integrand's first
-    round at every gap."""
-    edges = _outer_edges(coarse)
-    return _read_only(kronrod_nodes(edges[:-1], edges[1:])[0].reshape(-1))[0]
 
 
 def _kernel_factors(kind, y):
@@ -452,9 +436,10 @@ class _InnerGrid:
     ``graded``: where y0 << 1 and r1 r2 -> 1 the integrand goes as y ln y,
     which a first panel graded toward y0 resolves at once.  A node at or
     beyond the cutoff has no panel.  Every array is read-only, so that the
-    callers of a seed definition share one grid (``_inner_grid``)."""
+    calls that read a kept grid (``_seed``, ``_scan_grid``) share it."""
 
     def __init__(self, y0, graded):
+        self.graded = graded
         width = np.clip(4.0 * y0, 1e-5, 0.25) if graded else 0.25
         self.lo, self.hi, self.owner = geometric_panels(y0, _Y_CUTOFF, width)
         self.y, self.half = kronrod_nodes(self.lo, self.hi)
@@ -468,45 +453,40 @@ class _InnerGrid:
         return self._factors[kind]
 
 
-# The inner seed grid of each seed definition, by its nodes' bytes and
-# grading, built at first use and kept for the process: at most six grids.
-_GRIDS = {}
+@functools.cache
+def _seed(coarse):
+    """The outer seed's edges in y0, as ``_SEED_EXPONENTS`` says: 0, 2e-4 2^k,
+    exact in floating point, and the cutoff; and the ``_InnerGrid`` of their
+    Kronrod nodes, the outer integrand's first round at every gap, graded
+    exactly when the seed is fine.  Built at first use, kept for the process."""
+    powers = _SEED_POWERS[_SEED_EXPONENTS % 2 == 1] if coarse else _SEED_POWERS
+    edges = np.concatenate([[0.0], 2e-4 * powers, [_Y_CUTOFF]])
+    nodes = kronrod_nodes(edges[:-1], edges[1:])[0].reshape(-1)
+    return _read_only(edges)[0], _InnerGrid(nodes, not coarse)
 
 
 @functools.cache
-def _seed_definitions():
-    """The bytes of the node sets whose inner grids are kept: either outer
-    seed and the scan of ``dominant_frequency``, 2 _SCAN in y0."""
-    return frozenset(y0.tobytes() for y0 in (_outer_nodes(True), _outer_nodes(False),
-                                             2.0 * _SCAN))
+def _scan_grid():
+    """The ungraded ``_InnerGrid`` of the dispersive ``dominant_frequency``
+    scan, y0 = 2 _SCAN, kept for the process."""
+    return _InnerGrid(2.0 * _SCAN, False)
 
 
-def _inner_grid(y0, graded):
-    """The ``_InnerGrid`` of the nodes ``y0``: a seed definition's built once
-    per process, any other's, a refinement round's, afresh."""
-    key = (y0.tobytes(), graded)
-    grid = _GRIDS.get(key)
-    if grid is None:
-        grid = _InnerGrid(y0, graded)
-        if key[0] in _seed_definitions():
-            _GRIDS[key] = grid
-    return grid
-
-
-def _inner_integrals(cfgs, kinds, rel_tol, budget):
+def _inner_integrals(cfgs, kinds, rel_tol, budget, grid):
     """Inner y-integrals of the owners ``cfgs``, of kinds ``kinds``, as a
     function of outer nodes ``x``, values of y0 = 2 a xi / c, and their
     owners (broadcast against ``x``); it returns (values, errors) shaped like
     ``x``, summed over polarizations.  Each distinct model (by identity) is
     evaluated once per distinct frequency xi = y0 c / (2a) of the nodes of
-    the owners that use it.  The integrals refine from ``_inner_grid`` (graded
-    below rel_tol 1e-8) to ``rel_tol`` within ``budget`` splits, with one
-    seed round per group of owners at one gap: those whose nodes are the
-    same at one 2a.  Nodes at or beyond ``_Y_CUTOFF`` give exactly zero.
+    the owners that use it.  The integrals refine to ``rel_tol`` within
+    ``budget`` splits, with one seed round per group of owners at one gap:
+    those whose nodes are the same at one 2a.  A group whose nodes are those
+    of the seed ``grid`` reads it; any other builds its own, graded as
+    ``grid`` is.  Nodes at or beyond ``_Y_CUTOFF`` give exactly zero.
     """
     two_a = 2.0 * np.array([cfg.a for cfg in cfgs])
     xi_per_y0 = np.array([_xi_per_y0(cfg.a) for cfg in cfgs])
-    graded = rel_tol < 0.1 * _COARSE_SEED_TOL
+    seed_nodes = grid.y0.tobytes()
     sides = [(id(cfg.material1), id(cfg.material2)) for cfg in cfgs]
     models = {id(m): m for cfg in cfgs for m in (cfg.material1, cfg.material2)}
     uses = {key: np.array([key in pair for pair in sides]) for key in models}
@@ -534,11 +514,13 @@ def _inner_integrals(cfgs, kinds, rel_tol, budget):
             idx = np.flatnonzero(own == k)
             if idx.size:
                 groups.setdefault((two_a[k], y0[idx].tobytes()), []).append((k, idx))
-        for (gap, _), group in groups.items():
+        for (gap, group_nodes), group in groups.items():
             # each side's node map is filled at the nodes of the owners using it
             coeffs = {key: (rfs[key], nodes[key][idx]) for k, idx in group for key in sides[k]}
+            own_grid = grid if group_nodes == seed_nodes else \
+                _InnerGrid(y0[group[0][1]], grid.graded)
             results = _inner_group(gap, [(kinds[k], sides[k]) for k, _ in group], coeffs,
-                                   _inner_grid(y0[group[0][1]], graded), rel_tol, budget)
+                                   own_grid, rel_tol, budget)
             for (_, idx), (v, e) in zip(group, results):
                 vals[idx], errs[idx] = v, e
         return vals.reshape(x.shape), errs.reshape(x.shape)
@@ -621,13 +603,13 @@ def _integrate_batch(items, quad):
     each, every one integrated in y0 = 2 a xi / c from the same seed edges."""
     cfgs, kinds = zip(*items)
     n = len(items)
-    edges = _outer_edges(quad.rel_tol >= _COARSE_SEED_TOL)
+    edges, grid = _seed(quad.rel_tol >= _COARSE_SEED_TOL)
     units = np.array([_xi_per_y0(cfg.a) for cfg in cfgs])
     # dxi = c / (2a) dy0
     prefs = units * np.array([HBAR / (16.0 * np.pi ** 2 * c.a ** (2 if k == "energy" else 3))
                               for c, k in items])
     inner = _inner_integrals(cfgs, kinds, 0.1 * quad.rel_tol,
-                             min(quad.max_subdivisions, _INNER_BUDGET))
+                             min(quad.max_subdivisions, _INNER_BUDGET), grid)
     # each owner's largest y0 |F(y0)| so far and the first node reaching it
     peak = np.zeros(n)
     peak_y0 = np.zeros(n)
@@ -829,31 +811,36 @@ def _pair_key(cfg):
 def _dominant_xi(cfg, kind, key, rel_tol):
     """The outer seed's node at the index where its ``_peak_weights`` peak,
     found once, the same at every gap, in rad/s at this gap as the 2-D engine
-    reports it: y0 c / (2a)."""
+    reports it: y0 c / (2a).  The fine seed's kept grid is graded and weighs
+    them; the coarse seed's nodes are weighed on a graded grid of their own,
+    which is not kept."""
     coarse = rel_tol >= _COARSE_SEED_TOL
+    grid = _seed(coarse)[1]
 
     def peak():
-        weight = _peak_weights(kind, (cfg.material1, cfg.material2), _outer_nodes(coarse),
-                               peak_floor=True)
+        weighed = grid if grid.graded else _InnerGrid(grid.y0, True)
+        weight = _peak_weights(kind, (cfg.material1, cfg.material2), weighed, peak_floor=True)
         return int(np.argmax(weight)) if weight.max() > 0.0 else None
 
     index = _cached((key, kind, coarse), peak)
-    return None if index is None else float(_outer_nodes(coarse)[index] * _xi_per_y0(cfg.a))
+    return None if index is None else float(grid.y0[index] * _xi_per_y0(cfg.a))
 
 
-def _peak_weights(kind, pair, y0, peak_floor=False):
-    """y0 |F(y0)| at the nodes of ``y0`` (values of 2 a xi / c), F being the
-    inner integral of a frequency-independent pair; the peak is where xi |F|
-    peaks at any gap.  One ``_inner_group`` call (unit c = 2 a = 1, xi = y0,
-    rel_tol 1e-10) weighs every node, each to 1e-10 of its own weight or,
+def _peak_weights(kind, pair, grid, peak_floor=False):
+    """y0 |F(y0)| at the nodes y0 (values of 2 a xi / c) of the graded
+    ``_InnerGrid`` ``grid``, F being the inner integral of a
+    frequency-independent pair; the peak is where xi |F| peaks at any gap.
+    One ``_inner_group`` call (unit c = 2 a = 1, xi = y0, rel_tol 1e-10)
+    on that grid weighs every node, each to 1e-10 of its own weight or,
     with ``peak_floor``, for a caller that reads only where they peak, of
     the largest: then a node where TE and TM cancel stops early.  Its
     y-axis refines where r varies as sqrt(1 - t) at t = 1 (eps mu << 1).
     """
+    y0 = grid.y0
     each = np.arange(y0.size)
     coeffs = {id(m): (_reflection_by_owner(m, y0, 1.0, y0), each) for m in pair}
-    [(vals, _)] = _inner_group(1.0, [(kind, tuple(map(id, pair)))], coeffs,
-                               _inner_grid(y0, True), 1e-10, _INNER_BUDGET, peak_floor)
+    [(vals, _)] = _inner_group(1.0, [(kind, tuple(map(id, pair)))], coeffs, grid, 1e-10,
+                               _INNER_BUDGET, peak_floor)
     return y0 * np.abs(vals)
 
 
@@ -938,9 +925,10 @@ def dominant_frequency(cfg):
     elif _frequency_independent(cfg):
         # y0 |F| on y0 = 2 xi, halved: xi |F| to the bit
         weight = _cached((_pair_key(cfg),), lambda: 0.5 * _peak_weights(
-            "energy", (cfg.material1, cfg.material2), 2.0 * _SCAN))
+            "energy", (cfg.material1, cfg.material2), _InnerGrid(2.0 * _SCAN, True)))
     else:
-        vals, _ = _inner_integrals([cfg], ["energy"], 1e-6, _INNER_BUDGET)(2.0 * _SCAN, 0)
+        grid = _scan_grid()
+        vals, _ = _inner_integrals([cfg], ["energy"], 1e-6, _INNER_BUDGET, grid)(grid.y0, 0)
         weight = _SCAN * np.abs(vals)
     if not np.any(weight > 0.0):
         raise DegenerateIntegrandError("outer integrand vanishes everywhere; "

@@ -112,10 +112,11 @@ def load_absorption_table(csv_path):
         if not row:
             continue
         try:
-            omega.append(float(row[0]))
-            eps_imag.append(float(row[1]))
-        except (ValueError, IndexError):
+            w, e = map(float, row)  # exactly two fields
+        except ValueError:
             raise IngestionError(f"{csv_path}:{lineno}: bad sample row {row!r}")
+        omega.append(w)
+        eps_imag.append(e)
     low = None
     high = None
     sidecar = csv_path.with_suffix(".json")

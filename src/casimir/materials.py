@@ -869,11 +869,6 @@ def _kk_panels(table, decades):
     return np.reshape([table._panels[j] for j in decades], (-1, _PANEL_POINTS))
 
 
-def _kk_panel(table, j):
-    """The row of ``_kk_panels`` of decade j alone."""
-    return _kk_panels(table, [j])[0]
-
-
 def _barycentric(t, f):
     """The interpolant through each row of ``f`` at the Chebyshev points, at
     its t in [-1, 1], each row summed by itself; a t on a point takes f there."""

@@ -215,6 +215,12 @@ def sign_map(eps1_values, mu1_values, eps2_values, mu2_values, a,
 _UVL_MODES = ("vacuum-matched", "equal-eps-mu")
 
 
+def _uvl_eps(mode, eps_mu_product, mu):
+    """A uvl map medium's eps from its mu: eps_mu_product / mu in the
+    "vacuum-matched" mode, mu in "equal-eps-mu"."""
+    return eps_mu_product / mu if mode == "vacuum-matched" else mu
+
+
 def uvl_map(mu1_values, mu2_values, a, quad=None, threshold=None,
             mode="vacuum-matched", eps_mu_product=1.0):
     """Force sign over a (mu1, mu2) grid in the uniform-light-speed case.
@@ -237,12 +243,9 @@ def uvl_map(mu1_values, mu2_values, a, quad=None, threshold=None,
     mu2_values = [float(m) for m in mu2_values]
     for m in itertools.chain(mu1_values, mu2_values):
         if not np.isfinite(m) or m <= 0.0:
-            raise DomainError("mu values must be positive")
+            raise DomainError("mu values must be finite and positive")
 
-    def eps_of(mu):
-        return eps_mu_product / mu if mode == "vacuum-matched" else mu
-
-    params = [(eps_of(m1), m1, eps_of(m2), m2)
+    params = [(_uvl_eps(mode, eps_mu_product, m1), m1, _uvl_eps(mode, eps_mu_product, m2), m2)
               for m1, m2 in itertools.product(mu1_values, mu2_values)]
     rows = _map_rows(params, a, quad, threshold)
     assumption = (f"uniform light speed read as eps_j*mu_j = {eps_mu_product:g} "
@@ -315,16 +318,14 @@ def boundary_points(sign_map_result, axis, quad=None):
         lines.setdefault(key, []).append(row)
 
     a = sign_map_result.a
-    vacuum_matched = sign_map_result.uvl_mode == "vacuum-matched"
-    product = sign_map_result.eps_mu_product
 
     def make_config(axis_value, fixed):
         params = dict(fixed)
         params[axis] = axis_value
         if is_uvl:
             for side, mu_name in (("eps1", "mu1"), ("eps2", "mu2")):
-                mu = params[mu_name]
-                params[side] = (product / mu) if vacuum_matched else mu
+                params[side] = _uvl_eps(sign_map_result.uvl_mode,
+                                        sign_map_result.eps_mu_product, params[mu_name])
         return GapConfig(a, ConstantEpsMu(params["eps1"], params["mu1"]),
                          ConstantEpsMu(params["eps2"], params["mu2"]))
 

@@ -46,7 +46,8 @@ def fresh_engine_caches():
 
     def cold(call):
         engine._SOLVED.clear()
-        engine._GRIDS.clear()
+        engine._seed.cache_clear()
+        engine._scan_grid.cache_clear()
         return call()
 
     cold(lambda: None)

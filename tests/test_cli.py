@@ -148,6 +148,15 @@ def test_input_whose_transform_overflows_is_usage_error(capsys, tmp_path, name, 
     assert "transform overflows" in err
 
 
+def test_table_row_of_three_fields_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("omega_rad_s,eps_imag\n1e14,0.5,junk\n1e15,0.1\n")
+    code, out, err = run(capsys, "kk", "--table", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"{path}:2: bad sample row" in err
+
+
 @pytest.mark.parametrize("name, content, args", [
     ("model.json", b"\xff{}", ("energy", "--material2", "pc", "--gap", "1e-6", "--material1")),
     ("table.csv", b"omega_rad_s,eps_imag\n1e14,0.5\xff\n", ("kk", "--table"))])

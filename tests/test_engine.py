@@ -28,7 +28,7 @@ from casimir import (ConstantEpsMu, ContinuumModelWarning,
 from casimir import engine, materials
 from casimir.engine import (_inner_integrals, _integrate_batch, _li4, _ln_one_minus,
                             _reflection_at_limits, _reflection_by_owner, integrate_gaps)
-from casimir.quadrature import _EVAL_ROWS, geometric_panels, kronrod_nodes
+from casimir.quadrature import _EVAL_ROWS, geometric_panels
 
 HBAR = 1.054571817e-34
 C_LIGHT = 2.99792458e8
@@ -677,8 +677,8 @@ def test_outer_seed_keeps_every_other_edge_from_rel_tol_1e_7(monkeypatch, rel_to
     # panels, those 10 with the first one and the four from 0.0512 to
     # 13.1072 c/a halved, edges in y0 = 2 a xi / c
     cfg = GapConfig(1e-6, GOLD, GOLD)
-    fine = engine._outer_edges(False)
-    coarse = engine._outer_edges(True)
+    fine = engine._seed(False)[0]
+    coarse = engine._seed(True)[0]
     assert fine.size == engine._OUTER_SEED_PANELS + 1 == 16
     assert coarse.size == 11
     assert set(coarse.tolist()) <= set(fine.tolist())
@@ -713,7 +713,7 @@ def test_outer_seed_edges_are_the_geometric_edges():
     assert full.size == 21
     for coarse, k in ((False, fine_k), (True, coarse_k)):
         want = np.concatenate([[0.0], full[1:-1][k], [80.0]])
-        assert engine._outer_edges(coarse).tolist() == want.tolist()
+        assert engine._seed(coarse)[0].tolist() == want.tolist()
 
 
 @pytest.fixture
@@ -839,7 +839,7 @@ def test_a_full_batch_takes_one_inner_quadrature_per_owner_in_its_seed_round(mon
     # every owner seeds the same number of outer panels, and a full batch's
     # seed panels fit one integrand call, so none is split across two
     assert engine._CONFIGS * engine._OUTER_SEED_PANELS <= _EVAL_ROWS
-    assert engine._outer_edges(False).size == engine._OUTER_SEED_PANELS + 1
+    assert engine._seed(False)[0].size == engine._OUTER_SEED_PANELS + 1
     gaps = np.geomspace(1e-7, 1e-5, engine._CONFIGS + 4)
     rounds = []  # per outer integrand call, the gap of each inner seed round
     inner_group = engine._inner_group
@@ -1092,9 +1092,10 @@ def test_inner_integrand_of_a_mirror_and_a_metal_keeps_its_bits(monkeypatch):
         return real(f, *args, **kwargs)
 
     monkeypatch.setattr(engine, "integrate_panels", recorded)
+    ungraded = engine._seed(True)[1]  # the grading of the fresh grids
     for kind in ("energy", "pressure"):
         # y0 of xi = 1e13, 1e14 and 1e15 rad/s at 1 um
-        _inner_integrals([GapConfig(1e-6, PC, GOLD)], [kind], 1e-8, 300)(
+        _inner_integrals([GapConfig(1e-6, PC, GOLD)], [kind], 1e-8, 300, ungraded)(
             2e-6 / C_LIGHT * np.array([[1e13, 1e14, 1e15]]), 0)
     y = np.linspace(0.5, 70.0, 45).reshape(3, 15)
     owner = np.array([[0], [1], [2]])
@@ -1106,18 +1107,21 @@ def test_inner_integrand_of_a_mirror_and_a_metal_keeps_its_bits(monkeypatch):
 # the inner seed grids kept for the process
 # ---------------------------------------------------------------------------
 
-def seed_node_sets():
-    """The y0 nodes of every seed definition: the Kronrod nodes of either
-    outer seed and the ``dominant_frequency`` scan's 2 a xi / c."""
-    sets = []
-    for coarse in (True, False):
-        edges = engine._outer_edges(coarse)
-        sets.append(kronrod_nodes(edges[:-1], edges[1:])[0].reshape(-1).tobytes())
-    return sets + [(2.0 * engine._SCAN).tobytes()]
+def kept_grids():
+    """The inner seed grids the engine keeps, checked to be the three named
+    ones: the coarse seed's ungraded, the fine seed's graded, the scan's
+    ungraded."""
+    assert (engine._seed.cache_info().currsize, engine._scan_grid.cache_info().currsize) \
+        == (2, 1)
+    grids = engine._seed(True)[1], engine._seed(False)[1], engine._scan_grid()
+    assert [grid.graded for grid in grids] == [False, True, False]
+    return grids
 
 
 @pytest.mark.parametrize("rel_tol", [1e-6, 1e-8])
-@pytest.mark.parametrize("pair", [(GOLD, TABLE), (LORENTZ, PC)], ids=["drude-table", "lorentz-pc"])
+@pytest.mark.parametrize("pair", [(GOLD, TABLE), (LORENTZ, PC),
+                                  (ConstantEpsMu(4.0, 1.0), ConstantEpsMu(1.0, 9.0))],
+                         ids=["drude-table", "lorentz-pc", "constant-pair"])
 def test_a_warm_grid_gives_the_bits_of_a_cold_one(fresh_engine_caches, pair, rel_tol):
     quad = QuadratureConfig(rel_tol=rel_tol)
     for a in (1e-7, 1e-6):
@@ -1135,22 +1139,24 @@ def test_each_seed_grid_is_built_once_for_every_gap_and_kind(inner_seeds):
         for a in np.geomspace(1e-7, 1e-5, 20):
             for fn in (energy_per_area, pressure):
                 fn(GapConfig(float(a), GOLD, GOLD), QuadratureConfig(rel_tol=rel_tol))
-    seeds = seed_node_sets()
+    seeds = [engine._seed(coarse)[1].y0.tobytes() for coarse in (True, False)]
     built = [y0.tobytes() for y0, _ in inner_seeds if y0.tobytes() in seeds]
     # the coarse seed from rel_tol 1e-7 up, the fine one below it
-    assert built == seeds[:2]
+    assert built == seeds
 
 
 def test_every_kept_grid_array_is_read_only(fresh_engine_caches):
-    integrate_gaps([(GapConfig(3e-7, GOLD, TABLE), kind) for kind in ("energy", "pressure")])
+    for rel_tol in (1e-6, 1e-8):
+        integrate_gaps([(GapConfig(3e-7, GOLD, TABLE), kind) for kind in ("energy", "pressure")],
+                       QuadratureConfig(rel_tol=rel_tol))
     dominant_frequency(GapConfig(1e-6, GOLD, GOLD))
     dominant_frequency(GapConfig(1e-6, PC, IPP))
-    assert len(engine._GRIDS) == 3
-    for grid in engine._GRIDS.values():
+    edges = [engine._seed(coarse)[0] for coarse in (True, False)]
+    for grid in kept_grids():
         arrays = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
         arrays += [f for kind in ("energy", "pressure") for f in grid.factors(kind)]
         assert len(arrays) == 11
-        for array in arrays:
+        for array in arrays + edges:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
@@ -1158,18 +1164,32 @@ def test_every_kept_grid_array_is_read_only(fresh_engine_caches):
 
 def test_the_kept_grids_are_seed_definitions_alone(inner_seeds):
     pairs = [(GOLD, IPP), (LORENTZ, TABLE), (PC, IPP), (ConstantEpsMu(6.0, 1.5), PC)]
+    # the constant pairs' peak searches among them, on either seed
     for rel_tol in (1e-3, 1e-6, 1e-8, 1e-10, 1e-12):
         integrate_gaps([(GapConfig(a, *pair), kind) for pair in pairs for a in (1e-7, 2e-6)
                         for kind in ("energy", "pressure")], QuadratureConfig(rel_tol=rel_tol))
     for pair in pairs:
         dominant_frequency(GapConfig(1e-6, *pair))
-    seeds = seed_node_sets()
+    named = {grid.y0.tobytes() for grid in kept_grids()}
     # the outer axis refined, and the grids of its rounds were built
-    assert any(y0.tobytes() not in seeds for y0, _ in inner_seeds)
-    assert {(y0, graded) for y0 in seeds for graded in (True, False)} >= set(engine._GRIDS)
-    assert len(engine._GRIDS) == 5  # all but the fine seed ungraded, which nothing asks for
-    for (y0, _), grid in engine._GRIDS.items():
-        assert grid.y0.tobytes() == y0
+    assert any(y0.tobytes() not in named for y0, _ in inner_seeds)
+    # the coarse seed's peak search and the constant pairs' scan each built
+    # a graded grid, which is not kept
+    graded = [y0.tobytes() for y0, width in inner_seeds if not isinstance(width, float)]
+    assert {engine._seed(True)[1].y0.tobytes(), (2.0 * engine._SCAN).tobytes()} <= set(graded)
+
+
+def test_a_constant_pair_keeps_no_grid_of_its_own(fresh_engine_caches):
+    pair = (ConstantEpsMu(4.0, 1.0), ConstantEpsMu(1.0, 9.0))
+    dominant_frequency(GapConfig(1e-6, *pair))
+    assert engine._seed.cache_info().currsize == engine._scan_grid.cache_info().currsize == 0
+    for rel_tol in (1e-6, 1e-8):
+        pressure(GapConfig(1e-6, *pair), QuadratureConfig(rel_tol=rel_tol))
+    assert engine._scan_grid.cache_info().currsize == 0
+    # the coarse seed's nodes are read off its kept grid, which weighs nothing;
+    # the fine seed's grid weighs the nodes
+    assert engine._seed(True)[1]._factors == {}
+    assert list(engine._seed(False)[1]._factors) == ["pressure"]
 
 
 def test_the_peak_search_holds_each_node_to_the_peaks_floor(monkeypatch, fresh_engine_caches):
@@ -1190,9 +1210,9 @@ def test_the_peak_search_holds_each_node_to_the_peaks_floor(monkeypatch, fresh_e
     assert sum(points) < 40_000
     monkeypatch.undo()
     # the node of each node held to its own weight
-    nodes = engine._outer_nodes(False)
-    weight = engine._peak_weights("pressure", pair, nodes)
-    assert result.dominant_xi == nodes[np.argmax(weight)] * (C_LIGHT / (2.0 * cfg.a))
+    grid = engine._seed(False)[1]
+    weight = engine._peak_weights("pressure", pair, grid)
+    assert result.dominant_xi == grid.y0[np.argmax(weight)] * (C_LIGHT / (2.0 * cfg.a))
 
 
 # ---------------------------------------------------------------------------
@@ -1390,8 +1410,9 @@ def test_the_solves_stop_growing_at_their_bound(monkeypatch, fresh_engine_caches
 def scan_at_rel_tol_1e_12(cfg):
     """``dominant_frequency`` by the 2-D scan, inner integrals at rel_tol 1e-12."""
     grid = C_LIGHT / cfg.a * engine._SCAN
-    # at the nodes y0 = 2 a xi / c
-    vals, _ = _inner_integrals([cfg], ["energy"], 1e-12, 4000)(2.0 * engine._SCAN, 0)
+    # at the nodes y0 = 2 a xi / c, each seed round graded toward y0
+    scan = engine._InnerGrid(2.0 * engine._SCAN, True)
+    vals, _ = _inner_integrals([cfg], ["energy"], 1e-12, 4000, scan)(scan.y0, 0)
     weight = grid * np.abs(vals)
     m = int(np.argmax(weight))
     s = weight[m - 1:m + 2]

@@ -135,6 +135,14 @@ def test_absorption_csv_validation(tmp_path):
     with pytest.raises(IngestionError, match="bad sample row"):
         load_absorption_table(bad_row)
 
+    # a row of one field or of more than two: the third is not dropped
+    for name, row in (("short", "1e15"), ("junk", "1e15,0.1,junk"), ("three", "1e15,0.1,0.2"),
+                      ("trailing", "1e15,0.1,")):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(f"omega_rad_s,eps_imag\n1e14,0.5\n{row}\n")
+        with pytest.raises(IngestionError, match=f"{name}.csv:3: bad sample row"):
+            load_absorption_table(path)
+
     divergent = tmp_path / "divergent.csv"
     divergent.write_text("omega_rad_s,eps_imag\n1e14,0.5\n1e15,0.1\n")
     (tmp_path / "divergent.json").write_text(

@@ -177,7 +177,7 @@ def test_exponent_3_tail_and_panels_stay_on_the_transform_far_above_the_table():
     direct = materials._kk_integral(table, xi)
     y = np.log10(xi)
     j = np.floor(y)
-    logs = np.array([materials._kk_panel(table, int(d)) for d in j])
+    logs = np.array([materials._kk_panels(table, [int(d)])[0] for d in j])
     panels = np.exp(materials._barycentric(2.0 * (y - j) - 1.0, logs))
     np.testing.assert_allclose(panels, direct, rtol=1e-12, atol=0.0)
 

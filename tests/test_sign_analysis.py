@@ -122,6 +122,9 @@ def test_sign_map_rejects_bad_grid(quad_fast):
         sign_map([0.5], [1.0], [1.0], [1.0], A, quad=quad_fast)
     with pytest.raises(DomainError):
         uvl_map([], [1.0], A, quad=quad_fast)
+    for mu in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(DomainError, match="mu values must be finite and positive"):
+            uvl_map([1.0], [mu], A, quad=quad_fast)
 
 
 def test_uvl_vacuum_matched_sign_structure(quad_fast):
