@@ -37,8 +37,8 @@ kinds' factors, 0.8 MB for the coarse seed and 1.5 MB for the fine one.
 Refinement rounds build theirs afresh.  Inner-integral error estimates are
 propagated into the outer total in quadrature sum.
 
-Frequency-independent media (``PerfectConductor``, ``InfinitelyPermeable``
-and ``ConstantEpsMu``, the vacuum included) skip that double quadrature.
+Pairs of frequency-independent media (``PerfectConductor``,
+``InfinitelyPermeable`` and ``ConstantEpsMu``) skip that double quadrature.
 Their coefficients depend on t = xi / (c kappa0) = y0 / y alone, so the
 y-integral at fixed t is a polylogarithm and
 
@@ -47,9 +47,13 @@ y-integral at fixed t is a polylogarithm and
 
 with J a function of the pair alone.  It is solved once per unordered pair
 (by type and parameters) and QuadratureConfig, and so are the index of the
-seed node that is ``dominant_xi`` and ``dominant_frequency`` in the unit
-c/a, from the inner integrals of every node (``_peak_weights``); each gap
-rescales them and checks its own tolerance.
+seed node that is ``dominant_xi``, from the inner integrals of every node
+on the seed's kept grid, and ``dominant_frequency`` in the unit c/a, on a
+graded scan grid built for the solve (``_peak_weights``); each gap rescales
+them and checks its own tolerance.
+
+A side that reflects nothing, the vacuum among them, makes either path's
+integrand an exact zero: an exact, converged 0.0 with no ``dominant_xi``.
 """
 
 import functools
@@ -132,7 +136,7 @@ class GapConfig:
         if self.a < 1e-9:
             warnings.warn("separation below 1 nm: continuum material response "
                           "is questionable at this scale", ContinuumModelWarning,
-                          stacklevel=2)
+                          stacklevel=3)  # past the dataclass's __init__
 
     @property
     def unphysical(self):
@@ -434,9 +438,11 @@ class _InnerGrid:
     ``y`` and half-widths, and each kind's ``_kernel_factors`` there, formed
     at the kind's first use.  w = 0.25, or clip(4 y0, 1e-5, 0.25) when
     ``graded``: where y0 << 1 and r1 r2 -> 1 the integrand goes as y ln y,
-    which a first panel graded toward y0 resolves at once.  A node at or
-    beyond the cutoff has no panel.  Every array is read-only, so that the
-    calls that read a kept grid (``_seed``, ``_scan_grid``) share it."""
+    which a first panel graded toward y0 resolves at once (the fine seed's
+    grid, the constant pairs' ``dominant_frequency`` scan); where y0 >= 1/16
+    both give the same first panel.  A node at or beyond the cutoff has no
+    panel.  Every array is read-only, so that the calls that read a kept
+    grid (``_seed``, ``_scan_grid``) share it."""
 
     def __init__(self, y0, graded):
         self.graded = graded
@@ -634,7 +640,8 @@ def _integrate_batch(items, quad):
     for k, kind in enumerate(kinds):
         dominant = float(peak_y0[k] * units[k]) if peak[k] > 0.0 else None
         pref = prefs[k] if kind == "energy" else -prefs[k]
-        yield _outcome(kind, pref * res.value[k], prefs[k] * res.error[k], dominant,
+        # + 0.0 turns the -0.0 of a medium that reflects nothing into 0.0
+        yield _outcome(kind, pref * res.value[k] + 0.0, prefs[k] * res.error[k], dominant,
                        res.converged[k], quad)
 
 
@@ -779,7 +786,7 @@ def _angular_batch(items, quad, peaks):
         j, err, converged = solved[key]
         pref = HBAR * C / (16.0 * np.pi ** 2 * cfg.a ** 3) * (
             1.0 if kind == "energy" else 3.0 / cfg.a)
-        # + 0.0 turns the vacuum's -0.0 into 0.0
+        # + 0.0 turns the -0.0 of a medium that reflects nothing into 0.0
         value, error = -pref * j + 0.0, pref * err
         peak = _dominant_xi(cfg, kind, key, quad.rel_tol) if peaks else None
         yield _outcome(kind, value, error, peak, converged or
@@ -811,15 +818,13 @@ def _pair_key(cfg):
 def _dominant_xi(cfg, kind, key, rel_tol):
     """The outer seed's node at the index where its ``_peak_weights`` peak,
     found once, the same at every gap, in rad/s at this gap as the 2-D engine
-    reports it: y0 c / (2a).  The fine seed's kept grid is graded and weighs
-    them; the coarse seed's nodes are weighed on a graded grid of their own,
-    which is not kept."""
+    reports it: y0 c / (2a).  The nodes are weighed on the seed's kept grid,
+    the one the 2-D engine reads there."""
     coarse = rel_tol >= _COARSE_SEED_TOL
     grid = _seed(coarse)[1]
 
     def peak():
-        weighed = grid if grid.graded else _InnerGrid(grid.y0, True)
-        weight = _peak_weights(kind, (cfg.material1, cfg.material2), weighed, peak_floor=True)
+        weight = _peak_weights(kind, (cfg.material1, cfg.material2), grid, peak_floor=True)
         return int(np.argmax(weight)) if weight.max() > 0.0 else None
 
     index = _cached((key, kind, coarse), peak)
@@ -827,7 +832,7 @@ def _dominant_xi(cfg, kind, key, rel_tol):
 
 
 def _peak_weights(kind, pair, grid, peak_floor=False):
-    """y0 |F(y0)| at the nodes y0 (values of 2 a xi / c) of the graded
+    """y0 |F(y0)| at the nodes y0 (values of 2 a xi / c) of the
     ``_InnerGrid`` ``grid``, F being the inner integral of a
     frequency-independent pair; the peak is where xi |F| peaks at any gap.
     One ``_inner_group`` call (unit c = 2 a = 1, xi = y0, rel_tol 1e-10)
@@ -848,28 +853,19 @@ def _frequency_independent(cfg):
     return type(cfg.material1) in _CONSTANT_MEDIA and type(cfg.material2) in _CONSTANT_MEDIA
 
 
-def _vacuum_side(cfg):
-    """Whether a side is ``ConstantEpsMu(1, 1)``, which reflects nothing."""
-    return any(type(m) is ConstantEpsMu and m.eps_const == m.mu_const == 1.0
-               for m in (cfg.material1, cfg.material2))
-
-
 def _outcomes(items, quad, peaks=True):
-    """Each item's result, or its ConvergenceError unraised, in order.  An
-    item with a vacuum side is an exact, converged 0.0 with no
-    ``dominant_xi``.  The other frequency-independent items take the
-    angular integral, all in one call; the rest go to ``_integrate_batch``,
-    ``_CONFIGS`` at a time.  With ``peaks`` false the frequency-independent
+    """Each item's result, or its ConvergenceError unraised, in order.  The
+    frequency-independent items take the angular integral, all in one call;
+    the rest, a vacuum side facing a dispersive medium among them, go to
+    ``_integrate_batch``, ``_CONFIGS`` at a time.  With ``peaks`` false the frequency-independent
     items leave ``dominant_xi`` None, for callers that read the value alone."""
-    vacuum = [_vacuum_side(cfg) for cfg, _ in items]
-    constant = [not v and _frequency_independent(cfg) for (cfg, _), v in zip(items, vacuum)]
+    constant = [_frequency_independent(cfg) for cfg, _ in items]
     closed = _angular_batch([it for it, c in zip(items, constant) if c], quad, peaks)
-    dispersive = [it for it, v, c in zip(items, vacuum, constant) if not (v or c)]
+    dispersive = [it for it, c in zip(items, constant) if not c]
     batches = (r for start in range(0, len(dispersive), _CONFIGS)
                for r in _integrate_batch(dispersive[start:start + _CONFIGS], quad))
-    for (_, kind), v, c in zip(items, vacuum, constant):
-        yield _outcome(kind, 0.0, 0.0, None, True, quad) if v else \
-            next(closed if c else batches)
+    for c in constant:
+        yield next(closed if c else batches)
 
 
 def integrate_gaps(items, quad=None):
@@ -914,15 +910,12 @@ def dominant_frequency(cfg):
     Defined as the peak of the per-log-frequency contribution
     xi * |F(xi)| of the outer integrand F; located on a logarithmic scan
     and refined by a parabolic fit.  Raises DegenerateIntegrandError when
-    the integrand vanishes everywhere, without a scan where one side is
-    the vacuum.  A pair of constant media is scanned once, in the unit
-    c/a, by ``_peak_weights``: every node takes its inner integral at
-    rel_tol 1e-10.
+    the integrand vanishes everywhere, as it does where a side reflects
+    nothing.  A pair of constant media is scanned once, in the unit c/a, by
+    ``_peak_weights``: every node takes its inner integral at rel_tol 1e-10.
     """
     unit = C / cfg.a
-    if _vacuum_side(cfg):
-        weight = np.zeros(_SCAN.size)
-    elif _frequency_independent(cfg):
+    if _frequency_independent(cfg):
         # y0 |F| on y0 = 2 xi, halved: xi |F| to the bit
         weight = _cached((_pair_key(cfg),), lambda: 0.5 * _peak_weights(
             "energy", (cfg.material1, cfg.material2), _InnerGrid(2.0 * _SCAN, True)))

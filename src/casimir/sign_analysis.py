@@ -238,7 +238,7 @@ def uvl_map(mu1_values, mu2_values, a, quad=None, threshold=None,
     if mode not in _UVL_MODES:
         raise DomainError(f"mode must be one of {_UVL_MODES}")
     if eps_mu_product <= 0.0 or not np.isfinite(eps_mu_product):
-        raise DomainError("eps_mu_product must be positive")
+        raise DomainError("eps_mu_product must be finite and positive")
     mu1_values = [float(m) for m in mu1_values]
     mu2_values = [float(m) for m in mu2_values]
     for m in itertools.chain(mu1_values, mu2_values):

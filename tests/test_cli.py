@@ -13,7 +13,7 @@ from casimir.cli import main
 from casimir.engine import GapConfig, QuadratureConfig, energy_per_area, pressure
 from casimir.io import load_material, save_material
 from casimir.errors import ConvergenceError
-from casimir.materials import (Drude, HighTail, LowTail, Tabulated,
+from casimir.materials import (Drude, HighTail, LorentzOscillators, LowTail, Tabulated,
                                TabulatedAbsorption)
 
 IDEAL_E = -4.3337528e-10  # ideal-mirror energy at 1 um, J/m^2
@@ -180,15 +180,23 @@ def test_vacuum_is_indeterminate(capsys):
 
 
 def test_a_metal_facing_vacuum_prints_a_positive_zero_pressure(capsys, tmp_path):
-    path = tmp_path / "gold.json"
+    path, null = tmp_path / "gold.json", tmp_path / "null.json"
     save_material(Drude(1.37e16, 5.3e13, label="gold"), path)
-    for pair in ((str(path), "vacuum"), ("vacuum", str(path))):
-        code, out, _ = run(capsys, "pressure", "--material1", pair[0], "--material2",
-                           pair[1], "--gap", "1e-6", "--csv")
-        assert code == 0
-        assert list(csv.reader(io.StringIO(out)))[1] == [
-            "0.0000000000000000e+00", "0.0000000000000000e+00", "Pa", "", "Indeterminate",
-            "true"]
+    # a Lorentz model of zero strength reflects nothing, as the vacuum does
+    save_material(LorentzOscillators([(0.0, 8e15, 5e15, 5e13)], label="null"), null)
+    for side in ("vacuum", str(null)):
+        for pair in ((str(path), side), (side, str(path))):
+            materials = ("--material1", pair[0], "--material2", pair[1])
+            code, out, _ = run(capsys, "pressure", *materials, "--gap", "1e-6", "--csv")
+            assert code == 0
+            assert list(csv.reader(io.StringIO(out)))[1] == [
+                "0.0000000000000000e+00", "0.0000000000000000e+00", "Pa", "",
+                "Indeterminate", "true"]
+            code, out, _ = run(capsys, "sweep", *materials, "--points", "3")
+            assert code == 0
+            rows = list(csv.reader(io.StringIO(out)))[1:]
+            assert [r[1:] for r in rows] == [["0.0000000000000000e+00"] * 3
+                                             + ["Indeterminate"]] * 3
 
 
 def test_nonconvergence_exits_3_with_best_estimate(capsys, tmp_path):

@@ -344,28 +344,32 @@ def test_vacuum_side_gives_exact_zero():
 
 VACUUM_PARTNERS = [GOLD, Plasma(9e15), LORENTZ, TABLE, FERRITE, PC, IPP,
                    ConstantEpsMu(10.0, 3.0), vacuum()]
+# media that reflect nothing: eps = mu = 1 at every frequency, constant or not
+NULL_MEDIA = [vacuum(), LorentzOscillators([(0.0, 8e15, 5e15, 5e13)]),
+              DebyeMagnetic(0.0, 1e10, delta_eps=0.0)]
+NULL_PAIRS = [pair for null in NULL_MEDIA for m in VACUUM_PARTNERS
+              for pair in ((null, m), (m, null))]
 
 
-def refuse(*args, **kwargs):
-    raise AssertionError("an integrand of a vacuum pair was evaluated")
-
-
-@pytest.mark.parametrize("rel_tol", [1e-8, 1e-3])
-def test_a_vacuum_side_is_a_converged_positive_zero_without_integrating(monkeypatch,
-                                                                         rel_tol):
-    for name in ("integrate_panels", "_inner_integrals", "_peak_weights"):
-        monkeypatch.setattr(engine, name, refuse)
-    items = [(GapConfig(a, *pair), kind) for m in VACUUM_PARTNERS
-             for pair in ((vacuum(), m), (m, vacuum())) for a in BATCH_GAPS
+@pytest.mark.parametrize("rel_tol, splits", [(1e-8, 4000), (1e-3, 4000), (1e-15, 1)],
+                         ids=["1e-08", "0.001", "1e-15-one-split"])
+def test_a_side_that_reflects_nothing_is_a_converged_positive_zero(rel_tol, splits):
+    quad = QuadratureConfig(rel_tol=rel_tol, max_subdivisions=splits)
+    items = [(GapConfig(a, *pair), kind) for pair in NULL_PAIRS for a in BATCH_GAPS
              for kind in ("energy", "pressure")]
-    for quad in (QuadratureConfig(rel_tol=rel_tol),
-                 QuadratureConfig(rel_tol=1e-15, max_subdivisions=1)):
-        results = integrate_gaps(items, quad)
-        for (_, kind), r in zip(items, results):
-            assert type(r).__name__ == ("EnergyResult" if kind == "energy"
-                                        else "PressureResult")
-            assert (r.value, r.error_estimate, r.dominant_xi) == (0.0, 0.0, None)
-            assert math.copysign(1.0, r.value) == 1.0
+    batched = integrate_gaps(items, quad)
+    for (cfg, kind), r in zip(items, batched):
+        assert type(r).__name__ == ("EnergyResult" if kind == "energy"
+                                    else "PressureResult")
+        # +0.0, not -0.0, and no dominant_xi: alone as in the batch
+        assert bits(r) == bits(integrate_gaps([(cfg, kind)], quad)[0]) == \
+            [(0.0).hex(), (0.0).hex(), None]
+
+
+def test_dominant_frequency_of_a_side_that_reflects_nothing_raises(fresh_engine_caches):
+    for pair in NULL_PAIRS:
+        with pytest.raises(DegenerateIntegrandError):
+            dominant_frequency(GapConfig(1e-6, *pair))
 
 
 def test_a_mixed_batch_keeps_its_vacuum_items_in_order(monkeypatch):
@@ -384,20 +388,11 @@ def test_a_mixed_batch_keeps_its_vacuum_items_in_order(monkeypatch):
     monkeypatch.setattr(engine, "_integrate_batch", recorded)
     batched = integrate_gaps(items)
     assert [bits(r) for r in batched] == [bits(r) for r in alone]
+    # a vacuum side facing a dispersive medium takes the 2-D engine
     assert handed == [(cfg, kind) for cfg, kind in items
-                      if (cfg.material1, cfg.material2) in (pairs[1], pairs[5])]
+                      if (cfg.material1, cfg.material2) in (pairs[:3] + pairs[5:])]
     for (cfg, _), r in zip(items, batched):
         assert (r.value == 0.0) == (side in (cfg.material1, cfg.material2))
-
-
-def test_dominant_frequency_of_a_vacuum_pair_raises_without_a_scan(monkeypatch,
-                                                                   fresh_engine_caches):
-    for name in ("_inner_integrals", "_peak_weights"):
-        monkeypatch.setattr(engine, name, refuse)
-    for m in VACUUM_PARTNERS:
-        for pair in ((vacuum(), m), (m, vacuum())):
-            with pytest.raises(DegenerateIntegrandError):
-                dominant_frequency(GapConfig(1e-6, *pair))
 
 
 def test_scale_law_for_constant_materials():
@@ -494,8 +489,10 @@ def test_gap_validation():
         GapConfig(np.inf, PC, PC)
     with pytest.raises(DomainError):
         GapConfig(1e-6, PC, "gold")
-    with pytest.warns(ContinuumModelWarning):
+    with pytest.warns(ContinuumModelWarning) as record:
         GapConfig(5e-10, PC, PC)
+    # the warning names the line that built the configuration
+    assert [w.filename for w in record] == [__file__]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         GapConfig(2e-9, PC, PC)  # above the warning threshold: silent
@@ -1173,10 +1170,12 @@ def test_the_kept_grids_are_seed_definitions_alone(inner_seeds):
     named = {grid.y0.tobytes() for grid in kept_grids()}
     # the outer axis refined, and the grids of its rounds were built
     assert any(y0.tobytes() not in named for y0, _ in inner_seeds)
-    # the coarse seed's peak search and the constant pairs' scan each built
-    # a graded grid, which is not kept
-    graded = [y0.tobytes() for y0, width in inner_seeds if not isinstance(width, float)]
-    assert {engine._seed(True)[1].y0.tobytes(), (2.0 * engine._SCAN).tobytes()} <= set(graded)
+    # of the seed and scan grids, the kept fine seed's and the constant
+    # pairs' scan are graded; the scan's alone is not kept, and the coarse
+    # seed's peak search weighs its nodes on the seed's kept grid
+    scan = (2.0 * engine._SCAN).tobytes()
+    graded = {y0.tobytes() for y0, width in inner_seeds if not isinstance(width, float)}
+    assert graded & (named | {scan}) == {engine._seed(False)[1].y0.tobytes(), scan}
 
 
 def test_a_constant_pair_keeps_no_grid_of_its_own(fresh_engine_caches):
@@ -1186,9 +1185,8 @@ def test_a_constant_pair_keeps_no_grid_of_its_own(fresh_engine_caches):
     for rel_tol in (1e-6, 1e-8):
         pressure(GapConfig(1e-6, *pair), QuadratureConfig(rel_tol=rel_tol))
     assert engine._scan_grid.cache_info().currsize == 0
-    # the coarse seed's nodes are read off its kept grid, which weighs nothing;
-    # the fine seed's grid weighs the nodes
-    assert engine._seed(True)[1]._factors == {}
+    # each seed's kept grid weighs its nodes
+    assert list(engine._seed(True)[1]._factors) == ["pressure"]
     assert list(engine._seed(False)[1]._factors) == ["pressure"]
 
 

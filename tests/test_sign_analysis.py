@@ -125,6 +125,9 @@ def test_sign_map_rejects_bad_grid(quad_fast):
     for mu in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(DomainError, match="mu values must be finite and positive"):
             uvl_map([1.0], [mu], A, quad=quad_fast)
+    for product in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(DomainError, match="eps_mu_product must be finite and positive"):
+            uvl_map([1.0], [1.0], A, quad=quad_fast, eps_mu_product=product)
 
 
 def test_uvl_vacuum_matched_sign_structure(quad_fast):
