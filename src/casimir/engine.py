@@ -26,14 +26,13 @@ axis: each model's eps and mu are evaluated once per distinct frequency
 xi = y0 c / (2a) of the owners that use it, as arrays.  Owners whose nodes
 are the same at one gap (an attraction check's pairings, a sweep's energy
 and pressure) share one seed round of geometric panels in y, graded toward
-y0 below rel_tol 1e-7, and its reflection calls; then each owner's nodes
+y0 at any tolerance, and its reflection calls; then each owner's nodes
 refine in one ``integrate_panels`` call per round, each node to its own
 tolerance and budget.  A seed round's panels, Kronrod points and kernel
 factors in y depend on its y0 nodes alone, so three grids are built once
-per process, at first use, and shared read-only: each outer seed's
-(``_seed``), graded exactly when the seed is fine, and that of the
-dispersive scan of ``dominant_frequency`` (``_scan_grid``); with both
-kinds' factors, 0.8 MB for the coarse seed and 1.5 MB for the fine one.
+per process, at first use, and shared read-only: the coarse and fine outer
+seeds' (``_seed``) and the dispersive ``dominant_frequency`` scan's
+(``_scan_grid``), 1.0, 1.5 and 0.9 MB with both kinds' factors.
 Refinement rounds build theirs afresh.  Inner-integral error estimates are
 propagated into the outer total in quadrature sum.
 
@@ -49,8 +48,8 @@ with J a function of the pair alone.  It is solved once per unordered pair
 (by type and parameters) and QuadratureConfig, and so are the index of the
 seed node that is ``dominant_xi``, from the inner integrals of every node
 on the seed's kept grid, and ``dominant_frequency`` in the unit c/a, on a
-graded scan grid built for the solve (``_peak_weights``); each gap rescales
-them and checks its own tolerance.
+scan grid built for the solve and freed after it (``_peak_weights``); each
+gap rescales them and checks its own tolerance.
 
 A side that reflects nothing, the vacuum among them, makes either path's
 integrand an exact zero: an exact, converged 0.0 with no ``dominant_xi``.
@@ -117,7 +116,7 @@ _MIN_GAP = 1e-18
 @dataclass(frozen=True)
 class GapConfig:
     """Two material half-spaces separated by a vacuum gap of width a (m),
-    1e-18 <= a <= 1e60."""
+    1e-18 <= a <= 1e60, kept as a Python float."""
 
     a: float
     material1: MaterialResponse
@@ -128,7 +127,8 @@ class GapConfig:
            not isinstance(self.material2, MaterialResponse):
             raise DomainError("material1/material2 must be MaterialResponse instances")
         if not np.isfinite(self.a) or self.a <= 0.0:
-            raise DomainError("gap must be positive")
+            raise DomainError("gap must be finite and positive")
+        object.__setattr__(self, "a", float(self.a))
         if self.a > _MAX_GAP:
             raise DomainError(f"gap must be at most {_MAX_GAP:g} m, got {self.a!r}")
         if self.a < _MIN_GAP:
@@ -159,17 +159,17 @@ class QuadratureConfig:
     the outer nodes refine together, but each keeps its own budget of
     min(max_subdivisions, 300) splits and its own tolerance, so one that
     exhausts its budget stops alone; each starts from geometric panels in y,
-    the first 0.25 wide, or 4 y0 within [1e-5, 0.25] when rel_tol < 1e-7.
-    The outer axis runs in y0 = 2 a xi / c and starts from 10 geometric
-    panels, [0, 4e-4, 1.6e-3, 6.4e-3, ..., 26.2144, 80] at every gap, when
+    the first 4 y0 wide within [1e-5, 0.25] at any tolerance.  The outer
+    axis runs in y0 = 2 a xi / c and starts from 10 geometric panels,
+    [0, 4e-4, 1.6e-3, 6.4e-3, ..., 26.2144, 80] at every gap, when
     rel_tol >= 1e-7, and refinement splits the panels it needs; below that,
     from 15: the same with [0, 4e-4] and the four panels from 0.1024 to
-    26.2144 halved.  Each outer seed's inner seed grid, graded when the
-    seed is fine, is built once per process and shared by every gap.  The
-    truncation is fixed: the inner axis ends at y = 80, and the outer axis
-    where y0 reaches 80, at xi = 40 c/a.  A pair of frequency-independent
-    media takes one adaptive axis instead, t = xi / (c kappa0) in [0, 1],
-    from 4 panels, to the same tolerance within the same max_subdivisions.
+    26.2144 halved.  Each outer seed's inner seed grid is built once per
+    process and shared by every gap.  The truncation is fixed: the inner
+    axis ends at y = 80, and the outer axis where y0 reaches 80, at
+    xi = 40 c/a.  A pair of frequency-independent media takes one adaptive
+    axis instead, t = xi / (c kappa0) in [0, 1], from 4 panels, to the same
+    tolerance within the same max_subdivisions.
     """
 
     rel_tol: float = 1e-8
@@ -436,17 +436,14 @@ class _InnerGrid:
     """The inner seed round's points for the outer nodes ``y0``: the seed
     panels ``geometric_panels(y0, _Y_CUTOFF, w)`` with their Kronrod points
     ``y`` and half-widths, and each kind's ``_kernel_factors`` there, formed
-    at the kind's first use.  w = 0.25, or clip(4 y0, 1e-5, 0.25) when
-    ``graded``: where y0 << 1 and r1 r2 -> 1 the integrand goes as y ln y,
-    which a first panel graded toward y0 resolves at once (the fine seed's
-    grid, the constant pairs' ``dominant_frequency`` scan); where y0 >= 1/16
-    both give the same first panel.  A node at or beyond the cutoff has no
-    panel.  Every array is read-only, so that the calls that read a kept
-    grid (``_seed``, ``_scan_grid``) share it."""
+    at the kind's first use.  w = clip(4 y0, 1e-5, 0.25) at any tolerance:
+    where y0 << 1 and r1 r2 -> 1 the integrand goes as y ln y, which a first
+    panel graded toward y0 resolves at once.  A node at or beyond the cutoff
+    has no panel.  Every array is read-only, so that the calls that read a
+    kept grid (``_seed``, ``_scan_grid``) share it."""
 
-    def __init__(self, y0, graded):
-        self.graded = graded
-        width = np.clip(4.0 * y0, 1e-5, 0.25) if graded else 0.25
+    def __init__(self, y0):
+        width = np.clip(4.0 * y0, 1e-5, 0.25)
         self.lo, self.hi, self.owner = geometric_panels(y0, _Y_CUTOFF, width)
         self.y, self.half = kronrod_nodes(self.lo, self.hi)
         self.y0 = np.array(y0)
@@ -463,19 +460,18 @@ class _InnerGrid:
 def _seed(coarse):
     """The outer seed's edges in y0, as ``_SEED_EXPONENTS`` says: 0, 2e-4 2^k,
     exact in floating point, and the cutoff; and the ``_InnerGrid`` of their
-    Kronrod nodes, the outer integrand's first round at every gap, graded
-    exactly when the seed is fine.  Built at first use, kept for the process."""
+    Kronrod nodes, the outer integrand's first round at every gap.  Built at
+    first use, kept for the process."""
     powers = _SEED_POWERS[_SEED_EXPONENTS % 2 == 1] if coarse else _SEED_POWERS
     edges = np.concatenate([[0.0], 2e-4 * powers, [_Y_CUTOFF]])
     nodes = kronrod_nodes(edges[:-1], edges[1:])[0].reshape(-1)
-    return _read_only(edges)[0], _InnerGrid(nodes, not coarse)
+    return _read_only(edges)[0], _InnerGrid(nodes)
 
 
 @functools.cache
 def _scan_grid():
-    """The ungraded ``_InnerGrid`` of the dispersive ``dominant_frequency``
-    scan, y0 = 2 _SCAN, kept for the process."""
-    return _InnerGrid(2.0 * _SCAN, False)
+    """The dispersive ``dominant_frequency`` scan's ``_InnerGrid``, kept for the process."""
+    return _InnerGrid(2.0 * _SCAN)
 
 
 def _inner_integrals(cfgs, kinds, rel_tol, budget, grid):
@@ -487,8 +483,8 @@ def _inner_integrals(cfgs, kinds, rel_tol, budget, grid):
     the owners that use it.  The integrals refine to ``rel_tol`` within
     ``budget`` splits, with one seed round per group of owners at one gap:
     those whose nodes are the same at one 2a.  A group whose nodes are those
-    of the seed ``grid`` reads it; any other builds its own, graded as
-    ``grid`` is.  Nodes at or beyond ``_Y_CUTOFF`` give exactly zero.
+    of the seed ``grid`` reads it; any other builds its own.  Nodes at or
+    beyond ``_Y_CUTOFF`` give exactly zero.
     """
     two_a = 2.0 * np.array([cfg.a for cfg in cfgs])
     xi_per_y0 = np.array([_xi_per_y0(cfg.a) for cfg in cfgs])
@@ -523,8 +519,7 @@ def _inner_integrals(cfgs, kinds, rel_tol, budget, grid):
         for (gap, group_nodes), group in groups.items():
             # each side's node map is filled at the nodes of the owners using it
             coeffs = {key: (rfs[key], nodes[key][idx]) for k, idx in group for key in sides[k]}
-            own_grid = grid if group_nodes == seed_nodes else \
-                _InnerGrid(y0[group[0][1]], grid.graded)
+            own_grid = grid if group_nodes == seed_nodes else _InnerGrid(y0[group[0][1]])
             results = _inner_group(gap, [(kinds[k], sides[k]) for k, _ in group], coeffs,
                                    own_grid, rel_tol, budget)
             for (_, idx), (v, e) in zip(group, results):
@@ -916,9 +911,10 @@ def dominant_frequency(cfg):
     """
     unit = C / cfg.a
     if _frequency_independent(cfg):
-        # y0 |F| on y0 = 2 xi, halved: xi |F| to the bit
+        # y0 |F| on y0 = 2 xi, halved: xi |F| to the bit; on a fresh grid,
+        # freed once ``_SOLVED`` holds the weights, not the kept ``_scan_grid()``
         weight = _cached((_pair_key(cfg),), lambda: 0.5 * _peak_weights(
-            "energy", (cfg.material1, cfg.material2), _InnerGrid(2.0 * _SCAN, True)))
+            "energy", (cfg.material1, cfg.material2), _InnerGrid(2.0 * _SCAN)))
     else:
         grid = _scan_grid()
         vals, _ = _inner_integrals([cfg], ["energy"], 1e-6, _INNER_BUDGET, grid)(grid.y0, 0)

@@ -918,7 +918,7 @@ def kramers_kronig(table, xi, tol=1e-6):
     ----------
     table : TabulatedAbsorption
     xi : float or array, > 0 (rad/s)
-    tol : float
+    tol : float, finite and > 0
         Requested relative accuracy.
 
     Returns
@@ -928,6 +928,8 @@ def kramers_kronig(table, xi, tol=1e-6):
     arr = _as_xi(xi)
     if np.any(arr <= 0.0):
         raise DomainError("the transform needs xi > 0")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
     flat = arr.reshape(-1)
     value = _kk_value(table, flat)
     value_h = _kk_value(table.halved(), flat)

@@ -20,16 +20,17 @@ PFA_ASPECT_WARN = 0.1
 
 @dataclass(frozen=True)
 class SpherePlate:
-    """Sphere of radius R above a plane, separated by the gap a (both m)."""
+    """Sphere of radius R above a plane at the gap a, both in m and kept as floats."""
 
     radius: float
     gap: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.radius) and self.radius > 0.0):
-            raise DomainError("sphere radius must be positive")
-        if not (np.isfinite(self.gap) and self.gap > 0.0):
-            raise DomainError("gap must be positive")
+        for name, label in (("radius", "sphere radius"), ("gap", "gap")):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise DomainError(f"{label} must be finite and positive")
+            object.__setattr__(self, name, float(value))
 
     @property
     def aspect(self):

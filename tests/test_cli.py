@@ -65,7 +65,18 @@ def test_zero_gap_is_usage_error(capsys):
     code, out, err = run(capsys, "energy", "--material1", "pc",
                          "--material2", "pc", "--gap", "0")
     assert code == 2
-    assert "gap must be positive" in err
+    assert "gap must be finite and positive" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, name", [
+    (["pressure", "--material1", "pc", "--material2", "pc", "--gap"], "gap"),
+    (["pfa", "--sphere", "pc", "--plate", "pc", "--gap", "1e-6", "--radius"], "sphere radius")],
+    ids=["pressure-gap", "pfa-radius"])
+def test_non_finite_length_is_usage_error(capsys, command, name, value):
+    code, out, err = run(capsys, *command, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: {name} must be finite and positive\n"
 
 
 @pytest.mark.parametrize("command", [["energy", "--gap", "1e-19"],

@@ -485,8 +485,9 @@ def test_gap_validation():
         GapConfig(0.0, PC, PC)
     with pytest.raises(DomainError):
         GapConfig(-1e-6, PC, PC)
-    with pytest.raises(DomainError):
-        GapConfig(np.inf, PC, PC)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="^gap must be finite and positive$"):
+            GapConfig(bad, PC, PC)
     with pytest.raises(DomainError):
         GapConfig(1e-6, PC, "gold")
     with pytest.warns(ContinuumModelWarning) as record:
@@ -496,6 +497,16 @@ def test_gap_validation():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         GapConfig(2e-9, PC, PC)  # above the warning threshold: silent
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+def test_a_numpy_float_gap_is_kept_as_the_python_float_it_holds(dtype):
+    # no overflow warning at the widest-gap check, and the bits of that float
+    a = dtype(1e-6)
+    cfg, plain = GapConfig(a, GOLD, GOLD), GapConfig(float(a), GOLD, GOLD)
+    assert type(cfg.a) is float
+    for fn in (energy_per_area, pressure):
+        assert bits(fn(cfg)) == bits(fn(plain))
 
 
 def test_gaps_beyond_1e60_m_are_refused_and_the_widest_gap_is_finite():
@@ -727,19 +738,13 @@ def inner_seeds(monkeypatch, fresh_engine_caches):
     return seeds
 
 
-@pytest.mark.parametrize("rel_tol", [1e-7, 1e-6, 1e-3])
-def test_inner_seed_starts_a_quarter_wide_from_rel_tol_1e_7(inner_seeds, rel_tol):
+@pytest.mark.parametrize("rel_tol", [1e-3, 1e-6, 1e-7, 9.9e-8])
+def test_inner_seed_is_graded_toward_y0_at_every_tolerance(inner_seeds, rel_tol):
     quad = QuadratureConfig(rel_tol=rel_tol)
     for m2 in (GOLD, PC, TABLE):
         energy_per_area(GapConfig(1e-6, GOLD, m2), quad)
         pressure(GapConfig(1e-7, GOLD, m2), quad)
     dominant_frequency(GapConfig(1e-6, GOLD, GOLD))
-    assert inner_seeds
-    assert all(type(width) is float and width == 0.25 for _, width in inner_seeds)
-
-
-def test_inner_seed_is_graded_toward_y0_below_rel_tol_1e_7(inner_seeds):
-    pressure(GapConfig(1e-6, GOLD, GOLD), QuadratureConfig(rel_tol=9.9e-8))
     assert inner_seeds
     for y0, width in inner_seeds:
         assert width.tolist() == np.clip(4.0 * y0, 1e-5, 0.25).tolist()
@@ -768,7 +773,8 @@ def test_metals_converge_every_inner_integral_in_its_seed_round(monkeypatch, pai
         return result
 
     monkeypatch.setattr(engine, "integrate_panels", counted)
-    fn(GapConfig(1e-6, *pair))
+    for rel_tol in (1e-8, 1e-7, 1e-6, 1e-3):
+        fn(GapConfig(1e-6, *pair), QuadratureConfig(rel_tol=rel_tol))
     assert calls
     assert calls == [(True, 0)] * len(calls)
 
@@ -804,15 +810,16 @@ GRADED_PAIRS = [(GOLD, GOLD), (Plasma(9e15), Plasma(9e15)), (LORENTZ, LORENTZ),
 
 
 def test_graded_inner_seed_keeps_its_error_bounds():
-    # against references at rel_tol 1e-11, at the default rel_tol 1e-8: the
-    # inner seeds graded toward y0 and the outer seed of 15 panels
+    # against references at rel_tol 1e-11: the inner seeds graded toward y0
+    # on the outer seed of 15 panels (rel_tol 1e-8) and of 10 (1e-6, 1e-3)
     items = [(GapConfig(a, m1, m2), kind) for m1, m2 in GRADED_PAIRS
              for a in (7e-8, 8e-7, 6e-6) for kind in ("energy", "pressure")]
     refs = integrate_gaps(items, QuadratureConfig(rel_tol=1e-11))
-    for ref, r in zip(refs, integrate_gaps(items)):
-        err = abs(r.value - ref.value)
-        assert err <= r.error_estimate
-        assert err <= 1e-8 * abs(ref.value)
+    for rel_tol in (1e-8, 1e-6, 1e-3):
+        for ref, r in zip(refs, integrate_gaps(items, QuadratureConfig(rel_tol=rel_tol))):
+            err = abs(r.value - ref.value)
+            assert err <= r.error_estimate
+            assert err <= rel_tol * abs(ref.value)
 
 
 ACCURACY_PAIRS = [(PC, PC), (PC, IPP), (GOLD, FERRITE), (LORENTZ, TABLE),
@@ -1089,10 +1096,10 @@ def test_inner_integrand_of_a_mirror_and_a_metal_keeps_its_bits(monkeypatch):
         return real(f, *args, **kwargs)
 
     monkeypatch.setattr(engine, "integrate_panels", recorded)
-    ungraded = engine._seed(True)[1]  # the grading of the fresh grids
+    seed = engine._seed(True)[1]  # not these nodes' grid: each call builds its own
     for kind in ("energy", "pressure"):
         # y0 of xi = 1e13, 1e14 and 1e15 rad/s at 1 um
-        _inner_integrals([GapConfig(1e-6, PC, GOLD)], [kind], 1e-8, 300, ungraded)(
+        _inner_integrals([GapConfig(1e-6, PC, GOLD)], [kind], 1e-8, 300, seed)(
             2e-6 / C_LIGHT * np.array([[1e13, 1e14, 1e15]]), 0)
     y = np.linspace(0.5, 70.0, 45).reshape(3, 15)
     owner = np.array([[0], [1], [2]])
@@ -1106,12 +1113,16 @@ def test_inner_integrand_of_a_mirror_and_a_metal_keeps_its_bits(monkeypatch):
 
 def kept_grids():
     """The inner seed grids the engine keeps, checked to be the three named
-    ones: the coarse seed's ungraded, the fine seed's graded, the scan's
-    ungraded."""
+    ones, the coarse and fine seeds' and the scan's, each node's first panel
+    graded toward it: clip(4 y0, 1e-5, 0.25) wide, or up to the cutoff."""
     assert (engine._seed.cache_info().currsize, engine._scan_grid.cache_info().currsize) \
         == (2, 1)
     grids = engine._seed(True)[1], engine._seed(False)[1], engine._scan_grid()
-    assert [grid.graded for grid in grids] == [False, True, False]
+    for grid in grids:
+        first = np.flatnonzero(np.diff(grid.owner, prepend=-1))
+        y0 = grid.y0[grid.owner[first]]
+        want = np.minimum(np.clip(4.0 * y0, 1e-5, 0.25), 80.0 - y0)
+        assert grid.hi[first] - grid.lo[first] == pytest.approx(want, rel=1e-12)
     return grids
 
 
@@ -1170,12 +1181,9 @@ def test_the_kept_grids_are_seed_definitions_alone(inner_seeds):
     named = {grid.y0.tobytes() for grid in kept_grids()}
     # the outer axis refined, and the grids of its rounds were built
     assert any(y0.tobytes() not in named for y0, _ in inner_seeds)
-    # of the seed and scan grids, the kept fine seed's and the constant
-    # pairs' scan are graded; the scan's alone is not kept, and the coarse
-    # seed's peak search weighs its nodes on the seed's kept grid
-    scan = (2.0 * engine._SCAN).tobytes()
-    graded = {y0.tobytes() for y0, width in inner_seeds if not isinstance(width, float)}
-    assert graded & (named | {scan}) == {engine._seed(False)[1].y0.tobytes(), scan}
+    # every grid built, kept or not, is graded toward its nodes
+    for y0, width in inner_seeds:
+        assert width.tolist() == np.clip(4.0 * y0, 1e-5, 0.25).tolist()
 
 
 def test_a_constant_pair_keeps_no_grid_of_its_own(fresh_engine_caches):
@@ -1408,8 +1416,8 @@ def test_the_solves_stop_growing_at_their_bound(monkeypatch, fresh_engine_caches
 def scan_at_rel_tol_1e_12(cfg):
     """``dominant_frequency`` by the 2-D scan, inner integrals at rel_tol 1e-12."""
     grid = C_LIGHT / cfg.a * engine._SCAN
-    # at the nodes y0 = 2 a xi / c, each seed round graded toward y0
-    scan = engine._InnerGrid(2.0 * engine._SCAN, True)
+    # at the nodes y0 = 2 a xi / c
+    scan = engine._InnerGrid(2.0 * engine._SCAN)
     vals, _ = _inner_integrals([cfg], ["energy"], 1e-12, 4000, scan)(scan.y0, 0)
     weight = grid * np.abs(vals)
     m = int(np.argmax(weight))

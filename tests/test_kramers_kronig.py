@@ -105,6 +105,12 @@ def test_transform_requires_positive_xi():
         kramers_kronig(table, -1e15)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_transform_requires_a_finite_positive_tol(tol):
+    with pytest.raises(DomainError, match="tol must be finite and > 0"):
+        kramers_kronig(lorentz_table(100), W0, tol=tol)
+
+
 def test_table_validation():
     with pytest.raises(IngestionError):
         TabulatedAbsorption([1e15], [0.1])                      # too few

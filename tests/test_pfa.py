@@ -48,6 +48,17 @@ def test_linear_in_radius():
     assert f2 == 2.0 * f1
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+def test_numpy_float_lengths_are_kept_as_the_python_floats_they_hold(dtype):
+    radius, gap = dtype(1e-4), dtype(1e-6)
+    geom = SpherePlate(radius, gap)
+    assert (type(geom.radius), type(geom.gap)) == (float, float)
+    result = pfa_force(geom, PC, PC)
+    plain = pfa_force(SpherePlate(float(radius), float(gap)), PC, PC)
+    assert type(result.force) is float
+    assert (result.force.hex(), result.aspect.hex()) == (plain.force.hex(), plain.aspect.hex())
+
+
 def test_vacuum_plate_gives_zero():
     assert pfa_force(SpherePlate(100e-6, 1e-6), PC, vacuum()).force == 0.0
 
@@ -63,5 +74,8 @@ def test_geometry_validation():
         SpherePlate(0.0, 1e-6)
     with pytest.raises(DomainError):
         SpherePlate(100e-6, -1e-6)
-    with pytest.raises(DomainError):
-        SpherePlate(np.inf, 1e-6)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="^sphere radius must be finite and positive$"):
+            SpherePlate(bad, 1e-6)
+        with pytest.raises(DomainError, match="^gap must be finite and positive$"):
+            SpherePlate(100e-6, bad)
