@@ -26,9 +26,10 @@ axis: each model's eps and mu are evaluated once per distinct frequency
 xi = y0 c / (2a) of the owners that use it, as arrays.  Owners whose nodes
 are the same at one gap (an attraction check's pairings, a sweep's energy
 and pressure) share one seed round of geometric panels in y, graded toward
-y0 at any tolerance, and its reflection calls; then each owner's nodes
-refine in one ``integrate_panels`` call per round, each node to its own
-tolerance and budget.  A seed round's panels, Kronrod points and kernel
+y0 at any tolerance, and its reflection calls, ``_EVAL_ROWS`` panels at a
+time however many owners share it; then each owner's nodes refine in one
+``integrate_panels`` call per round, each node to its own tolerance and
+budget.  A seed round's panels, Kronrod points and kernel
 factors in y depend on its y0 nodes alone, so three grids are built once
 per process, at first use, and shared read-only: the coarse and fine outer
 seeds' (``_seed``) and the dispersive ``dominant_frequency`` scan's
@@ -68,7 +69,7 @@ from .constants import C, HBAR
 from .errors import (ContinuumModelWarning, ConvergenceError,
                      DegenerateIntegrandError, DomainError)
 from .materials import (ConstantEpsMu, InfinitelyPermeable, MaterialResponse,
-                        PerfectConductor)
+                        PerfectConductor, _real_number)
 # integrate_adaptive stays bound here for the benchmark's tracer to patch
 from .quadrature import (_EVAL_ROWS, geometric_panels, integrate_adaptive,
                          integrate_panels, kronrod_nodes, panel_sums)
@@ -116,7 +117,8 @@ _MIN_GAP = 1e-18
 @dataclass(frozen=True)
 class GapConfig:
     """Two material half-spaces separated by a vacuum gap of width a (m),
-    1e-18 <= a <= 1e60, kept as a Python float."""
+    1e-18 <= a <= 1e60: a real number (not a bool, string or array of more
+    than 0 dimensions), kept as a Python float."""
 
     a: float
     material1: MaterialResponse
@@ -126,9 +128,10 @@ class GapConfig:
         if not isinstance(self.material1, MaterialResponse) or \
            not isinstance(self.material2, MaterialResponse):
             raise DomainError("material1/material2 must be MaterialResponse instances")
-        if not np.isfinite(self.a) or self.a <= 0.0:
+        a = _real_number(self.a, DomainError, "gap")
+        if not np.isfinite(a) or a <= 0.0:
             raise DomainError("gap must be finite and positive")
-        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "a", a)
         if self.a > _MAX_GAP:
             raise DomainError(f"gap must be at most {_MAX_GAP:g} m, got {self.a!r}")
         if self.a < _MIN_GAP:
@@ -154,7 +157,8 @@ class QuadratureConfig:
     """Accuracy knobs for the double quadrature.
 
     Each result converges to ``error <= rel_tol * |value| + 1e-30`` in its
-    own unit (J/m^2 for energies, Pa for pressures).  max_subdivisions, an
+    own unit (J/m^2 for energies, Pa for pressures); rel_tol, a real number
+    in (0, 1), is kept as a Python float.  max_subdivisions, an
     integer >= 1, budgets the outer adaptive axis.  The inner integrals at
     the outer nodes refine together, but each keeps its own budget of
     min(max_subdivisions, 300) splits and its own tolerance, so one that
@@ -176,8 +180,10 @@ class QuadratureConfig:
     max_subdivisions: int = 4000
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0):
+        rel_tol = _real_number(self.rel_tol, DomainError, "rel_tol")
+        if not (0.0 < rel_tol < 1.0):
             raise DomainError("rel_tol must lie in (0, 1)")
+        object.__setattr__(self, "rel_tol", rel_tol)
         m = self.max_subdivisions
         if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
             raise DomainError("max_subdivisions must be an integer >= 1")
@@ -374,12 +380,17 @@ def reflection(material, point):
 def _ln_one_minus(p, emy, omy):
     """ln(1 - p e^{-y}): log1p where |p e^{-y}| < 0.5, elsewhere the log of
     1 - p e^{-y} = omy + (1-p) e^{-y}, exact to rounding for p <= 1 and
-    formed only there; emy = e^{-y}, omy = -expm1(-y)."""
+    formed only there; emy = e^{-y}, omy = -expm1(-y).  Works in place,
+    with ``where=`` masks; ``p`` is overwritten where |p e^{-y}| >= 0.5."""
     x = p * emy
-    out = np.log1p(-x)
-    far = np.abs(x) >= 0.5
-    if far.any():
-        out[far] = np.log(omy[far] + (1.0 - p[far]) * emy[far])
+    near = np.abs(x) < 0.5
+    out = np.log1p(np.negative(x, out=x), out=x, where=near)
+    if not near.all():
+        far = np.logical_not(near, out=near)
+        np.subtract(1.0, p, out=p, where=far)
+        np.multiply(p, emy, out=p, where=far)
+        np.add(omy, p, out=p, where=far)
+        np.log(p, out=out, where=far)
     return out
 
 
@@ -532,20 +543,21 @@ def _inner_integrals(cfgs, kinds, rel_tol, budget, grid):
 def _inner_group(two_a, members, coeffs, grid, rel_tol, budget, peak_floor=False):
     """Yields the inner integrals (values, errors) of ``members``, (kind,
     (key1, key2)) owners whose nodes are those of ``grid`` at one gap 2a,
-    each key's closure and node index in ``coeffs``.  In the seed round
-    each closure runs once per call, of ``_EVAL_ROWS`` panels over the
-    models of a group, whose arrays outlive a product; then each refines.
-    With ``peak_floor`` each node's absolute floor is rel_tol max_k(y0_k
-    |F_k|) / y0, F being the seed round's sums: what a search for the node
-    where y0 |F| peaks needs."""
+    each key's closure and node index in ``coeffs``.  The seed round runs
+    in chunks of ``_EVAL_ROWS`` panels, however many members share it: each
+    closure runs once per chunk and every member sums the chunk from its
+    coefficients, so a chunk holds each model's (r_te, r_tm) and one
+    member's kernel temporaries at once, arrays of ``_EVAL_ROWS`` panels
+    (69 KB) each.  Then each member refines.  With ``peak_floor`` each
+    node's absolute floor is rel_tol max_k(y0_k |F_k|) / y0, F being the
+    seed round's sums: what a search for the node where y0 |F| peaks needs."""
     # the sides no later member reads, whose arrays a member may overwrite
     drops = [{key for key in pair if all(key not in p for _, p in members[k + 1:])}
              for k, (_, pair) in enumerate(members)]
     factors = {kind: grid.factors(kind) for kind, _ in members}
     seeds = np.zeros((len(members), 3, grid.half.size))
-    step = _EVAL_ROWS // min(len(members), len(coeffs))
-    for start in range(0, grid.half.size, step):
-        rows = slice(start, start + step)
+    for start in range(0, grid.half.size, _EVAL_ROWS):
+        rows = slice(start, start + _EVAL_ROWS)
         held = _coefficients(grid.y[rows], grid.owner[rows, None], two_a, coeffs)
         for seed, (kind, pair), drop in zip(seeds, members, drops):
             seed[0, rows], seed[1, rows] = panel_sums(

@@ -9,6 +9,10 @@ class InvalidModelError(CasimirError, ValueError):
     """A material model was constructed with non-finite or out-of-range parameters."""
 
 
+class ModelParameterTypeError(InvalidModelError, TypeError):
+    """A material model parameter is no real number: a bool, a string, None or an array."""
+
+
 class DomainError(CasimirError, ValueError):
     """An operation was called outside its mathematical domain (xi < 0, gap <= 0, ...)."""
 

@@ -51,9 +51,11 @@ def material_from_dict(doc):
         return cls.from_parameters(doc.get("parameters", {}), label=doc.get("label"))
     except KeyError as exc:
         raise IngestionError(f"material kind {kind!r} is missing parameter {exc}")
-    except CasimirError:
-        raise  # already names what is wrong with a value
     except (AttributeError, TypeError, ValueError) as exc:
+        # a value out of range raises the model's own error, which names it;
+        # a value that is no number at all malforms the file
+        if isinstance(exc, CasimirError) and not isinstance(exc, TypeError):
+            raise
         raise IngestionError(f"material kind {kind!r} has malformed parameters: {exc}")
 
 

@@ -29,13 +29,15 @@ each table builds once.
 """
 
 import math
+import numbers
 
 import numpy as np
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import DomainError, IngestionError, InvalidModelError
+from .errors import (DomainError, IngestionError, InvalidModelError,
+                     ModelParameterTypeError)
 from .quadrature import _GK_WEIGHTS as _TAIL_WEIGHTS, kronrod_nodes
 
 
@@ -60,8 +62,23 @@ def _as_xi(xi):
     return arr
 
 
+def _real_number(value, error, name):
+    """``value`` as a Python float if it is one real number: an int, a
+    float, a numpy integer or float, or a 0-d array of one, with the bits
+    ``float`` gives it; an int beyond float range is inf.  A bool, a
+    string, None or any other array raises ``error``."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _finite(name, value):
-    value = float(value)
+    value = _real_number(value, ModelParameterTypeError, name)
     if not np.isfinite(value):
         raise InvalidModelError(f"{name} must be finite, got {value!r}")
     return value
@@ -415,8 +432,10 @@ class HighTail:
         if self.model not in ("power", "zero"):
             raise IngestionError(f"unknown high-frequency tail model {self.model!r}; "
                                  "choose 'power' or 'zero'")
+        exponent = _real_number(self.exponent, IngestionError, "high-frequency tail exponent")
+        object.__setattr__(self, "exponent", exponent)
         if self.model == "power":
-            if not np.isfinite(self.exponent) or self.exponent < 1.0:
+            if not np.isfinite(exponent) or exponent < 1.0:
                 raise IngestionError(
                     "high-frequency tail exponent must be >= 1 "
                     f"(got {self.exponent!r}): slower decay makes the "
@@ -430,7 +449,7 @@ def tails_from_dict(doc):
     high = doc.get("high_tail", {})
     return (LowTail(model=low.get("model", "constant")),
             HighTail(model=high.get("model", "power"),
-                     exponent=float(high.get("exponent", 3.0))))
+                     exponent=high.get("exponent", 3.0)))
 
 
 class TabulatedAbsorption:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .engine import EnergyResult, GapConfig, energy_per_area
 from .errors import DomainError
+from .materials import _real_number
 
 PFA_ASPECT_WARN = 0.1
 
@@ -27,10 +28,10 @@ class SpherePlate:
 
     def __post_init__(self):
         for name, label in (("radius", "sphere radius"), ("gap", "gap")):
-            value = getattr(self, name)
+            value = _real_number(getattr(self, name), DomainError, label)
             if not (np.isfinite(value) and value > 0.0):
                 raise DomainError(f"{label} must be finite and positive")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, value)
 
     @property
     def aspect(self):

@@ -9,7 +9,9 @@ nearly the same for one integral or a thousand; an owner that converges or
 stops leaves the working arrays.  The integrand sees at most
 ``_EVAL_ROWS`` panels per call: a float temporary of that many panels
 (69 KB) stays below glibc's 128 KiB mmap threshold, above which every
-round would map and page-fault its arrays afresh.
+round would map and page-fault its arrays afresh.  The engine's inner seed
+rounds (``panel_sums``) take chunks of the same size, one reflection call
+per model each, however many integrands share a round.
 
 Each owner is bisected until its summed Kronrod error estimate meets
 ``rel_tol * |value| + abs_floor``, by the same rule and within the same

@@ -427,7 +427,7 @@ def dispersion_restores_attraction(models, separations=None, quad=None,
     if separations is None:
         separations = np.geomspace(0.05e-6, 5e-6, 20)
 
-    configs = [GapConfig(float(a), m1, m2)
+    configs = [GapConfig(a, m1, m2)
                for m1, m2 in itertools.combinations_with_replacement(models, 2)
                for a in separations]
     if not configs:

@@ -104,6 +104,17 @@ def test_malformed_model_file_is_usage_error(capsys, tmp_path):
     assert "'Drude' has malformed parameters" in err
 
 
+def test_model_file_with_a_value_that_is_no_real_number_is_usage_error(capsys, tmp_path):
+    # a string omega_p and a bool gamma are not read as 1.37e16 and 1 rad/s
+    path = tmp_path / "strings.json"
+    path.write_text('{"kind": "Drude", "parameters": {"omega_p": "1.37e16", "gamma": true}}')
+    code, out, err = run(capsys, "pressure", "--material1", str(path),
+                         "--material2", "pc", "--gap", "1e-6")
+    assert (code, out) == (2, "")
+    assert "'Drude' has malformed parameters" in err
+    assert "omega_p must be a real number, got '1.37e16'" in err
+
+
 def test_model_file_with_an_infinite_static_lorentz_eps_is_usage_error(capsys, tmp_path):
     path = tmp_path / "strong.json"
     path.write_text('{"kind": "LorentzOscillators", "parameters": {"oscillators": '

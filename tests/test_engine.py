@@ -20,11 +20,12 @@ from hypothesis import strategies as st
 from casimir import (ConstantEpsMu, ContinuumModelWarning,
                      ConvergenceError, DebyeMagnetic, DegenerateIntegrandError,
                      DomainError, Drude, GapConfig, HighTail, InfinitelyPermeable,
+                     IngestionError, InvalidModelError,
                      LorentzOscillators, LowTail, PerfectConductor, Plasma,
-                     QuadratureConfig, QuadraturePoint, Tabulated,
+                     QuadratureConfig, QuadraturePoint, SpherePlate, Tabulated,
                      TabulatedAbsorption, dispersion_restores_attraction,
                      dominant_frequency, energy_per_area, pressure, reflection,
-                     vacuum)
+                     sign_map, vacuum)
 from casimir import engine, materials
 from casimir.engine import (_inner_integrals, _integrate_batch, _li4, _ln_one_minus,
                             _reflection_at_limits, _reflection_by_owner, integrate_gaps)
@@ -509,6 +510,48 @@ def test_a_numpy_float_gap_is_kept_as_the_python_float_it_holds(dtype):
         assert bits(fn(cfg)) == bits(fn(plain))
 
 
+# Every scalar input that takes a number, and the typed error refusing
+# anything else: a bool, a string, None, or an array of more than 0 dimensions
+SCALAR_INPUTS = {
+    "gap": (lambda v: GapConfig(v, PC, PC), DomainError),
+    "sphere-radius": (lambda v: SpherePlate(v, 1e-6), DomainError),
+    "sphere-gap": (lambda v: SpherePlate(1e-4, v), DomainError),
+    "sign-map-gap": (lambda v: sign_map([2.0], [1.0], [1.0], [3.0], v), DomainError),
+    "attraction-gap": (lambda v: dispersion_restores_attraction([GOLD], [v]), DomainError),
+    "rel-tol": (lambda v: QuadratureConfig(rel_tol=v), DomainError),
+    "drude-gamma": (lambda v: Drude(1.37e16, v), InvalidModelError),
+    "constant-eps": (lambda v: ConstantEpsMu(v, 1.0), InvalidModelError),
+    "lorentz-f": (lambda v: LorentzOscillators([(v, 1e16, 5e15, 1e13)]), InvalidModelError),
+    "ferrite-delta-mu": (lambda v: DebyeMagnetic(v, 1e10), InvalidModelError),
+    "tail-exponent": (lambda v: HighTail("power", v), IngestionError),
+}
+NOT_REAL = {"true": True, "numpy-true": np.True_, "string": "1e-6", "none": None,
+            "1-element-array": np.array([1e-6]), "2-d-array": np.ones((1, 1)),
+            "complex": 1.0 + 0.0j}
+
+
+@pytest.mark.parametrize("bad", NOT_REAL.values(), ids=NOT_REAL.keys())
+@pytest.mark.parametrize("make, error", SCALAR_INPUTS.values(), ids=SCALAR_INPUTS.keys())
+def test_a_scalar_input_that_is_no_real_number_raises_the_typed_error(make, error, bad):
+    with pytest.raises(error, match="must be a real number, got"):
+        make(bad)
+
+
+def test_ints_numpy_scalars_and_0_d_arrays_keep_their_float_bits():
+    for a in (1e-6, np.float64(1e-6), np.array(1e-6), np.array(np.float32(1e-6)), 1, np.int64(1)):
+        cfg = GapConfig(a, PC, PC)
+        assert type(cfg.a) is float and cfg.a.hex() == float(a).hex()
+        geom = SpherePlate(a, a)
+        assert (type(geom.radius), type(geom.gap)) == (float, float)
+    quad = QuadratureConfig(rel_tol=np.array(1e-6))
+    assert type(quad.rel_tol) is float and quad == QuadratureConfig(rel_tol=1e-6)
+    assert bits(energy_per_area(GapConfig(1e-6, GOLD, GOLD), quad)) == \
+        bits(energy_per_area(GapConfig(1e-6, GOLD, GOLD), QuadratureConfig(rel_tol=1e-6)))
+    assert Drude(np.array(1.37e16), np.int64(53_000_000_000_000)).parameters == \
+        GOLD.parameters
+    assert type(HighTail("power", 3).exponent) is float
+
+
 def test_gaps_beyond_1e60_m_are_refused_and_the_widest_gap_is_finite():
     for pair in ((PC, PC), (GOLD, GOLD)):
         for a in (1e100, 1e103, 1e155, 1e300, math.nextafter(1e60, math.inf)):
@@ -873,7 +916,7 @@ def test_a_full_batch_takes_one_inner_quadrature_per_owner_in_its_seed_round(mon
 def test_each_model_reflects_once_per_seed_chunk_whatever_the_owners(monkeypatch):
     # (Lorentz, Lorentz), (Lorentz, table) and (table, table) at one gap: in
     # the seed round one group of three owners and two models
-    groups = []  # per seed round: owners, seed panel sums, each model's calls
+    groups = []  # per seed round: owners, chunks, seed panel sums, each model's calls
     refining = []
     real_group, real_sums, real_quad = (engine._inner_group, engine.panel_sums,
                                         engine.integrate_panels)
@@ -886,12 +929,13 @@ def test_each_model_reflects_once_per_seed_chunk_whatever_the_owners(monkeypatch
                 calls[key] += not refining
                 return rf(u, owner)
             return call
-        groups.append((len(members), [0], calls))
+        grid = args[0]
+        groups.append((len(members), math.ceil(grid.half.size / _EVAL_ROWS), [0], calls))
         yield from real_group(two_a, members, {key: (counted(key, rf), node)
                                                for key, (rf, node) in coeffs.items()}, *args)
 
     def sums(fx, half):
-        groups[-1][1][0] += 1
+        groups[-1][2][0] += 1
         return real_sums(fx, half)
 
     def quad(f, *args, with_errors=False, **kwargs):
@@ -907,11 +951,14 @@ def test_each_model_reflects_once_per_seed_chunk_whatever_the_owners(monkeypatch
     monkeypatch.setattr(engine, "panel_sums", sums)
     monkeypatch.setattr(engine, "integrate_panels", quad)
     dispersion_restores_attraction([LORENTZ, small_table()], [4e-7])
-    assert (3, 2) in [(owners, len(calls)) for owners, _, calls in groups]
-    # each owner sums each seed chunk once
-    for owners, (summed,), calls in groups:
-        assert summed >= owners
-        assert all(n * owners == summed for n in calls.values())
+    shared = [chunks for owners, chunks, _, calls in groups if (owners, len(calls)) == (3, 2)]
+    assert shared and min(shared) > 1
+    # every seed round runs in chunks of _EVAL_ROWS panels, however many
+    # owners share it: each model reflects once per chunk, and each owner
+    # sums each chunk once
+    for owners, chunks, (summed,), calls in groups:
+        assert summed == owners * chunks
+        assert all(n == chunks for n in calls.values())
 
 
 @pytest.mark.parametrize("pair", [(GOLD, TABLE), (TABLE, TABLE), (PC, LORENTZ),
