@@ -133,7 +133,7 @@ def _cmd_sweep(args):
                                    "gap_max_m": args.gap_max,
                                    "points": args.points}, [m1, m2], quad)
 
-    results = integrate_gaps([(GapConfig(float(a), m1, m2), kind) for a in gaps
+    results = integrate_gaps([(GapConfig(a, m1, m2), kind) for a in gaps
                               for kind in ("energy", "pressure")], quad)
     print("a_m,energy_J_m2,pressure_Pa,error,verdict")
     for a, e, p in zip(gaps, results[::2], results[1::2]):

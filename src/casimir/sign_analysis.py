@@ -21,7 +21,7 @@ import numpy as np
 # pressure stays bound here for the benchmark's tracer to patch
 from .engine import _CONSTANT_MEDIA, GapConfig, QuadratureConfig, _outcomes, pressure
 from .errors import ConvergenceError, DomainError, InconclusiveConfigurationError
-from .materials import ConstantEpsMu, DebyeMagnetic, MaterialResponse
+from .materials import ConstantEpsMu, DebyeMagnetic, MaterialResponse, _real_number
 
 
 class Verdict(str, Enum):
@@ -55,9 +55,10 @@ class ImpedancePoint:
 
     def __post_init__(self):
         for name in ("eps1", "mu1", "eps2", "mu2"):
-            v = getattr(self, name)
+            v = _real_number(getattr(self, name), DomainError, name)
             if not np.isfinite(v) or v < 1.0:
                 raise DomainError(f"{name} must be a finite constant >= 1")
+            object.__setattr__(self, name, v)
 
     @property
     def z1(self):
@@ -237,10 +238,11 @@ def uvl_map(mu1_values, mu2_values, a, quad=None, threshold=None,
     """
     if mode not in _UVL_MODES:
         raise DomainError(f"mode must be one of {_UVL_MODES}")
+    eps_mu_product = _real_number(eps_mu_product, DomainError, "eps_mu_product")
     if eps_mu_product <= 0.0 or not np.isfinite(eps_mu_product):
         raise DomainError("eps_mu_product must be finite and positive")
-    mu1_values = [float(m) for m in mu1_values]
-    mu2_values = [float(m) for m in mu2_values]
+    mu1_values = [_real_number(m, DomainError, "mu value") for m in mu1_values]
+    mu2_values = [_real_number(m, DomainError, "mu value") for m in mu2_values]
     for m in itertools.chain(mu1_values, mu2_values):
         if not np.isfinite(m) or m <= 0.0:
             raise DomainError("mu values must be finite and positive")

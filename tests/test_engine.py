@@ -25,7 +25,7 @@ from casimir import (ConstantEpsMu, ContinuumModelWarning,
                      QuadratureConfig, QuadraturePoint, SpherePlate, Tabulated,
                      TabulatedAbsorption, dispersion_restores_attraction,
                      dominant_frequency, energy_per_area, pressure, reflection,
-                     sign_map, vacuum)
+                     sign_map, uvl_map, vacuum)
 from casimir import engine, materials
 from casimir.engine import (_inner_integrals, _integrate_batch, _li4, _ln_one_minus,
                             _reflection_at_limits, _reflection_by_owner, integrate_gaps)
@@ -517,7 +517,10 @@ SCALAR_INPUTS = {
     "sphere-radius": (lambda v: SpherePlate(v, 1e-6), DomainError),
     "sphere-gap": (lambda v: SpherePlate(1e-4, v), DomainError),
     "sign-map-gap": (lambda v: sign_map([2.0], [1.0], [1.0], [3.0], v), DomainError),
+    "sign-map-eps": (lambda v: sign_map([v], [1.0], [1.0], [3.0], 1e-6), DomainError),
     "attraction-gap": (lambda v: dispersion_restores_attraction([GOLD], [v]), DomainError),
+    "uvl-mu": (lambda v: uvl_map([1.0], [v], 1e-6), DomainError),
+    "uvl-eps-mu-product": (lambda v: uvl_map([1.0], [1.0], 1e-6, eps_mu_product=v), DomainError),
     "rel-tol": (lambda v: QuadratureConfig(rel_tol=v), DomainError),
     "drude-gamma": (lambda v: Drude(1.37e16, v), InvalidModelError),
     "constant-eps": (lambda v: ConstantEpsMu(v, 1.0), InvalidModelError),
