@@ -13,9 +13,14 @@ unit of the value.  It is 1e-12 Pa for pressures (``pressure``,
 ``sweep``), 1e-12 Pa x a in J/m^2 for energies at gap a (``energy``),
 and 2 pi R x 1e-12 Pa x a in N for the proximity-rule force on a sphere
 of radius R (``pfa``).
+
+The parser is built once per process (``build_parser`` is cached) and binds
+the ``_cmd_*`` functions then: replacing one later does not change what
+``main`` runs, but the names they call are looked up as they run.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -224,6 +229,7 @@ def _cmd_pfa(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="casimir",

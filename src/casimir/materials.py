@@ -531,9 +531,12 @@ class TabulatedAbsorption:
 def _atan_series(x2):
     """(x - arctan x) / x^3 from its series in x^2, for x < 0.05: to x^10/13,
     the first dropped term being below 5e-17 of 1/3 there."""
-    x4 = x2 * x2
-    return (1.0 / 3.0 - x2 / 5.0 + x4 / 7.0 - x4 * x2 / 9.0
-            + x4 * x4 / 11.0 - x4 * x4 * x2 / 13.0)
+    acc = x2 / -13.0
+    for c in (1.0 / 11.0, -1.0 / 9.0, 1.0 / 7.0, -1.0 / 5.0):
+        acc += c
+        acc *= x2
+    acc += 1.0 / 3.0
+    return acc
 
 
 def _x_minus_atan(x):
@@ -572,11 +575,18 @@ def _kk_interval_sums(x, factors):
     slope, dw, dw_w1w2, w1w2, half_offset, sq_diff, w1_sq = factors
     x2 = x * x
     denom = x2 + w1w2
-    v = x * dw / denom
+    v = x * dw
+    v /= denom
     # alpha * (dw - xi*(atan(w2/xi)-atan(w1/xi))), cancellation-free form
-    term_a = slope * (dw_w1w2 / denom + x * _x_minus_atan(v))
-    term_b = half_offset * np.log1p(sq_diff / (w1_sq + x2))
-    return (term_a + term_b).reshape(x.shape[0], -1).sum(axis=1)
+    term = _x_minus_atan(v)
+    term *= x
+    term += np.divide(dw_w1w2, denom, out=denom)
+    term *= slope
+    # plus half_offset * log1p(sq_diff / (w1_sq + x2)), in denom's memory
+    np.log1p(np.divide(sq_diff, np.add(w1_sq, x2, out=denom), out=denom), out=denom)
+    denom *= half_offset
+    term += denom
+    return term.reshape(x.shape[0], -1).sum(axis=1)
 
 
 def _kk_sampled(table, xi):
@@ -675,10 +685,10 @@ _GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[:0:-1], _GL_HALF_WEIGHTS])
 # sums: bounds the size of their 2-D temporaries however many frequencies
 # are asked for.  The 1-D tails run once on the whole xi array.  A pass
 # holds ~12 temporaries of up to 40 KB; at 16384 elements each was mapped
-# afresh, ~9,000 page faults per 600-node transform.  Whether a pass reuses
-# the heap also depends on glibc's trim threshold, which freeing a large
-# table's moment build raises.  Tabulated.eps transforms only the points of
-# its decade panels, 32 at a time and once per table.
+# afresh (~9,000 page faults per 600-node transform), and 15360 ran slower.
+# Tabulated.eps transforms the 32 points of each decade panel it lacks, all
+# in one call (288 for a 0.3 um pressure's 9 decades) and once per table;
+# how its passes reuse the heap also depends on glibc's trim threshold.
 _KK_CHUNK = 5120
 
 
@@ -751,16 +761,23 @@ def _kk_blocks(table):
     s1, s2 = s[:-1, None], s[1:, None]
     l, h = lo[block, None], hi[block, None]
     dw = w2 - w1
-    x = _GL_NODES
+    minus, plus = 1.0 - _GL_NODES, 1.0 + _GL_NODES
     # in w: node (w1 (1-x) + w2 (1+x))/2, eps'' = (s1 (1-x) + s2 (1+x))/2
-    wn = 0.5 * (w1 * (1.0 - x) + w2 * (1.0 + x))
+    wn = (0.5 * w1) * minus
+    wn += (0.5 * w2) * plus
     y = wn / h
-    p_term = 0.25 * dw * (s1 * (1.0 - x) + s2 * (1.0 + x)) * y / h
+    p_term = s1 * minus
+    p_term += s2 * plus
+    p_term *= y
+    p_term *= 0.25 * dw / h
     # in u = 1/w: node u = wn / (w1 w2), so w = w1 w2 / wn and
     # (lo u)^(2k) eps''/u du = (lo u)^(2k-2) (lo/w1)(lo/w2) dw/4 *
     # (s1 (1+x)/w1 + s2 (1-x)/w2) times the rule's weight
-    z2 = (l * wn / (w1 * w2)) ** 2
-    q_term = 0.25 * dw * (l / w1) * (l / w2) * (s1 * (1.0 + x) / w1 + s2 * (1.0 - x) / w2)
+    z2 = np.multiply(wn, l / (w1 * w2), out=wn)
+    z2 *= z2
+    q_term = (s1 / w1) * plus
+    q_term += (s2 / w2) * minus
+    q_term *= 0.25 * dw * (l / w1) * (l / w2)
 
     def block_sums(a):
         return np.bincount(block, weights=a, minlength=n_blocks)
@@ -769,7 +786,7 @@ def _kk_blocks(table):
     q = np.empty((_KK_TERMS, n_blocks))
     c1, c2 = _log_mean_weights(w1[:, 0], w2[:, 0])
     q[0] = block_sums(s1[:, 0] * c1 + s2[:, 0] * c2)
-    y2 = y * y
+    y2 = np.multiply(y, y, out=y)
     for k in range(_KK_TERMS):
         p[k] = block_sums(p_term @ _GL_WEIGHTS)
         p_term *= y2
