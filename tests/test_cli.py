@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 import threading
 
 import numpy as np
@@ -575,3 +576,28 @@ def test_table_sweep_transforms_each_distinct_node_once(capsys, tmp_path, kk_nod
     alone = np.concatenate(kk_nodes)
     assert nodes.size == np.unique(nodes).size == alone.size
     np.testing.assert_array_equal(np.sort(alone), np.sort(nodes))
+
+
+def test_the_parser_is_built_once_and_keeps_no_state_between_runs(capsys, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    table = tmp_path / "table.json"
+    save_table(table)
+    materials = ["--material1", str(table), "--material2", "pc", "--rel-tol", "1e-6"]
+    runs = [["pressure", "--gap", "4e-7", "--csv", *materials],
+            ["energy", "--gap", "7e-7", *materials],
+            ["sweep", "--gap-min", "3e-7", "--gap-max", "9e-7", "--points", "2", *materials],
+            ["pressure", "--gap", "4e-7", *materials]]
+
+    def stdout(argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        return re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', out)
+
+    first = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        first.append(stdout(argv))
+    parser = cli.build_parser()
+    assert [stdout(argv) for argv in runs] == first
+    assert cli.build_parser() is parser
+    assert first[0].startswith("value,") and json.loads(first[3])["units"] == "Pa"

@@ -416,6 +416,50 @@ def test_moment_rule_is_numpys_gauss_legendre():
     np.testing.assert_array_equal(_GL_WEIGHTS, weights)
 
 
+def reference_moments(w, s):
+    """Every block's p[k] and q[k] (``_KKBlocks``) at 40 digits: per
+    interval, with eps'' = a + b w, the antiderivatives of
+    w^(2k+1) eps'' and w^(-2k-1) eps'' differenced across it."""
+    n_int = len(w) - 1
+    p, q = [], []
+    with mp.workdps(40):
+        ws = [mp.mpf(float(v)) for v in w]
+        ss = [mp.mpf(float(v)) for v in s]
+        for first in range(0, n_int, materials._KK_BLOCK):
+            stop = min(first + materials._KK_BLOCK, n_int)
+            lo, hi = ws[first], ws[stop]
+            pb = [mp.mpf(0)] * materials._KK_TERMS
+            qb = [mp.mpf(0)] * materials._KK_TERMS
+            for i in range(first, stop):
+                w1, w2 = ws[i], ws[i + 1]
+                b = (ss[i + 1] - ss[i]) / (w2 - w1)
+                a = ss[i] - b * w1
+                for k in range(materials._KK_TERMS):
+                    m = 2 * k + 2
+                    pb[k] += (a * (w2 ** m - w1 ** m) / m
+                              + b * (w2 ** (m + 1) - w1 ** (m + 1)) / (m + 1)) / hi ** m
+                    if k == 0:
+                        qb[k] += a * mp.log(w2 / w1) + b * (w2 - w1)
+                    else:
+                        qb[k] += lo ** (2 * k) * (a * (w1 ** -(2 * k) - w2 ** -(2 * k)) / (2 * k)
+                                                  + b * (w1 ** (1 - 2 * k) - w2 ** (1 - 2 * k))
+                                                  / (2 * k - 1))
+            p.append(pb)
+            q.append(qb)
+    return p, q
+
+
+def test_block_moments_against_40_digit_reference():
+    # every block and every k of p and q, not only through the values of
+    # the near/far split
+    w, s = SPLIT_TABLES["300-samples"]
+    blocks = TabulatedAbsorption(w, s)._blocks
+    p, q = reference_moments(w, s)
+    assert blocks.p.shape == blocks.q.shape == (materials._KK_TERMS, len(p))
+    for got, ref in ((blocks.p, p), (blocks.q, q)):
+        assert worst_relative_error(got.T.ravel(), [r for row in ref for r in row]) <= 4e-15
+
+
 # ---------------------------------------------------------------------------
 # Tabulated.eps from per-decade Chebyshev panels
 # ---------------------------------------------------------------------------
